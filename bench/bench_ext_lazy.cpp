@@ -219,13 +219,9 @@ class GatedRegistry final : public FileRegistryApi {
   long demand_exit_seq() const { return demand_exit_seq_.load(); }
   long first_batch_seq() const { return first_batch_seq_.load(); }
 
-  bool query(const Fingerprint& fp) const override { return inner_.query(fp); }
   std::vector<std::uint8_t> query_many(
       const std::vector<Fingerprint>& fps) const override {
     return inner_.query_many(fps);
-  }
-  bool upload(const Fingerprint& fp, BytesView content) override {
-    return inner_.upload(fp, content);
   }
   bool upload_precompressed(const Fingerprint& fp, Bytes compressed) override {
     return inner_.upload_precompressed(fp, std::move(compressed));
@@ -238,9 +234,6 @@ class GatedRegistry final : public FileRegistryApi {
                       const ChunkPolicy& policy,
                       const FingerprintHasher& hasher) override {
     return inner_.upload_chunked(fp, content, policy, hasher);
-  }
-  StatusOr<Bytes> download(const Fingerprint& fp) const override {
-    return inner_.download(fp);
   }
   // The client's demand-fault path fetches through a singleton
   // download_batch; the backfill drain batches several files. The probe

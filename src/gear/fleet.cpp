@@ -1,6 +1,7 @@
 #include "gear/fleet.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -131,15 +132,6 @@ const FleetShardStats& FleetRegistry::shard_stats(std::size_t shard_id) const {
   return *shard_stats_[shard_id];
 }
 
-std::vector<std::pair<std::size_t, FileRegistryApi*>>
-FleetRegistry::replica_targets_locked(const Fingerprint& fp) const {
-  std::vector<std::pair<std::size_t, FileRegistryApi*>> out;
-  for (std::size_t id : ring_.replicas(fp, replicas_)) {
-    out.emplace_back(id, shards_[id]);
-  }
-  return out;
-}
-
 FleetRegistry::Routing FleetRegistry::routing_snapshot() const {
   std::shared_lock lk(ring_mutex_);
   Routing rt;
@@ -148,16 +140,6 @@ FleetRegistry::Routing FleetRegistry::routing_snapshot() const {
   rt.stats.reserve(shard_stats_.size());
   for (const auto& s : shard_stats_) rt.stats.push_back(s.get());
   return rt;
-}
-
-std::vector<std::pair<std::size_t, FileRegistryApi*>>
-FleetRegistry::replica_targets(const Routing& rt, const Fingerprint& fp,
-                               std::size_t replicas) {
-  std::vector<std::pair<std::size_t, FileRegistryApi*>> out;
-  for (std::size_t id : rt.ring.replicas(fp, replicas)) {
-    out.emplace_back(id, rt.shards[id]);
-  }
-  return out;
 }
 
 void FleetRegistry::catalog_put(const Fingerprint& fp, bool chunked,
@@ -170,38 +152,38 @@ void FleetRegistry::catalog_put(const Fingerprint& fp, bool chunked,
 
 // ---- reads ----------------------------------------------------------------
 
-bool FleetRegistry::query(const Fingerprint& fp) const {
+template <typename T>
+StatusOr<T> FleetRegistry::read_replicas(
+    const Fingerprint& fp, std::size_t fanout, std::uint64_t items,
+    const std::function<StatusOr<T>(FileRegistryApi&)>& read,
+    std::optional<ErrorCode> final_code) const {
   Routing rt = routing_snapshot();
-  auto targets = replica_targets(rt, fp, replicas_);
-  bool answered = false;
+  std::optional<std::pair<ErrorCode, std::string>> last;
   bool failed_before = false;
-  std::string last_err = "no live replicas";
-  for (auto& [id, api] : targets) {
+  for (std::size_t id : rt.ring.replicas(fp, fanout)) {
     try {
       stats_.shard_calls.fetch_add(1, kRelaxed);
-      // An object exists in the fleet when ANY replica holds it (a shard
-      // that was down at upload time may legitimately miss objects its
-      // backups accepted), so `false` keeps probing the rest of the list.
-      if (api->query(fp)) {
-        if (failed_before) {
-          stats_.replica_fallbacks.fetch_add(1, kRelaxed);
-          rt.stats[id]->fallback_reads.fetch_add(1, kRelaxed);
+      StatusOr<T> got = read(*rt.shards[id]);
+      if (got.ok()) {
+        if (items != 0) {
+          rt.stats[id]->routed_items.fetch_add(items, kRelaxed);
+          if (failed_before) {
+            stats_.replica_fallbacks.fetch_add(items, kRelaxed);
+            rt.stats[id]->fallback_reads.fetch_add(items, kRelaxed);
+          }
         }
-        return true;
+        return got;
       }
-      answered = true;
+      if (got.code() == final_code) return got;
+      last.emplace(got.code(), got.message());
     } catch (const Error& e) {
       stats_.failed_shard_calls.fetch_add(1, kRelaxed);
       failed_before = true;
-      last_err = e.what();
+      last.emplace(ErrorCode::kInternal, e.what());
     }
   }
-  if (!answered) {
-    throw_error(ErrorCode::kInternal, "fleet: query of " + fp.hex() +
-                                          " failed on all replicas: " +
-                                          last_err);
-  }
-  return false;
+  if (last) return {last->first, last->second};
+  return {ErrorCode::kInternal, "fleet: no live replicas for " + fp.hex()};
 }
 
 std::vector<std::uint8_t> FleetRegistry::query_many(
@@ -268,60 +250,10 @@ std::vector<std::uint8_t> FleetRegistry::query_many(
   return out;
 }
 
-StatusOr<Bytes> FleetRegistry::download(const Fingerprint& fp) const {
-  Routing rt = routing_snapshot();
-  auto targets = replica_targets(rt, fp, replicas_);
-  std::optional<std::pair<ErrorCode, std::string>> last;
-  bool failed_before = false;
-  for (auto& [id, api] : targets) {
-    try {
-      stats_.shard_calls.fetch_add(1, kRelaxed);
-      auto got = api->download(fp);
-      if (got.ok()) {
-        rt.stats[id]->routed_items.fetch_add(1, kRelaxed);
-        if (failed_before) {
-          stats_.replica_fallbacks.fetch_add(1, kRelaxed);
-          rt.stats[id]->fallback_reads.fetch_add(1, kRelaxed);
-        }
-        return got;
-      }
-      last.emplace(got.code(), got.message());
-    } catch (const Error& e) {
-      stats_.failed_shard_calls.fetch_add(1, kRelaxed);
-      failed_before = true;
-      last.emplace(ErrorCode::kInternal, e.what());
-    }
-  }
-  if (last) return {last->first, last->second};
-  return {ErrorCode::kInternal, "fleet: no live replicas for " + fp.hex()};
-}
-
 StatusOr<Bytes> FleetRegistry::download_compressed(const Fingerprint& fp) const {
-  Routing rt = routing_snapshot();
-  auto targets = replica_targets(rt, fp, replicas_);
-  std::optional<std::pair<ErrorCode, std::string>> last;
-  bool failed_before = false;
-  for (auto& [id, api] : targets) {
-    try {
-      stats_.shard_calls.fetch_add(1, kRelaxed);
-      auto got = api->download_compressed(fp);
-      if (got.ok()) {
-        rt.stats[id]->routed_items.fetch_add(1, kRelaxed);
-        if (failed_before) {
-          stats_.replica_fallbacks.fetch_add(1, kRelaxed);
-          rt.stats[id]->fallback_reads.fetch_add(1, kRelaxed);
-        }
-        return got;
-      }
-      last.emplace(got.code(), got.message());
-    } catch (const Error& e) {
-      stats_.failed_shard_calls.fetch_add(1, kRelaxed);
-      failed_before = true;
-      last.emplace(ErrorCode::kInternal, e.what());
-    }
-  }
-  if (last) return {last->first, last->second};
-  return {ErrorCode::kInternal, "fleet: no live replicas for " + fp.hex()};
+  return read_replicas<Bytes>(fp, replicas_, 1, [&](FileRegistryApi& api) {
+    return api.download_compressed(fp);
+  });
 }
 
 StatusOr<Bytes> FleetRegistry::download_chunk_compressed(
@@ -329,35 +261,14 @@ StatusOr<Bytes> FleetRegistry::download_chunk_compressed(
   // Chunk objects co-locate with their parent file, which is routed by the
   // FILE fingerprint — a chunk fingerprint alone names no home shard. The
   // stored-frame surface doesn't carry the parent fp, so probe every live
-  // shard (ring walk from chunk_fp's position, for a deterministic order);
-  // a per-shard miss is a cheap index lookup and kNotFound is an answer,
-  // not a failure.
-  Routing rt = routing_snapshot();
-  auto targets = replica_targets(rt, chunk_fp, rt.shards.size());
-  std::optional<std::pair<ErrorCode, std::string>> last;
-  bool failed_before = false;
-  for (auto& [id, api] : targets) {
-    try {
-      stats_.shard_calls.fetch_add(1, kRelaxed);
-      auto got = api->download_chunk_compressed(chunk_fp);
-      if (got.ok()) {
-        rt.stats[id]->routed_items.fetch_add(1, kRelaxed);
-        if (failed_before) {
-          stats_.replica_fallbacks.fetch_add(1, kRelaxed);
-          rt.stats[id]->fallback_reads.fetch_add(1, kRelaxed);
-        }
-        return got;
-      }
-      last.emplace(got.code(), got.message());
-    } catch (const Error& e) {
-      stats_.failed_shard_calls.fetch_add(1, kRelaxed);
-      failed_before = true;
-      last.emplace(ErrorCode::kInternal, e.what());
-    }
-  }
-  if (last) return {last->first, last->second};
-  return {ErrorCode::kInternal,
-          "fleet: no live replicas for chunk " + chunk_fp.hex()};
+  // shard (the ring walk from chunk_fp's position caps the fan-out at the
+  // live count, for a deterministic order); a per-shard miss is a cheap
+  // index lookup and kNotFound is an answer, not a failure.
+  return read_replicas<Bytes>(
+      chunk_fp, std::numeric_limits<std::size_t>::max(), 1,
+      [&](FileRegistryApi& api) {
+        return api.download_chunk_compressed(chunk_fp);
+      });
 }
 
 StatusOr<std::vector<Bytes>> FleetRegistry::download_batch(
@@ -401,7 +312,8 @@ StatusOr<std::vector<Bytes>> FleetRegistry::download_batch(
       try {
         stats_.shard_calls.fetch_add(1, kRelaxed);
         std::uint64_t w = 0;
-        auto got = rt.shards[sid]->download_batch(sub, nullptr, &w);
+        auto got = rt.shards[sid]->download_batch(
+            sub, nullptr, wire_bytes_out != nullptr ? &w : nullptr);
         if (got.ok()) {
           for (std::size_t k = 0; k < idxs.size(); ++k) {
             out[idxs[k]] = std::move(got.value()[k]);
@@ -442,148 +354,80 @@ StatusOr<std::vector<Bytes>> FleetRegistry::download_batch(
 StatusOr<Bytes> FleetRegistry::download_range(
     const Fingerprint& fp, std::uint64_t offset, std::uint64_t length,
     std::uint64_t* wire_bytes_out) const {
-  Routing rt = routing_snapshot();
-  auto targets = replica_targets(rt, fp, replicas_);
-  std::optional<std::pair<ErrorCode, std::string>> last;
-  bool failed_before = false;
-  for (auto& [id, api] : targets) {
-    try {
-      stats_.shard_calls.fetch_add(1, kRelaxed);
-      std::uint64_t w = 0;
-      auto got = api->download_range(fp, offset, length, &w);
-      if (got.ok()) {
-        if (wire_bytes_out) *wire_bytes_out = w;
-        rt.stats[id]->routed_items.fetch_add(1, kRelaxed);
-        if (failed_before) {
-          stats_.replica_fallbacks.fetch_add(1, kRelaxed);
-          rt.stats[id]->fallback_reads.fetch_add(1, kRelaxed);
-        }
-        return got;
-      }
-      // kInvalidArgument (range out of bounds) is an answer, not a shard
-      // failure: every replica stores identical bytes.
-      if (got.code() == ErrorCode::kInvalidArgument) return got;
-      last.emplace(got.code(), got.message());
-    } catch (const Error& e) {
-      stats_.failed_shard_calls.fetch_add(1, kRelaxed);
-      failed_before = true;
-      last.emplace(ErrorCode::kInternal, e.what());
-    }
-  }
-  if (last) return {last->first, last->second};
-  return {ErrorCode::kInternal, "fleet: no live replicas for " + fp.hex()};
+  std::uint64_t wire = 0;
+  // kInvalidArgument (range out of bounds) is an answer, not a shard
+  // failure: every replica stores identical bytes.
+  StatusOr<Bytes> got = read_replicas<Bytes>(
+      fp, replicas_, 1,
+      [&](FileRegistryApi& api) {
+        return api.download_range(fp, offset, length, &wire);
+      },
+      ErrorCode::kInvalidArgument);
+  if (got.ok() && wire_bytes_out) *wire_bytes_out = wire;
+  return got;
 }
 
 StatusOr<std::vector<Bytes>> FleetRegistry::download_chunks(
     const Fingerprint& fp, const ChunkManifest& manifest,
     const std::vector<std::uint32_t>& indices,
     std::uint64_t* wire_bytes_out) const {
-  Routing rt = routing_snapshot();
-  auto targets = replica_targets(rt, fp, replicas_);
-  std::optional<std::pair<ErrorCode, std::string>> last;
-  bool failed_before = false;
-  for (auto& [id, api] : targets) {
-    try {
-      stats_.shard_calls.fetch_add(1, kRelaxed);
-      std::uint64_t w = 0;
-      auto got = api->download_chunks(fp, manifest, indices, &w);
-      if (got.ok()) {
-        if (wire_bytes_out) *wire_bytes_out = w;
-        rt.stats[id]->routed_items.fetch_add(indices.size(), kRelaxed);
-        if (failed_before) {
-          stats_.replica_fallbacks.fetch_add(indices.size(), kRelaxed);
-          rt.stats[id]->fallback_reads.fetch_add(indices.size(), kRelaxed);
-        }
-        return got;
-      }
-      last.emplace(got.code(), got.message());
-    } catch (const Error& e) {
-      stats_.failed_shard_calls.fetch_add(1, kRelaxed);
-      failed_before = true;
-      last.emplace(ErrorCode::kInternal, e.what());
-    }
-  }
-  if (last) return {last->first, last->second};
-  return {ErrorCode::kInternal, "fleet: no live replicas for " + fp.hex()};
+  std::uint64_t wire = 0;
+  StatusOr<std::vector<Bytes>> got = read_replicas<std::vector<Bytes>>(
+      fp, replicas_, indices.size(), [&](FileRegistryApi& api) {
+        return api.download_chunks(fp, manifest, indices, &wire);
+      });
+  if (got.ok() && wire_bytes_out) *wire_bytes_out = wire;
+  return got;
 }
 
 StatusOr<std::uint64_t> FleetRegistry::stored_size(
     const Fingerprint& fp) const {
-  Routing rt = routing_snapshot();
-  auto targets = replica_targets(rt, fp, replicas_);
-  std::optional<std::pair<ErrorCode, std::string>> last;
-  for (auto& [id, api] : targets) {
-    try {
-      stats_.shard_calls.fetch_add(1, kRelaxed);
-      auto got = api->stored_size(fp);
-      if (got.ok()) return got;
-      last.emplace(got.code(), got.message());
-    } catch (const Error& e) {
-      stats_.failed_shard_calls.fetch_add(1, kRelaxed);
-      last.emplace(ErrorCode::kInternal, e.what());
-    }
-  }
-  if (last) return {last->first, last->second};
-  return {ErrorCode::kInternal, "fleet: no live replicas for " + fp.hex()};
+  return read_replicas<std::uint64_t>(
+      fp, replicas_, 0,
+      [&](FileRegistryApi& api) { return api.stored_size(fp); });
 }
 
 bool FleetRegistry::is_chunked(const Fingerprint& fp) const {
-  Routing rt = routing_snapshot();
-  auto targets = replica_targets(rt, fp, replicas_);
+  // `true` from any replica wins; `false` could be a replica that missed
+  // the upload, so it keeps the walk going (like query_many's OR).
   bool answered = false;
-  std::string last_err = "no live replicas";
-  for (auto& [id, api] : targets) {
-    try {
-      stats_.shard_calls.fetch_add(1, kRelaxed);
-      // `true` from any replica wins; `false` could be a replica that
-      // missed the upload, so keep probing (mirrors query()).
-      if (api->is_chunked(fp)) return true;
-      answered = true;
-    } catch (const Error& e) {
-      stats_.failed_shard_calls.fetch_add(1, kRelaxed);
-      last_err = e.what();
-    }
-  }
+  StatusOr<bool> got = read_replicas<bool>(
+      fp, replicas_, 0, [&](FileRegistryApi& api) -> StatusOr<bool> {
+        if (api.is_chunked(fp)) return true;
+        answered = true;
+        return {ErrorCode::kNotFound, "not chunked"};
+      });
+  if (got.ok()) return true;
   if (!answered) {
     throw_error(ErrorCode::kInternal, "fleet: is_chunked of " + fp.hex() +
                                           " failed on all replicas: " +
-                                          last_err);
+                                          got.message());
   }
   return false;
 }
 
 StatusOr<ChunkManifest> FleetRegistry::chunk_manifest(
     const Fingerprint& fp) const {
-  Routing rt = routing_snapshot();
-  auto targets = replica_targets(rt, fp, replicas_);
-  std::optional<std::pair<ErrorCode, std::string>> last;
-  for (auto& [id, api] : targets) {
-    try {
-      stats_.shard_calls.fetch_add(1, kRelaxed);
-      auto got = api->chunk_manifest(fp);
-      if (got.ok()) return got;
-      last.emplace(got.code(), got.message());
-    } catch (const Error& e) {
-      stats_.failed_shard_calls.fetch_add(1, kRelaxed);
-      last.emplace(ErrorCode::kInternal, e.what());
-    }
-  }
-  if (last) return {last->first, last->second};
-  return {ErrorCode::kInternal, "fleet: no live replicas for " + fp.hex()};
+  return read_replicas<ChunkManifest>(
+      fp, replicas_, 0,
+      [&](FileRegistryApi& api) { return api.chunk_manifest(fp); });
 }
 
 // ---- writes ---------------------------------------------------------------
 
-bool FleetRegistry::upload(const Fingerprint& fp, BytesView content) {
+bool FleetRegistry::write_replicas(
+    const Fingerprint& fp, bool chunked, const ChunkPolicy& policy,
+    const std::function<bool(FileRegistryApi&, bool last)>& write) {
   std::shared_lock lk(ring_mutex_);
-  catalog_put(fp, false, ChunkPolicy{});
-  auto targets = replica_targets_locked(fp);
+  catalog_put(fp, chunked, policy);
+  std::vector<std::size_t> targets = ring_.replicas(fp, replicas_);
   std::optional<bool> first_result;
   std::string last_err = "no live replicas";
-  for (auto& [id, api] : targets) {
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    std::size_t id = targets[i];
     try {
       stats_.shard_calls.fetch_add(1, kRelaxed);
-      bool stored = api->upload(fp, content);
+      bool stored = write(*shards_[id], i + 1 == targets.size());
       if (!first_result) {
         first_result = stored;
         shard_stats_[id]->routed_items.fetch_add(1, kRelaxed);
@@ -605,66 +449,21 @@ bool FleetRegistry::upload(const Fingerprint& fp, BytesView content) {
 
 bool FleetRegistry::upload_precompressed(const Fingerprint& fp,
                                          Bytes compressed) {
-  std::shared_lock lk(ring_mutex_);
-  catalog_put(fp, false, ChunkPolicy{});
-  auto targets = replica_targets_locked(fp);
-  std::optional<bool> first_result;
-  std::string last_err = "no live replicas";
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    auto& [id, api] = targets[i];
-    try {
-      stats_.shard_calls.fetch_add(1, kRelaxed);
-      Bytes frame = (i + 1 == targets.size()) ? std::move(compressed)
-                                              : compressed;
-      bool stored = api->upload_precompressed(fp, std::move(frame));
-      if (!first_result) {
-        first_result = stored;
-        shard_stats_[id]->routed_items.fetch_add(1, kRelaxed);
-      } else {
-        shard_stats_[id]->replica_items.fetch_add(1, kRelaxed);
-      }
-    } catch (const Error& e) {
-      stats_.failed_shard_calls.fetch_add(1, kRelaxed);
-      last_err = e.what();
-    }
-  }
-  if (!first_result) {
-    throw_error(ErrorCode::kInternal, "fleet: upload of " + fp.hex() +
-                                          " failed on all replicas: " +
-                                          last_err);
-  }
-  return *first_result;
+  return write_replicas(
+      fp, false, ChunkPolicy{}, [&](FileRegistryApi& api, bool last) {
+        return api.upload_precompressed(
+            fp, last ? std::move(compressed) : compressed);
+      });
 }
 
 bool FleetRegistry::upload_chunked(const Fingerprint& fp, BytesView content,
                                    const ChunkPolicy& policy,
                                    const FingerprintHasher& hasher) {
-  std::shared_lock lk(ring_mutex_);
-  catalog_put(fp, policy.applies_to(content.size()), policy);
-  auto targets = replica_targets_locked(fp);
-  std::optional<bool> first_result;
-  std::string last_err = "no live replicas";
-  for (auto& [id, api] : targets) {
-    try {
-      stats_.shard_calls.fetch_add(1, kRelaxed);
-      bool stored = api->upload_chunked(fp, content, policy, hasher);
-      if (!first_result) {
-        first_result = stored;
-        shard_stats_[id]->routed_items.fetch_add(1, kRelaxed);
-      } else {
-        shard_stats_[id]->replica_items.fetch_add(1, kRelaxed);
-      }
-    } catch (const Error& e) {
-      stats_.failed_shard_calls.fetch_add(1, kRelaxed);
-      last_err = e.what();
-    }
-  }
-  if (!first_result) {
-    throw_error(ErrorCode::kInternal, "fleet: upload of " + fp.hex() +
-                                          " failed on all replicas: " +
-                                          last_err);
-  }
-  return *first_result;
+  return write_replicas(fp, policy.applies_to(content.size()), policy,
+                        [&](FileRegistryApi& api, bool) {
+                          return api.upload_chunked(fp, content, policy,
+                                                    hasher);
+                        });
 }
 
 std::size_t FleetRegistry::upload_precompressed_batch(

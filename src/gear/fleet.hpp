@@ -36,8 +36,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <utility>
@@ -140,17 +142,17 @@ class FleetRegistry final : public FileRegistryApi {
       : FleetRegistry(std::move(shards), Options{}) {}
 
   // ---- FileRegistryApi ----------------------------------------------------
-  bool query(const Fingerprint& fp) const override;
+  // The single-item query / upload / download are the base class's
+  // batch-of-one defaults over query_many / upload_precompressed /
+  // download_batch.
   std::vector<std::uint8_t> query_many(
       const std::vector<Fingerprint>& fps) const override;
-  bool upload(const Fingerprint& fp, BytesView content) override;
   bool upload_precompressed(const Fingerprint& fp, Bytes compressed) override;
   std::size_t upload_precompressed_batch(
       std::vector<std::pair<Fingerprint, Bytes>> items) override;
   bool upload_chunked(
       const Fingerprint& fp, BytesView content, const ChunkPolicy& policy,
       const FingerprintHasher& hasher = default_hasher()) override;
-  StatusOr<Bytes> download(const Fingerprint& fp) const override;
   StatusOr<std::vector<Bytes>> download_batch(
       const std::vector<Fingerprint>& fps, util::ThreadPool* pool = nullptr,
       std::uint64_t* wire_bytes_out = nullptr) const override;
@@ -162,8 +164,8 @@ class FleetRegistry final : public FileRegistryApi {
       const std::vector<std::uint32_t>& indices,
       std::uint64_t* wire_bytes_out = nullptr) const override;
   StatusOr<std::uint64_t> stored_size(const Fingerprint& fp) const override;
-  /// Stored-frame reads (the net::FrameServer surface): routed exactly like
-  /// download() — replicas in ring order, home first, fall back on any
+  /// Stored-frame reads (the net::FrameServer surface): routed like every
+  /// per-object read — replicas in ring order, home first, fall back on any
   /// failure — so a daemon can serve the batch wire protocol off a whole
   /// fleet of shards.
   StatusOr<Bytes> download_compressed(const Fingerprint& fp) const override;
@@ -224,15 +226,30 @@ class FleetRegistry final : public FileRegistryApi {
   };
   Routing routing_snapshot() const;
 
-  /// Replica (shard id, backend) pairs for fp, home first.
-  static std::vector<std::pair<std::size_t, FileRegistryApi*>>
-  replica_targets(const Routing& rt, const Fingerprint& fp,
-                  std::size_t replicas);
+  /// The one per-object read path. Tries `read` on the first `fanout`
+  /// shards of fp's ring walk (home first) over a routing snapshot. A shard
+  /// that throws is down: counted in failed_shard_calls, and the walk moves
+  /// on. A non-ok answer is kept and the walk moves on too, unless its code
+  /// is `final_code` — an answer every replica would give. The first ok
+  /// answer wins and, when `items` != 0, counts as `items` routed items on
+  /// its shard, plus fallback reads when an earlier shard threw. With no
+  /// ok answer the caller gets the last shard's error (kInternal for a
+  /// dead one).
+  template <typename T>
+  StatusOr<T> read_replicas(
+      const Fingerprint& fp, std::size_t fanout, std::uint64_t items,
+      const std::function<StatusOr<T>(FileRegistryApi&)>& read,
+      std::optional<ErrorCode> final_code = std::nullopt) const;
 
-  /// Replica (shard id, backend) pairs for fp, home first. Caller holds
-  /// ring_mutex_ (shared or unique).
-  std::vector<std::pair<std::size_t, FileRegistryApi*>> replica_targets_locked(
-      const Fingerprint& fp) const;
+  /// The one per-object write path: catalogs `fp`, then calls `write` on
+  /// every replica (home first) with ring_mutex_ held shared. `write`'s
+  /// second argument is true for the last replica, which may consume the
+  /// payload. The first shard to answer decides the result and counts a
+  /// routed item; later ones count replica items. A shard that throws is
+  /// skipped; throws kInternal when every replica fails.
+  bool write_replicas(
+      const Fingerprint& fp, bool chunked, const ChunkPolicy& policy,
+      const std::function<bool(FileRegistryApi&, bool last)>& write);
 
   void catalog_put(const Fingerprint& fp, bool chunked,
                    const ChunkPolicy& policy);

@@ -1,5 +1,7 @@
 #include "gear/gc.hpp"
 
+#include <optional>
+
 #include "docker/layer.hpp"
 #include "gear/converter.hpp"
 #include "gear/index.hpp"
@@ -68,8 +70,14 @@ ScrubReport scrub_registry(const GearRegistry& registry,
   ScrubReport report;
   auto check = [&](const Fingerprint& fp) {
     ++report.objects_checked;
-    StatusOr<Bytes> content = registry.download(fp);
-    if (!content.ok()) {
+    std::optional<Bytes> content;
+    try {
+      StatusOr<Bytes> got = registry.download(fp);
+      if (got.ok()) content = std::move(got).value();
+    } catch (const Error&) {
+      // A stored frame that fails to decode: corrupt, like a missing chunk.
+    }
+    if (!content) {
       ++report.corrupt;
       report.corrupt_fingerprints.push_back(fp);
       return;

@@ -52,7 +52,7 @@ struct ScrubReport {
   std::size_t objects_checked = 0;
   std::size_t verified = 0;        // content hashes back to its fingerprint
   std::size_t unverifiable = 0;    // salted unique IDs (collision handling)
-  std::size_t corrupt = 0;         // chunked file with missing/short chunks
+  std::size_t corrupt = 0;         // undecodable frame, missing chunks
   std::vector<Fingerprint> corrupt_fingerprints;
 };
 
@@ -60,7 +60,8 @@ struct ScrubReport {
 /// reassembled chunked files) against its fingerprint. Objects whose name is
 /// a salted unique ID (paper §III-B collision handling) legitimately fail the
 /// re-hash and are reported as unverifiable, not corrupt; hard errors —
-/// chunked files whose chunks are missing or mis-sized — are corrupt.
+/// stored frames that fail to decode, chunked files whose chunks are missing
+/// or mis-sized — are corrupt, and the scan goes on past them.
 ScrubReport scrub_registry(const GearRegistry& registry,
                            const FingerprintHasher& hasher = default_hasher());
 

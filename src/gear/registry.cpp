@@ -14,10 +14,15 @@ GearRegistry::GearRegistry(std::unique_ptr<ObjectStore> store)
     : store_(store != nullptr ? std::move(store)
                               : std::make_unique<MemoryObjectStore>()) {}
 
-bool GearRegistry::query(const Fingerprint& fp) const {
-  stats_.queries.fetch_add(1, kRelaxed);
-  std::shared_lock lock(shard_lock(fp));
-  return store_->contains(fp) || store_->contains_manifest(fp);
+std::vector<std::uint8_t> GearRegistry::query_many(
+    const std::vector<Fingerprint>& fps) const {
+  std::vector<std::uint8_t> out(fps.size(), 0);
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    stats_.queries.fetch_add(1, kRelaxed);
+    std::shared_lock lock(shard_lock(fps[i]));
+    out[i] = contains_locked(fps[i]) ? 1 : 0;
+  }
+  return out;
 }
 
 bool GearRegistry::upload_compressed_locked(const Fingerprint& fp,
@@ -27,19 +32,10 @@ bool GearRegistry::upload_compressed_locked(const Fingerprint& fp,
   return true;
 }
 
-bool GearRegistry::upload(const Fingerprint& fp, BytesView content) {
-  std::unique_lock lock(shard_lock(fp));
-  if (store_->contains(fp) || store_->contains_manifest(fp)) {
-    stats_.uploads_deduplicated.fetch_add(1, kRelaxed);
-    return false;
-  }
-  return upload_compressed_locked(fp, compress(content));
-}
-
 bool GearRegistry::upload_precompressed(const Fingerprint& fp,
                                         Bytes compressed) {
   std::unique_lock lock(shard_lock(fp));
-  if (store_->contains(fp) || store_->contains_manifest(fp)) {
+  if (contains_locked(fp)) {
     stats_.uploads_deduplicated.fetch_add(1, kRelaxed);
     return false;
   }
@@ -53,7 +49,7 @@ bool GearRegistry::upload_chunked(const Fingerprint& fp, BytesView content,
     return upload(fp, content);
   }
   std::unique_lock lock(shard_lock(fp));
-  if (store_->contains(fp) || store_->contains_manifest(fp)) {
+  if (contains_locked(fp)) {
     stats_.uploads_deduplicated.fetch_add(1, kRelaxed);
     return false;
   }
@@ -90,37 +86,27 @@ StatusOr<ChunkManifest> GearRegistry::chunk_manifest(
   return manifest;
 }
 
-StatusOr<Bytes> GearRegistry::download_locked(const Fingerprint& fp) const {
-  if (StatusOr<ChunkManifest> manifest = store_->get_manifest(fp);
-      manifest.ok()) {
-    stats_.downloads.fetch_add(1, kRelaxed);
-    const ChunkManifest& m = *manifest;
-    Bytes out;
-    out.reserve(m.file_size);
-    for (const Fingerprint& chunk_fp : m.chunks) {
-      StatusOr<Bytes> chunk = store_->get(chunk_fp);
-      if (!chunk.ok()) {
-        return {ErrorCode::kCorruptData,
-                "chunk missing for " + fp.hex() + ": " + chunk_fp.hex()};
-      }
-      append(out, decompress(*chunk));
-    }
-    if (out.size() != m.file_size) {
-      return {ErrorCode::kCorruptData, "chunked reassembly size mismatch"};
-    }
-    return out;
-  }
-  StatusOr<Bytes> frame = store_->get(fp);
-  if (!frame.ok()) {
+StatusOr<Bytes> GearRegistry::reassemble_locked(const Fingerprint& fp) const {
+  StatusOr<ChunkManifest> manifest = store_->get_manifest(fp);
+  if (!manifest.ok()) {
     return {ErrorCode::kNotFound, "gear file not found: " + fp.hex()};
   }
   stats_.downloads.fetch_add(1, kRelaxed);
-  return decompress(*frame);
-}
-
-StatusOr<Bytes> GearRegistry::download(const Fingerprint& fp) const {
-  std::shared_lock lock(shard_lock(fp));
-  return download_locked(fp);
+  const ChunkManifest& m = *manifest;
+  Bytes out;
+  out.reserve(m.file_size);
+  for (const Fingerprint& chunk_fp : m.chunks) {
+    StatusOr<Bytes> chunk = store_->get(chunk_fp);
+    if (!chunk.ok()) {
+      return {ErrorCode::kCorruptData,
+              "chunk missing for " + fp.hex() + ": " + chunk_fp.hex()};
+    }
+    append(out, decompress(*chunk));
+  }
+  if (out.size() != m.file_size) {
+    return {ErrorCode::kCorruptData, "chunked reassembly size mismatch"};
+  }
+  return out;
 }
 
 StatusOr<Bytes> GearRegistry::download_compressed(const Fingerprint& fp) const {
@@ -128,7 +114,7 @@ StatusOr<Bytes> GearRegistry::download_compressed(const Fingerprint& fp) const {
   if (store_->contains_manifest(fp)) {
     // Chunked files have no single stored frame; reassemble (counts one
     // download, like any whole-file fetch) and re-frame for the wire.
-    StatusOr<Bytes> whole = download_locked(fp);
+    StatusOr<Bytes> whole = reassemble_locked(fp);
     if (!whole.ok()) return whole;
     return compress(*whole);
   }
@@ -151,23 +137,29 @@ StatusOr<std::vector<Bytes>> GearRegistry::download_batch(
   // are only copied out compressed here; their decompression is deferred.
   std::vector<Bytes> plain(fps.size());
   std::vector<std::uint8_t> deferred(fps.size(), 0);
+  auto item_pos = [&](std::size_t i) {
+    return " (item " + std::to_string(i + 1) + " of " +
+           std::to_string(fps.size()) + ")";
+  };
   for (std::size_t i = 0; i < fps.size(); ++i) {
-    const std::string item_pos = " (item " + std::to_string(i + 1) + " of " +
-                                 std::to_string(fps.size()) + ")";
     std::shared_lock lock(shard_lock(fps[i]));
     if (store_->contains_manifest(fps[i])) {
-      StatusOr<Bytes> whole = download_locked(fps[i]);
+      StatusOr<Bytes> whole = reassemble_locked(fps[i]);
       if (!whole.ok()) {
         return {whole.code(),
-                "download_batch: " + whole.message() + item_pos};
+                "download_batch: " + whole.message() + item_pos(i)};
       }
-      StatusOr<std::uint64_t> size = stored_size_locked(fps[i]);
-      if (!size.ok()) {
-        return {size.code(), "download_batch: stored size of " +
-                                 fps[i].hex() + ": " + size.message() +
-                                 item_pos};
+      // The stored size re-reads the manifest and sizes every chunk; skip it
+      // when the caller does not want the wire total.
+      if (wire_bytes_out != nullptr) {
+        StatusOr<std::uint64_t> size = stored_size_locked(fps[i]);
+        if (!size.ok()) {
+          return {size.code(), "download_batch: stored size of " +
+                                   fps[i].hex() + ": " + size.message() +
+                                   item_pos(i)};
+        }
+        wire += *size;
       }
-      wire += *size;
       out[i] = std::move(whole).value();
       continue;
     }
@@ -175,7 +167,7 @@ StatusOr<std::vector<Bytes>> GearRegistry::download_batch(
     if (!frame.ok()) {
       return {ErrorCode::kNotFound,
               "download_batch: gear file not found: " + fps[i].hex() +
-                  item_pos};
+                  item_pos(i)};
     }
     stats_.downloads.fetch_add(1, kRelaxed);
     wire += frame->size();

@@ -51,18 +51,17 @@ class GearRegistry : public FileRegistryApi {
   /// (the historical in-memory registry).
   explicit GearRegistry(std::unique_ptr<ObjectStore> store = nullptr);
 
-  /// "query" interface: does a Gear file with this fingerprint exist?
-  bool query(const Fingerprint& fp) const override;
+  /// Batched "query" interface: out[i] != 0 iff fps[i] is stored. Each
+  /// fingerprint is checked under its own shard lock and counts one query.
+  std::vector<std::uint8_t> query_many(
+      const std::vector<Fingerprint>& fps) const override;
 
-  /// "upload" interface: stores `content` under `fp` (compressing it).
-  /// Returns true if stored, false if deduplicated (already present).
-  bool upload(const Fingerprint& fp, BytesView content) override;
-
-  /// Stores an already-compressed frame under `fp`. Lets uploaders (the
-  /// parallel push path) run compress() in worker threads and keep the
-  /// registry mutation itself per-fingerprint. Equivalent to upload() of the
-  /// original content: compress() is deterministic, so stored bytes and
-  /// stats match the serial path exactly.
+  /// Stores an already-compressed frame under `fp`; returns true if stored,
+  /// false if deduplicated (already present). The "upload" interface is
+  /// this call after compress() — which lets uploaders (the parallel push
+  /// path) compress in worker threads and keep the registry mutation itself
+  /// per-fingerprint. compress() is deterministic, so stored bytes and stats
+  /// match the serial path exactly.
   bool upload_precompressed(const Fingerprint& fp, Bytes compressed) override;
 
   /// Chunked upload (future-work extension, paper §VII): stores the file as
@@ -80,26 +79,23 @@ class GearRegistry : public FileRegistryApi {
   /// fingerprint hex) otherwise.
   StatusOr<ChunkManifest> chunk_manifest(const Fingerprint& fp) const override;
 
-  /// "download" interface: returns the decompressed file content.
-  /// Chunked files are reassembled transparently. kNotFound names the
-  /// fingerprint hex, matching the remote stub's errors.
-  StatusOr<Bytes> download(const Fingerprint& fp) const override;
-
   /// The wire-transfer form of one object: the stored compressed (GZC1)
   /// frame for plain objects, a reassembled-and-recompressed frame for
   /// chunked files. What a batch download response carries per item — the
   /// server ships stored bytes verbatim instead of decompressing them.
   StatusOr<Bytes> download_compressed(const Fingerprint& fp) const override;
 
-  /// Batched download: one call serves many fingerprints so a client can
-  /// pay a single pipelined round-trip for a bulk fetch. Results line up
-  /// with `fps` by index. `wire_bytes_out` (optional) receives the summed
+  /// Batched "download" interface: one call serves many fingerprints so a
+  /// client can pay a single pipelined round-trip for a bulk fetch. Results
+  /// line up with `fps` by index; chunked files are reassembled
+  /// transparently. `wire_bytes_out` (optional) receives the summed
   /// compressed transfer size. When `pool` is non-null, per-object
   /// decompression fans out across it; lookups, stats, and result placement
   /// stay deterministic regardless of the pool width. Fails with kNotFound
   /// naming the offending fingerprint if any is absent (nothing about the
-  /// batch is partial). Independent concurrent batch downloads overlap:
-  /// readers take only shared shard locks.
+  /// batch is partial). Errors name the fingerprint hex, matching the remote
+  /// stub's. Independent concurrent batch downloads overlap: readers take
+  /// only shared shard locks.
   StatusOr<std::vector<Bytes>> download_batch(
       const std::vector<Fingerprint>& fps, util::ThreadPool* pool = nullptr,
       std::uint64_t* wire_bytes_out = nullptr) const override;
@@ -160,10 +156,15 @@ class GearRegistry : public FileRegistryApi {
     return shard_locks_[object_store_shard(fp)];
   }
 
-  /// Core of download(); caller holds the shard lock of `fp` (shared).
-  /// Chunk objects of a chunked file are read through the store's own
-  /// (atomic) lookups, never through other registry shard locks.
-  StatusOr<Bytes> download_locked(const Fingerprint& fp) const;
+  /// True when `fp` is stored plain or chunked; caller holds its shard lock.
+  bool contains_locked(const Fingerprint& fp) const {
+    return store_->contains(fp) || store_->contains_manifest(fp);
+  }
+
+  /// Reassembles the chunked file `fp` (counting one download); caller
+  /// holds its shard lock (shared). Chunk objects are read through the
+  /// store's own (atomic) lookups, never through other registry shard locks.
+  StatusOr<Bytes> reassemble_locked(const Fingerprint& fp) const;
 
   /// Dedup upsert core; caller holds the shard lock of `fp` exclusively.
   bool upload_compressed_locked(const Fingerprint& fp, Bytes compressed);

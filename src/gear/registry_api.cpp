@@ -3,15 +3,22 @@
 #include <algorithm>
 #include <string>
 
+#include "compress/codec.hpp"
+
 namespace gear {
 
-std::vector<std::uint8_t> FileRegistryApi::query_many(
-    const std::vector<Fingerprint>& fps) const {
-  std::vector<std::uint8_t> out(fps.size(), 0);
-  for (std::size_t i = 0; i < fps.size(); ++i) {
-    out[i] = query(fps[i]) ? 1 : 0;
-  }
-  return out;
+bool FileRegistryApi::query(const Fingerprint& fp) const {
+  return query_many({fp})[0] != 0;
+}
+
+bool FileRegistryApi::upload(const Fingerprint& fp, BytesView content) {
+  return upload_precompressed(fp, compress(content));
+}
+
+StatusOr<Bytes> FileRegistryApi::download(const Fingerprint& fp) const {
+  StatusOr<std::vector<Bytes>> got = download_batch({fp});
+  if (!got.ok()) return {got.code(), got.message()};
+  return std::move(got->front());
 }
 
 std::size_t FileRegistryApi::upload_precompressed_batch(

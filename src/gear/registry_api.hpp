@@ -2,18 +2,25 @@
 // deployment path programs against (the paper's three HTTP interfaces,
 // §III-C, plus the batched and chunked extensions).
 //
-// Two implementations exist:
-//   * GearRegistry           — the in-process content-addressed store;
+// Three implementations exist:
+//   * GearRegistry            — the in-process content-addressed store;
+//   * FleetRegistry           — N registries behind a consistent-hash ring;
 //   * net::RemoteGearRegistry — a client stub speaking the wire protocol
-//     over a Transport (loopback, fault-injecting, or a simulated link).
+//     over a Transport (loopback, fault-injecting, a simulated link, TCP).
 //
 // GearClient and push_gear_image operate exclusively on this interface, so
 // the exact same deployment code runs against a local store or across the
-// network boundary. The batched entry points (query_many, download_batch,
-// upload_precompressed_batch) are what turn O(files) round-trips into
-// O(files / batch) when the registry is remote; in-process they default to
-// plain ordered loops, keeping contents and stats byte-identical to the
-// serial protocol.
+// network boundary.
+//
+// The batched calls are the core: query_many, upload_precompressed,
+// download_batch and stored_size are pure, and they are all a backend must
+// provide. The paper's single-item query / upload / download are defaults
+// over them — a batch of one (upload compresses, then stores the frame) —
+// so a remote backend moves the same frames either way and no backend keeps
+// a second per-item path. Every method stays virtual all the same: wrappers
+// (timing seams, test gates) intercept each call by overriding it, and the
+// optional extensions below default to something sensible for backends
+// without chunk or stored-frame support.
 #pragma once
 
 #include <cstdint>
@@ -33,19 +40,21 @@ class FileRegistryApi {
   virtual ~FileRegistryApi() = default;
 
   /// "query" interface: does a Gear file with this fingerprint exist?
-  virtual bool query(const Fingerprint& fp) const = 0;
+  /// Default: query_many of one.
+  virtual bool query(const Fingerprint& fp) const;
 
-  /// Batched query: out[i] != 0 iff fps[i] is stored. Default loops query()
-  /// in order; remote implementations answer every fingerprint in a single
-  /// round-trip.
+  /// Batched query: out[i] != 0 iff fps[i] is stored. Remote
+  /// implementations answer every fingerprint in a single round-trip.
   virtual std::vector<std::uint8_t> query_many(
-      const std::vector<Fingerprint>& fps) const;
+      const std::vector<Fingerprint>& fps) const = 0;
 
-  /// "upload" interface: stores `content` under `fp` (compressing it).
-  /// Returns true if stored, false if deduplicated (already present).
-  virtual bool upload(const Fingerprint& fp, BytesView content) = 0;
+  /// "upload" interface: stores `content` under `fp`. Returns true if
+  /// stored, false if deduplicated (already present). Default: compress,
+  /// then upload_precompressed.
+  virtual bool upload(const Fingerprint& fp, BytesView content);
 
-  /// Stores an already-compressed (GZC1) frame under `fp`.
+  /// Stores an already-compressed (GZC1) frame under `fp`; true if stored,
+  /// false if deduplicated.
   virtual bool upload_precompressed(const Fingerprint& fp, Bytes compressed) = 0;
 
   /// Batched precompressed upload; returns the number actually stored (the
@@ -61,7 +70,8 @@ class FileRegistryApi {
                               const FingerprintHasher& hasher = default_hasher());
 
   /// "download" interface: returns the decompressed file content.
-  virtual StatusOr<Bytes> download(const Fingerprint& fp) const = 0;
+  /// Default: download_batch of one.
+  virtual StatusOr<Bytes> download(const Fingerprint& fp) const;
 
   /// Batched download: results line up with `fps` by index; fails with
   /// kNotFound naming the offending fingerprint if any is absent (nothing

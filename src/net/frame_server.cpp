@@ -16,7 +16,7 @@ Bytes FrameServer::serve(BytesView request_frame,
     // A server cannot even parse the request: answer with a server error
     // carrying an empty fingerprint.
     stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    response.type = MessageType::kQueryResponse;
+    response.type = MessageType::kQueryManyResponse;
     response.status = Status::kServerError;
     Bytes frame = encode_message(response);
     stats_.bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
@@ -28,50 +28,26 @@ Bytes FrameServer::serve(BytesView request_frame,
 
   response.fp = req.fp;
   switch (req.type) {
-    case MessageType::kQueryRequest:
-      ++stats_.query_round_trips;
-      ++stats_.query_items;
-      response.type = MessageType::kQueryResponse;
-      response.status =
-          files_.query(req.fp) ? Status::kExists : Status::kNotFound;
-      break;
-    case MessageType::kUploadRequest:
-      ++stats_.upload_round_trips;
-      ++stats_.upload_items;
-      response.type = MessageType::kUploadResponse;
-      response.status =
-          files_.upload(req.fp, req.payload) ? Status::kOk : Status::kExists;
-      break;
-    case MessageType::kDownloadRequest: {
-      ++stats_.download_round_trips;
-      ++stats_.download_items;
-      response.type = MessageType::kDownloadResponse;
-      StatusOr<Bytes> content = files_.download(req.fp);
-      if (content.ok()) {
-        response.status = Status::kOk;
-        response.payload = std::move(content).value();
-      } else {
-        response.status = Status::kNotFound;
-      }
-      break;
-    }
     case MessageType::kQueryManyRequest: {
       ++stats_.query_round_trips;
       stats_.query_items += req.items.size();
       response.type = MessageType::kQueryManyResponse;
-      response.items.reserve(req.items.size());
-      for (const WireItem& item : req.items) {
-        WireItem out;
-        out.fp = item.fp;
-        if (files_.query(item.fp)) {
+      std::vector<Fingerprint> fps;
+      fps.reserve(req.items.size());
+      for (const WireItem& item : req.items) fps.push_back(item.fp);
+      std::vector<std::uint8_t> present = files_.query_many(fps);
+      response.items.resize(fps.size());
+      for (std::size_t i = 0; i < fps.size(); ++i) {
+        WireItem& out = response.items[i];
+        out.fp = fps[i];
+        if (present[i] != 0) {
           out.status = Status::kExists;
           // Advertise the transfer size so clients can plan batch budgets
           // without an extra round trip.
-          put_varint(out.payload, files_.stored_size(item.fp).value());
+          put_varint(out.payload, files_.stored_size(fps[i]).value());
         } else {
           out.status = Status::kNotFound;
         }
-        response.items.push_back(std::move(out));
       }
       break;
     }
@@ -158,8 +134,8 @@ Bytes FrameServer::serve(BytesView request_frame,
       }
       break;
     }
-    default:
-      response.type = MessageType::kQueryResponse;
+    default:  // a response type sent as a request
+      response.type = MessageType::kQueryManyResponse;
       response.status = Status::kServerError;
       break;
   }

@@ -2,12 +2,19 @@
 //
 // FrameServer turns one request frame into one response frame: decode,
 // dispatch against a FileRegistryApi (a single GearRegistry or a whole
-// FleetRegistry of shards), encode, account. It knows nothing about HOW
-// frames travel — LoopbackTransport hands them over in-process (optionally
-// charging a simulated link) and net::TcpServer reads them off real
-// sockets; both paths share this exact dispatch, which is what makes the
-// loopback link the deterministic twin of the socket path: same frames in,
-// same frames and server stats out, byte for byte.
+// FleetRegistry of shards), encode, account. Every request is a batch, so
+// dispatch is one case per interface: kQueryMany (one query_many call per
+// frame, each hit advertising its stored size), kUploadMany (precompressed
+// frames stored verbatim), kDownloadMany (stored frames shipped verbatim)
+// and kDownloadChunks (manifest probes and chunk bursts). A frame the server
+// cannot decode or dispatch gets a kServerError reply.
+//
+// FrameServer knows nothing about HOW frames travel — LoopbackTransport
+// hands them over in-process (optionally charging a simulated link) and
+// net::TcpServer reads them off real sockets; both paths share this exact
+// dispatch, which is what makes the loopback link the deterministic twin of
+// the socket path: same frames in, same frames and server stats out, byte
+// for byte.
 #pragma once
 
 #include <atomic>
@@ -57,8 +64,9 @@ class FrameServer {
   /// exceptions propagate to the caller — in-process transports surface
   /// them to the client directly; socket fronts catch and answer
   /// kServerError (see TcpServer). `n_items_out` (optional) receives the
-  /// number of objects the response carries (1 for single messages), so a
-  /// link-charging transport can bill batch responses as pipelined bursts.
+  /// number of objects the response carries (1 for a manifest probe or an
+  /// error reply), so a link-charging transport can bill batch responses as
+  /// pipelined bursts.
   Bytes serve(BytesView request_frame, std::uint64_t* n_items_out = nullptr);
 
   FileRegistryApi& files() noexcept { return files_; }

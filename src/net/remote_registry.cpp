@@ -32,14 +32,6 @@ WireMessage RemoteGearRegistry::call(const WireMessage& request,
                   std::to_string(max_attempts_) + " attempts");
 }
 
-bool RemoteGearRegistry::query(const Fingerprint& fp) const {
-  WireMessage request;
-  request.type = MessageType::kQueryRequest;
-  request.fp = fp;
-  WireMessage response = call(request, MessageType::kQueryResponse);
-  return response.status == Status::kExists;
-}
-
 std::vector<std::uint8_t> RemoteGearRegistry::query_many(
     const std::vector<Fingerprint>& fps) const {
   if (fps.empty()) return {};
@@ -69,15 +61,6 @@ std::vector<std::uint8_t> RemoteGearRegistry::query_many(
   throw_error(ErrorCode::kInternal,
               "remote: query batch repeatedly malformed after " +
                   std::to_string(max_attempts_) + " attempts");
-}
-
-bool RemoteGearRegistry::upload(const Fingerprint& fp, BytesView content) {
-  WireMessage request;
-  request.type = MessageType::kUploadRequest;
-  request.fp = fp;
-  request.payload.assign(content.begin(), content.end());
-  WireMessage response = call(request, MessageType::kUploadResponse);
-  return response.status == Status::kOk;
 }
 
 bool RemoteGearRegistry::upload_precompressed(const Fingerprint& fp,
@@ -117,27 +100,6 @@ std::size_t RemoteGearRegistry::upload_precompressed_batch(
   throw_error(ErrorCode::kInternal,
               "remote: upload batch repeatedly malformed after " +
                   std::to_string(max_attempts_) + " attempts");
-}
-
-StatusOr<Bytes> RemoteGearRegistry::download(const Fingerprint& fp) const {
-  WireMessage request;
-  request.type = MessageType::kDownloadRequest;
-  request.fp = fp;
-
-  for (int attempt = 0; attempt < max_attempts_; ++attempt) {
-    WireMessage response = call(request, MessageType::kDownloadResponse);
-    if (response.status == Status::kNotFound) {
-      return {ErrorCode::kNotFound, "remote: no such file: " + fp.hex()};
-    }
-    // End-to-end verification: the content must hash back to the requested
-    // fingerprint (the CRC guards the frame; this guards the server).
-    if (!verify_content_ || hasher_.fingerprint(response.payload) == fp) {
-      return std::move(response.payload);
-    }
-    ++stats_.integrity_failures;
-  }
-  return {ErrorCode::kCorruptData,
-          "remote: content repeatedly failed fingerprint check: " + fp.hex()};
 }
 
 StatusOr<std::vector<Bytes>> RemoteGearRegistry::download_batch(

@@ -7,14 +7,18 @@
 // bounded number of attempts — transient transmission faults must not
 // surface to the deployment path; persistent ones become errors.
 //
-// Batch calls (query_many / download_batch / upload_precompressed_batch)
-// move one frame per batch instead of one per file. Retry granularity is
+// The stub implements only the batched core (query_many / download_batch /
+// upload_precompressed_batch, plus the chunk and size calls); the
+// single-item query / upload / download are FileRegistryApi's batch-of-one
+// defaults, so every call moves one frame per batch. Retry granularity is
 // two-level: a frame that fails decode is retransmitted whole (stats_
 // .retries), while a per-item fingerprint mismatch inside an intact frame
 // refetches only the damaged items in a follow-up batch (stats_
 // .item_refetches — counted separately, per the wire format contract).
 // Downloaded content is verified against the requested fingerprint
-// (end-to-end check, independent of the frame CRC).
+// (end-to-end check, independent of the frame CRC); an item that keeps
+// failing — a damaged stored object included — surfaces as kCorruptData
+// naming its fingerprint.
 #pragma once
 
 #include <atomic>
@@ -52,15 +56,10 @@ class RemoteGearRegistry final : public FileRegistryApi {
         verify_content_(verify_content),
         hasher_(hasher) {}
 
-  /// query interface. Throws kInternal after exhausting retries.
-  bool query(const Fingerprint& fp) const override;
-
-  /// Batched query: one round trip for the whole fingerprint list.
+  /// Batched query: one round trip for the whole fingerprint list. Throws
+  /// kInternal after exhausting retries.
   std::vector<std::uint8_t> query_many(
       const std::vector<Fingerprint>& fps) const override;
-
-  /// upload interface. Returns true if stored, false if deduplicated.
-  bool upload(const Fingerprint& fp, BytesView content) override;
 
   /// Stores a precompressed frame; one single-item batch round trip.
   bool upload_precompressed(const Fingerprint& fp, Bytes compressed) override;
@@ -70,16 +69,13 @@ class RemoteGearRegistry final : public FileRegistryApi {
   std::size_t upload_precompressed_batch(
       std::vector<std::pair<Fingerprint, Bytes>> items) override;
 
-  /// download interface. kNotFound is NOT retried (it is an answer);
-  /// damaged frames and fingerprint mismatches are.
-  StatusOr<Bytes> download(const Fingerprint& fp) const override;
-
   /// Batched download: one round trip per batch; per-item payloads are the
   /// server's stored compressed frames, decompressed (optionally on `pool`)
-  /// and fingerprint-verified here. Items that fail verification are
-  /// refetched individually (partial retry); a frame damaged in transit is
-  /// retried whole. `wire_bytes_out` receives the summed accepted payload
-  /// sizes — the compressed transfer volume, matching in-process accounting.
+  /// and fingerprint-verified here. kNotFound is NOT retried (it is an
+  /// answer). Items that fail verification are refetched individually
+  /// (partial retry); a frame damaged in transit is retried whole.
+  /// `wire_bytes_out` receives the summed accepted payload sizes — the
+  /// compressed transfer volume, matching in-process accounting.
   StatusOr<std::vector<Bytes>> download_batch(
       const std::vector<Fingerprint>& fps, util::ThreadPool* pool = nullptr,
       std::uint64_t* wire_bytes_out = nullptr) const override;

@@ -276,7 +276,7 @@ void TcpServer::serve_connection(int fd) {
       // Registry-side failure: answer in-band so the client sees a frame
       // (and its stub can decide to retry), not a dead connection.
       WireMessage reply;
-      reply.type = MessageType::kQueryResponse;
+      reply.type = MessageType::kQueryManyResponse;
       reply.status = Status::kServerError;
       response = encode_message(reply);
     }

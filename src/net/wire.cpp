@@ -15,7 +15,7 @@ constexpr char kMagic[4] = {'G', 'W', 'P', '1'};
 constexpr std::size_t kMinItemBytes = Fingerprint::kSize + 2;
 
 bool valid_type(std::uint8_t t) {
-  return t >= static_cast<std::uint8_t>(MessageType::kQueryRequest) &&
+  return t >= static_cast<std::uint8_t>(MessageType::kQueryManyRequest) &&
          t <= static_cast<std::uint8_t>(MessageType::kDownloadChunksResponse);
 }
 
@@ -40,20 +40,8 @@ std::uint32_t get_u32(BytesView data, std::size_t pos) {
 }  // namespace
 
 bool is_batch_type(MessageType type) {
-  switch (type) {
-    case MessageType::kQueryManyRequest:
-    case MessageType::kQueryManyResponse:
-    case MessageType::kUploadManyRequest:
-    case MessageType::kUploadManyResponse:
-    case MessageType::kDownloadManyRequest:
-    case MessageType::kDownloadManyResponse:
-    // The chunk *request* carries indices in its payload, not an item list;
-    // only the response is item-framed.
-    case MessageType::kDownloadChunksResponse:
-      return true;
-    default:
-      return false;
-  }
+  // The chunk *request* carries indices in its payload, not an item list.
+  return type != MessageType::kDownloadChunksRequest;
 }
 
 Bytes encode_message(const WireMessage& message) {
@@ -63,7 +51,7 @@ Bytes encode_message(const WireMessage& message) {
   }
   Bytes out;
   out.reserve(message.payload.size() + item_bytes + 32);
-  out.insert(out.end(), kMagic, kMagic + 4);
+  for (char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
   out.push_back(static_cast<std::uint8_t>(message.type));
   out.push_back(static_cast<std::uint8_t>(message.status));
   out.insert(out.end(), message.fp.raw().begin(), message.fp.raw().end());

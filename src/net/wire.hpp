@@ -2,21 +2,23 @@
 //
 // The paper's components "communicate with each other via HTTP" (§IV) with
 // three operations against the file server: query, upload, download. This
-// module defines the message framing those calls travel in:
+// module defines the message framing those calls travel in. Every call is a
+// batch: one frame carries a varint-counted item list, and a single-item
+// call is simply a batch of one:
 //
 //   magic "GWP1" | type u8 | status u8 | fingerprint 16B |
-//   payload varint-length + bytes | crc32 of everything before it
-//
-// Batch messages (kQueryMany / kUploadMany / kDownloadMany) extend the same
-// frame with a varint-counted item list between the payload and the CRC:
-//
-//   ... payload | item-count varint |
+//   payload varint-length + bytes | item-count varint |
 //   item := fingerprint 16B | status u8 | payload varint-length + bytes |
-//   ... | crc32
+//   ... | crc32 of everything before it
+//
+// Every type carries the item list except kDownloadChunksRequest, whose
+// payload holds chunk indices instead (see below); its frame ends at the
+// payload. Type bytes 1-6 once named per-file query/upload/download frames;
+// they are retired and now decode as unknown types.
 //
 // One batch frame answers many fingerprints, so a bulk fetch pays one
 // round-trip per batch instead of one per file (the deploy-time lever of
-// §III-C / Fig. 9). The trailing CRC still covers the whole frame: a frame
+// §III-C / Fig. 9). The trailing CRC covers the whole frame: a frame
 // damaged in transit is retransmitted whole, while per-item *content*
 // integrity is verified end-to-end by fingerprints, letting the client
 // refetch only the damaged items of an otherwise intact batch. decode
@@ -42,13 +44,9 @@
 
 namespace gear::net {
 
+/// Values 1-6 are retired (see the header comment); the rest keep their
+/// numbers so every remaining frame encodes as it always has.
 enum class MessageType : std::uint8_t {
-  kQueryRequest = 1,
-  kQueryResponse = 2,
-  kUploadRequest = 3,
-  kUploadResponse = 4,
-  kDownloadRequest = 5,
-  kDownloadResponse = 6,
   kQueryManyRequest = 7,
   kQueryManyResponse = 8,
   kUploadManyRequest = 9,
@@ -66,7 +64,8 @@ enum class Status : std::uint8_t {
   kServerError = 3,
 };
 
-/// True for the *Many message types, whose frames carry an item list.
+/// True for every type whose frame carries an item list: all but
+/// kDownloadChunksRequest.
 bool is_batch_type(MessageType type);
 
 /// One entry of a batch message. In requests the status is ignored; in
@@ -82,10 +81,10 @@ struct WireItem {
 };
 
 struct WireMessage {
-  MessageType type = MessageType::kQueryRequest;
+  MessageType type = MessageType::kQueryManyRequest;
   Status status = Status::kOk;
   Fingerprint fp;
-  Bytes payload;  // upload request content / download response content
+  Bytes payload;  // chunk index list / serialized chunk manifest
   /// Batch entries; encoded only for is_batch_type(type) messages.
   std::vector<WireItem> items;
 

@@ -47,7 +47,9 @@ void ThreadPool::parallel_for_each(
     std::uint64_t max_inflight_bytes,
     const std::function<std::uint64_t(std::size_t)>& size_of) {
   if (n == 0) return;
-  if (width_ <= 1) {
+  // A single task gains nothing from a hand-off to a worker, so it runs
+  // inline like the width-1 pool (a batch of one costs a direct call).
+  if (width_ <= 1 || n == 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -78,7 +78,8 @@ class ThreadPool {
   /// Runs fn(0..n-1) across the workers and blocks until all complete.
   /// The first exception thrown by any invocation is rethrown here (the
   /// remaining tasks still run to completion). `size_of(i)`, when provided,
-  /// reports task i's payload for the `max_inflight_bytes` bound.
+  /// reports task i's payload for the `max_inflight_bytes` bound. A single
+  /// task (n == 1) runs inline on the calling thread.
   void parallel_for_each(std::size_t n,
                          const std::function<void(std::size_t)>& fn,
                          std::uint64_t max_inflight_bytes = 0,

@@ -75,6 +75,17 @@ printf 'torn' > "$OBJDIR/objects/deadbeefdeadbeefdeadbeefdeadbeef.tmp"
 "$GEARCTL" --store-dir "$OBJDIR" "$DSTORE" stats | grep -q "gear registry"
 test ! -e "$OBJDIR/objects/deadbeefdeadbeefdeadbeefdeadbeef.tmp"
 
+# Scrub of a store holding one damaged object (its GZC1 magic overwritten):
+# the object is listed as corrupt (exit 1) and the scan covers every object.
+BADOBJ="$WORK/badobj"
+cp -r "$OBJDIR" "$BADOBJ"
+VICTIM="$(ls "$BADOBJ/objects" | head -n 1)"
+printf 'XXXX' | dd of="$BADOBJ/objects/$VICTIM" bs=1 conv=notrunc 2>/dev/null
+if "$GEARCTL" --store-dir "$BADOBJ" "$DSTORE" scrub > "$WORK/scrub.out"
+then exit 1; else test $? -eq 1; fi
+grep -q "CORRUPT: $VICTIM" "$WORK/scrub.out"
+grep -q "1 corrupt" "$WORK/scrub.out"
+
 # Flag validation mirrors --workers: a missing or empty path is a usage
 # error (exit 2), not a crash.
 if "$GEARCTL" --store-dir 2>/dev/null; then exit 1; else test $? -eq 2; fi
@@ -94,6 +105,14 @@ head -c 524288 /dev/urandom > "$CSRC/model.bin"
 "$GEARCTL" "$CSTORE" init
 "$GEARCTL" "$CSTORE" import "$CSRC" chunky:v1 65536
 "$GEARCTL" "$CSTORE" inspect chunky:v1 | grep -q "chunked files: 1"
+
+# The threshold is a decimal byte count: a suffix or a word is a usage error
+# (exit 2) that imports nothing, not a 64-byte threshold or chunking off.
+if "$GEARCTL" "$CSTORE" import "$CSRC" chunky:bad 64k 2>/dev/null
+then exit 1; else test $? -eq 2; fi
+if "$GEARCTL" "$CSTORE" import "$CSRC" chunky:bad abc 2>/dev/null
+then exit 1; else test $? -eq 2; fi
+if "$GEARCTL" "$CSTORE" images | grep -q "chunky:bad"; then exit 1; fi
 
 # A range spanning the chunk 1/2 boundary and a tail range into the file end.
 dd if="$CSRC/model.bin" bs=1 skip=130000 count=40000 2>/dev/null \

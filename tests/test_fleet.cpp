@@ -242,6 +242,63 @@ TEST_F(FleetFixture, BatchCallsSplitPerShardInOneRoundTripEach) {
 
 // ---- failure modes --------------------------------------------------------
 
+/// An in-process shard with an off switch: while down, every per-object
+/// read throws kInternal, the way a remote stub over a dead transport does.
+/// (The stubs cannot serve stored frames, so the stored-frame reads need an
+/// in-process backend.)
+class SwitchedRegistry final : public GearRegistry {
+ public:
+  void set_down(bool down) { down_ = down; }
+
+  StatusOr<Bytes> download_compressed(const Fingerprint& fp) const override {
+    check_up();
+    return GearRegistry::download_compressed(fp);
+  }
+  StatusOr<Bytes> download_chunk_compressed(
+      const Fingerprint& chunk_fp) const override {
+    check_up();
+    return GearRegistry::download_chunk_compressed(chunk_fp);
+  }
+  StatusOr<Bytes> download_range(
+      const Fingerprint& fp, std::uint64_t offset, std::uint64_t length,
+      std::uint64_t* wire_bytes_out = nullptr) const override {
+    check_up();
+    return GearRegistry::download_range(fp, offset, length, wire_bytes_out);
+  }
+  StatusOr<std::vector<Bytes>> download_chunks(
+      const Fingerprint& fp, const ChunkManifest& manifest,
+      const std::vector<std::uint32_t>& indices,
+      std::uint64_t* wire_bytes_out = nullptr) const override {
+    check_up();
+    return GearRegistry::download_chunks(fp, manifest, indices,
+                                         wire_bytes_out);
+  }
+  StatusOr<std::uint64_t> stored_size(const Fingerprint& fp) const override {
+    check_up();
+    return GearRegistry::stored_size(fp);
+  }
+  bool is_chunked(const Fingerprint& fp) const override {
+    check_up();
+    return GearRegistry::is_chunked(fp);
+  }
+  StatusOr<ChunkManifest> chunk_manifest(const Fingerprint& fp) const override {
+    check_up();
+    return GearRegistry::chunk_manifest(fp);
+  }
+
+ private:
+  void check_up() const {
+    if (down_) throw_error(ErrorCode::kInternal, "shard down");
+  }
+
+  std::atomic<bool> down_{false};
+};
+
+Bytes slice(const Bytes& b, std::size_t offset, std::size_t length) {
+  return Bytes(b.begin() + static_cast<std::ptrdiff_t>(offset),
+               b.begin() + static_cast<std::ptrdiff_t>(offset + length));
+}
+
 struct FleetFailureFixture : ::testing::Test {
   static constexpr std::size_t kShards = 3;
   std::vector<std::unique_ptr<GearRegistry>> regs;
@@ -251,16 +308,50 @@ struct FleetFailureFixture : ::testing::Test {
   std::vector<FileRegistryApi*> apis;
   std::unique_ptr<FleetRegistry> fleet;
 
+  // The same topology over in-process shards, for the per-object reads.
+  std::vector<std::unique_ptr<SwitchedRegistry>> local;
+  std::unique_ptr<FleetRegistry> local_fleet;
+
+  // One plain and one chunked file (5 chunks of 1 KiB), stored through
+  // local_fleet by SetUp.
+  const ChunkPolicy policy{4096, 1024};
+  Bytes plain = make_contents(1, 34)[0];
+  Bytes big = Rng(35).next_bytes(5000, 0.4);
+  Fingerprint fp_plain = fp_of(plain);
+  Fingerprint fp_big = fp_of(big);
+  ChunkManifest manifest = build_chunk_manifest(big, policy, default_hasher());
+
   void SetUp() override {
+    std::vector<FileRegistryApi*> local_apis;
     for (std::size_t i = 0; i < kShards; ++i) {
       regs.push_back(std::make_unique<GearRegistry>());
       loopbacks.push_back(std::make_unique<LoopbackTransport>(*regs.back()));
       switches.push_back(std::make_unique<DownTransport>(*loopbacks.back()));
       stubs.push_back(std::make_unique<RemoteGearRegistry>(*switches.back()));
       apis.push_back(stubs.back().get());
+      local.push_back(std::make_unique<SwitchedRegistry>());
+      local_apis.push_back(local.back().get());
     }
     fleet = std::make_unique<FleetRegistry>(
         apis, FleetRegistry::Options{/*replicas=*/2, 64, 2});
+    local_fleet = std::make_unique<FleetRegistry>(
+        local_apis, FleetRegistry::Options{/*replicas=*/2, 64, 2});
+    local_fleet->upload(fp_plain, plain);
+    local_fleet->upload_chunked(fp_big, big, policy);
+  }
+
+  /// Compressed size of chunks [first, last] of `big`: what a chunk read
+  /// bills as wire bytes.
+  std::uint64_t chunk_wire(std::size_t first, std::size_t last) const {
+    std::uint64_t total = 0;
+    for (std::size_t c = first; c <= last; ++c) {
+      total += compress(chunk_view(big, manifest, c)).size();
+    }
+    return total;
+  }
+
+  std::uint64_t fallbacks() const {
+    return local_fleet->stats().replica_fallbacks.load();
   }
 };
 
@@ -279,14 +370,20 @@ TEST_F(FleetFailureFixture, DeadReplicaFallbackReturnsIdenticalBytes) {
     ASSERT_TRUE(got.ok()) << got.message();
     EXPECT_EQ(got.value(), contents[i]);
   }
-  EXPECT_GT(fleet->stats().replica_fallbacks.load(), 0u);
+  // A single download is a batch of one: each file homed on the dead shard
+  // is served by its backup and counts one fallback.
+  std::uint64_t homed = 0;
+  for (const auto& fp : fps) homed += fleet->replicas_of(fp)[0] == home;
+  EXPECT_EQ(fleet->stats().replica_fallbacks.load(), homed);
   // The batched path survives the same outage.
   auto batch = fleet->download_batch(fps);
   ASSERT_TRUE(batch.ok()) << batch.message();
   for (std::size_t i = 0; i < fps.size(); ++i) {
     EXPECT_EQ(batch.value()[i], contents[i]);
   }
+  // Existence checks OR over replicas and never count a fallback.
   EXPECT_TRUE(fleet->query(fps[0]));
+  EXPECT_EQ(fleet->stats().replica_fallbacks.load(), 2 * homed);
 }
 
 TEST_F(FleetFailureFixture, AllReplicasDownSurfacesCleanError) {
@@ -325,15 +422,113 @@ TEST_F(FleetFailureFixture, UploadWithHomeShardDownFallsForward) {
   switches[home]->set_down(true);
   fleet->upload_precompressed_batch(items);
   switches[home]->set_down(false);
+  std::uint64_t homed = 0;
+  for (const auto& fp : fps) homed += fleet->replicas_of(fp)[0] == home;
+  EXPECT_EQ(fleet->stats().replica_fallbacks.load(), homed);  // one per write
 
   // The revived home missed the upload; reads fall through to the replica
-  // that accepted it and still return identical bytes.
+  // that accepted it and still return identical bytes. The home's miss is
+  // not a throw, but the backup's answer still counts one fallback read.
   for (std::size_t i = 0; i < fps.size(); ++i) {
     auto got = fleet->download(fps[i]);
     ASSERT_TRUE(got.ok()) << got.message();
     EXPECT_EQ(got.value(), contents[i]);
   }
   EXPECT_TRUE(fleet->query(fps[0]));
+  EXPECT_EQ(fleet->stats().replica_fallbacks.load(), 2 * homed);
+}
+
+TEST_F(FleetFailureFixture, PerObjectReadsFallBackPastADeadHome) {
+  ASSERT_EQ(manifest.chunks.size(), 5u);
+  const std::size_t home_plain = local_fleet->replicas_of(fp_plain)[0];
+  local[home_plain]->set_down(true);
+  std::uint64_t before = fallbacks();
+  EXPECT_EQ(local_fleet->download_compressed(fp_plain).value(),
+            compress(plain));
+  EXPECT_EQ(fallbacks(), before + 1);
+  // stored_size bills no routed items, so its fallback is not counted.
+  EXPECT_EQ(local_fleet->stored_size(fp_plain).value(),
+            compress(plain).size());
+  EXPECT_EQ(fallbacks(), before + 1);
+  local[home_plain]->set_down(false);
+
+  const std::size_t home_big = local_fleet->replicas_of(fp_big)[0];
+  local[home_big]->set_down(true);
+  before = fallbacks();
+  EXPECT_TRUE(local_fleet->is_chunked(fp_big));
+  EXPECT_EQ(local_fleet->chunk_manifest(fp_big).value(), manifest);
+  EXPECT_EQ(fallbacks(), before);
+  std::uint64_t wire = 0;
+  EXPECT_EQ(local_fleet->download_range(fp_big, 1500, 2000, &wire).value(),
+            slice(big, 1500, 2000));
+  EXPECT_EQ(wire, chunk_wire(1, 3));  // chunks 1..3 cover [1500, 3500)
+  EXPECT_EQ(fallbacks(), before + 1);
+  auto chunks = local_fleet->download_chunks(fp_big, manifest, {0, 4}, &wire);
+  ASSERT_TRUE(chunks.ok()) << chunks.message();
+  EXPECT_EQ(chunks.value()[0], slice(big, 0, 1024));
+  EXPECT_EQ(chunks.value()[1], slice(big, 4096, 904));
+  EXPECT_EQ(wire, chunk_wire(0, 0) + chunk_wire(4, 4));
+  EXPECT_EQ(fallbacks(), before + 3);  // one per chunk served
+  local[home_big]->set_down(false);
+
+  // A chunk fingerprint names no home: the read walks every shard from
+  // the chunk's own ring point. Down the first shard of that walk.
+  HashRing ring;
+  for (std::size_t s = 0; s < kShards; ++s) ring.add_shard(s, 64);
+  const Fingerprint& chunk_fp = manifest.chunks[2];
+  local[ring.replicas(chunk_fp, kShards)[0]]->set_down(true);
+  before = fallbacks();
+  EXPECT_EQ(local_fleet->download_chunk_compressed(chunk_fp).value(),
+            compress(chunk_view(big, manifest, 2)));
+  EXPECT_EQ(fallbacks(), before + 1);
+}
+
+TEST_F(FleetFailureFixture, PerObjectReadsWithEveryShardDownFailInternal) {
+  for (auto& shard : local) shard->set_down(true);
+  const FleetStats& st = local_fleet->stats();
+  const std::uint64_t failed_before = st.failed_shard_calls.load();
+  const std::uint64_t fallbacks_before = fallbacks();
+
+  EXPECT_EQ(local_fleet->download_compressed(fp_plain).code(),
+            ErrorCode::kInternal);
+  EXPECT_EQ(local_fleet->download_chunk_compressed(manifest.chunks[0]).code(),
+            ErrorCode::kInternal);
+  EXPECT_EQ(local_fleet->download_range(fp_big, 0, 10).code(),
+            ErrorCode::kInternal);
+  EXPECT_EQ(local_fleet->download_chunks(fp_big, manifest, {0}).code(),
+            ErrorCode::kInternal);
+  EXPECT_EQ(local_fleet->stored_size(fp_plain).code(), ErrorCode::kInternal);
+  EXPECT_EQ(local_fleet->chunk_manifest(fp_big).code(), ErrorCode::kInternal);
+  try {
+    (void)local_fleet->is_chunked(fp_big);
+    ADD_FAILURE() << "is_chunked answered with every shard down";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInternal);
+  }
+  // Every replica was tried once per read: 2 for each file read, all 3
+  // shards for the chunk object. Nothing answered, so nothing fell back.
+  EXPECT_EQ(st.failed_shard_calls.load(), failed_before + 6 * 2 + kShards);
+  EXPECT_EQ(fallbacks(), fallbacks_before);
+}
+
+TEST_F(FleetFailureFixture, OutOfRangeReadIsAnAnswerNotAFallback) {
+  const FleetStats& st = local_fleet->stats();
+  // Home up: the home's kInvalidArgument ends the walk after one call.
+  std::uint64_t calls = st.shard_calls.load();
+  EXPECT_EQ(local_fleet->download_range(fp_plain, plain.size(), 1).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(st.shard_calls.load(), calls + 1);
+
+  // Home down: the first live replica answers; no fallback is billed.
+  local[local_fleet->replicas_of(fp_plain)[0]]->set_down(true);
+  calls = st.shard_calls.load();
+  const std::uint64_t failed = st.failed_shard_calls.load();
+  const std::uint64_t before = fallbacks();
+  EXPECT_EQ(local_fleet->download_range(fp_plain, plain.size(), 1).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(st.shard_calls.load(), calls + 2);
+  EXPECT_EQ(st.failed_shard_calls.load(), failed + 1);
+  EXPECT_EQ(fallbacks(), before);
 }
 
 // ---- rebalance ------------------------------------------------------------

@@ -100,9 +100,9 @@ TEST(FuzzRobustness, WireMessage) {
   };
   fuzz_random(1401, 400, decode);
   net::WireMessage valid;
-  valid.type = net::MessageType::kDownloadResponse;
-  valid.fp = default_hasher().fingerprint(to_bytes("x"));
-  valid.payload = to_bytes("payload");
+  valid.type = net::MessageType::kDownloadManyResponse;
+  valid.items.push_back({default_hasher().fingerprint(to_bytes("x")),
+                         net::Status::kOk, to_bytes("payload")});
   fuzz_mutations(1402, net::encode_message(valid), 400, decode);
 }
 

@@ -1,6 +1,7 @@
 // Tests for registry-side mark-and-sweep garbage collection.
 #include <gtest/gtest.h>
 
+#include "compress/codec.hpp"
 #include "gear/client.hpp"
 #include "gear/converter.hpp"
 #include "gear/gc.hpp"
@@ -170,6 +171,24 @@ TEST_F(GcFixture, ScrubDetectsManifestWithMissingChunks) {
   file_registry.remove(manifest.chunks[2]);
 
   ScrubReport report = scrub_registry(file_registry);
+  EXPECT_EQ(report.corrupt, 1u);
+  ASSERT_EQ(report.corrupt_fingerprints.size(), 1u);
+  EXPECT_EQ(report.corrupt_fingerprints[0], fp);
+}
+
+TEST_F(GcFixture, ScrubCountsUndecodableFramesAndKeepsScanning) {
+  push(make_image(53, "a"));
+  const std::size_t healthy = file_registry.object_count();
+  // A stored frame whose GZC1 magic was overwritten, as by bit rot.
+  Bytes content = to_bytes("damaged on disk");
+  Fingerprint fp = default_hasher().fingerprint(content);
+  Bytes frame = compress(content);
+  frame[0] ^= 0xFF;
+  file_registry.upload_precompressed(fp, std::move(frame));
+
+  ScrubReport report = scrub_registry(file_registry);
+  EXPECT_EQ(report.objects_checked, healthy + 1);
+  EXPECT_EQ(report.verified, healthy);
   EXPECT_EQ(report.corrupt, 1u);
   ASSERT_EQ(report.corrupt_fingerprints.size(), 1u);
   EXPECT_EQ(report.corrupt_fingerprints[0], fp);

@@ -186,15 +186,12 @@ class GatedRegistry final : public FileRegistryApi {
   long demand_exit_seq() const { return demand_exit_seq_.load(); }
   long first_batch_seq() const { return first_batch_seq_.load(); }
 
-  bool query(const Fingerprint& fp) const override { return inner_.query(fp); }
-  bool upload(const Fingerprint& fp, BytesView content) override {
-    return inner_.upload(fp, content);
+  std::vector<std::uint8_t> query_many(
+      const std::vector<Fingerprint>& fps) const override {
+    return inner_.query_many(fps);
   }
   bool upload_precompressed(const Fingerprint& fp, Bytes compressed) override {
     return inner_.upload_precompressed(fp, std::move(compressed));
-  }
-  StatusOr<Bytes> download(const Fingerprint& fp) const override {
-    return inner_.download(fp);
   }
   StatusOr<std::vector<Bytes>> download_batch(
       const std::vector<Fingerprint>& fps, util::ThreadPool* pool,

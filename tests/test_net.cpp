@@ -8,6 +8,7 @@
 #include "net/wire.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/hex.hpp"
 #include "util/rng.hpp"
 
 namespace gear::net {
@@ -46,53 +47,116 @@ TEST(Crc32, DetectsSingleBitFlip) {
 
 // ----------------------------------------------------------------- wire
 
+constexpr MessageType kAllTypes[] = {
+    MessageType::kQueryManyRequest,      MessageType::kQueryManyResponse,
+    MessageType::kUploadManyRequest,     MessageType::kUploadManyResponse,
+    MessageType::kDownloadManyRequest,   MessageType::kDownloadManyResponse,
+    MessageType::kDownloadChunksRequest, MessageType::kDownloadChunksResponse,
+};
+
+/// A batch of one: what every single-item call puts on the wire.
+WireMessage one_item(MessageType type, const std::string& name, Bytes payload) {
+  WireMessage m;
+  m.type = type;
+  m.items.push_back({fp_of(name), Status::kOk, std::move(payload)});
+  return m;
+}
+
+/// A fixed message of `type` whose encoding the golden test pins: a
+/// top-level fingerprint, and either one item (batch types) or a chunk
+/// index list (kDownloadChunksRequest).
+WireMessage golden_message(MessageType type) {
+  WireMessage m;
+  m.type = type;
+  m.status = Status::kExists;
+  m.fp = Fingerprint::from_hex("00112233445566778899aabbccddeeff");
+  if (is_batch_type(type)) {
+    m.payload = to_bytes("gw");
+    Fingerprint item_fp =
+        Fingerprint::from_hex("ffeeddccbbaa99887766554433221100");
+    m.items.push_back({item_fp, Status::kNotFound, to_bytes("item")});
+  } else {
+    m.payload = encode_chunk_index_list({0, 2});
+  }
+  return m;
+}
+
 TEST(Wire, RoundTripAllTypes) {
-  for (MessageType type :
-       {MessageType::kQueryRequest, MessageType::kQueryResponse,
-        MessageType::kUploadRequest, MessageType::kUploadResponse,
-        MessageType::kDownloadRequest, MessageType::kDownloadResponse}) {
-    WireMessage m;
-    m.type = type;
-    m.status = Status::kExists;
-    m.fp = fp_of("content");
-    m.payload = to_bytes("payload-bytes");
+  for (MessageType type : kAllTypes) {
+    WireMessage m = golden_message(type);
     StatusOr<WireMessage> back = decode_message(encode_message(m));
-    ASSERT_TRUE(back.ok());
+    ASSERT_TRUE(back.ok()) << static_cast<int>(type);
     EXPECT_EQ(*back, m);
   }
 }
 
+TEST(Wire, GoldenFramesMatchTheBatchEncoding) {
+  // One frame of every type, pinned byte for byte to the encoding these
+  // types had while the retired single-item types 1-6 still existed.
+  const char* const golden[] = {
+      "47575031070200112233445566778899aabbccddeeff02677701ffeeddcc"
+      "bbaa9988776655443322110001046974656d0bd1ae61",
+      "47575031080200112233445566778899aabbccddeeff02677701ffeeddcc"
+      "bbaa9988776655443322110001046974656d74bd463d",
+      "47575031090200112233445566778899aabbccddeeff02677701ffeeddcc"
+      "bbaa9988776655443322110001046974656d16856e17",
+      "475750310a0200112233445566778899aabbccddeeff02677701ffeeddcc"
+      "bbaa9988776655443322110001046974656db0cd1669",
+      "475750310b0200112233445566778899aabbccddeeff02677701ffeeddcc"
+      "bbaa9988776655443322110001046974656dd2f53e43",
+      "475750310c0200112233445566778899aabbccddeeff02677701ffeeddcc"
+      "bbaa9988776655443322110001046974656dfc5ce695",
+      "475750310d0200112233445566778899aabbccddeeff03020002e0948305",
+      "475750310e0200112233445566778899aabbccddeeff02677701ffeeddcc"
+      "bbaa9988776655443322110001046974656d382cb6c1",
+  };
+  for (std::size_t i = 0; i < std::size(kAllTypes); ++i) {
+    EXPECT_EQ(hex_encode(encode_message(golden_message(kAllTypes[i]))),
+              golden[i])
+        << static_cast<int>(kAllTypes[i]);
+  }
+}
+
+TEST(Wire, RetiredSingleItemTypesDecodeAsCorrupt) {
+  Bytes frame =
+      encode_message(one_item(MessageType::kQueryManyRequest, "r", {}));
+  for (std::uint8_t retired = 1; retired <= 6; ++retired) {
+    Bytes bad = frame;
+    bad[4] = retired;  // the type byte follows the 4-byte magic
+    std::uint32_t crc = crc32(BytesView(bad.data(), bad.size() - 4));
+    for (std::size_t k = 0; k < 4; ++k) {
+      bad[bad.size() - 4 + k] = static_cast<std::uint8_t>(crc >> (8 * k));
+    }
+    StatusOr<WireMessage> decoded = decode_message(bad);
+    ASSERT_FALSE(decoded.ok()) << int{retired};
+    EXPECT_EQ(decoded.code(), ErrorCode::kCorruptData);
+    EXPECT_NE(decoded.message().find("unknown type"), std::string::npos);
+  }
+}
+
 TEST(Wire, EmptyPayload) {
-  WireMessage m;
-  m.type = MessageType::kQueryRequest;
-  m.fp = fp_of("x");
+  WireMessage m = one_item(MessageType::kQueryManyRequest, "x", {});
   StatusOr<WireMessage> back = decode_message(encode_message(m));
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->payload.empty());
+  ASSERT_EQ(back->items.size(), 1u);
+  EXPECT_TRUE(back->items[0].payload.empty());
 }
 
 TEST(Wire, EveryByteFlipDetected) {
-  WireMessage m;
-  m.type = MessageType::kDownloadResponse;
-  m.fp = fp_of("y");
-  m.payload = to_bytes("some payload to protect");
-  Bytes frame = encode_message(m);
+  Bytes frame = encode_message(one_item(MessageType::kDownloadManyResponse, "y",
+                                        to_bytes("some payload to protect")));
   for (std::size_t i = 0; i < frame.size(); ++i) {
     Bytes bad = frame;
     bad[i] ^= 0xFF;
-    StatusOr<WireMessage> decoded = decode_message(bad);
-    // Either rejected outright, or (flip inside the CRC field of an
-    // all-zero...) — no: any single-byte flip must fail CRC or magic.
-    EXPECT_FALSE(decoded.ok()) << "flip at " << i;
+    // Any single-byte flip must fail the CRC or the magic check.
+    EXPECT_FALSE(decode_message(bad).ok()) << "flip at " << i;
   }
 }
 
 TEST(Wire, TruncationAndGarbageRejected) {
-  WireMessage m;
-  m.type = MessageType::kUploadRequest;
-  m.fp = fp_of("z");
-  m.payload = Bytes(100, 7);
-  Bytes frame = encode_message(m);
+  Bytes frame = encode_message(
+      one_item(MessageType::kUploadManyRequest, "z", Bytes(100, 7)));
   for (std::size_t len : {0ul, 4ul, 26ul, frame.size() - 1}) {
     EXPECT_FALSE(decode_message(BytesView(frame.data(), len)).ok()) << len;
   }
@@ -126,7 +190,8 @@ TEST_F(NetFixture, LoopbackChargesLink) {
   sim::NetworkLink link(clock, 100.0, 0.0005, 0.0003);
   LoopbackTransport charged(registry, &link);
   RemoteGearRegistry remote(charged);
-  Bytes content(10000, 'c');
+  // Incompressible, so the compressed upload frame outweighs the content.
+  Bytes content = Rng(3).next_bytes(10000);
   remote.upload(default_hasher().fingerprint(content), content);
   EXPECT_GT(link.stats().bytes_transferred, content.size());
   EXPECT_EQ(link.stats().requests, 2u);  // request + response frames
@@ -232,11 +297,13 @@ TEST(WireBatch, EmptyItemListRoundTrips) {
 }
 
 TEST(WireBatch, ItemsOnNonBatchTypeNotEncoded) {
-  // The legacy frame layout must stay byte-identical: a non-batch message
+  // kDownloadChunksRequest is the one type without an item list: it
   // ignores (and does not transmit) any stray items.
+  EXPECT_FALSE(is_batch_type(MessageType::kDownloadChunksRequest));
   WireMessage with_items;
-  with_items.type = MessageType::kQueryRequest;
-  with_items.fp = fp_of("legacy");
+  with_items.type = MessageType::kDownloadChunksRequest;
+  with_items.fp = fp_of("chunked");
+  with_items.payload = encode_chunk_index_list({1, 3});
   with_items.items.resize(2);
   WireMessage plain = with_items;
   plain.items.clear();

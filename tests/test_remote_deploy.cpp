@@ -213,15 +213,12 @@ class GatedRegistry final : public FileRegistryApi {
  public:
   explicit GatedRegistry(GearRegistry& inner) : inner_(inner) {}
 
-  bool query(const Fingerprint& fp) const override { return inner_.query(fp); }
-  bool upload(const Fingerprint& fp, BytesView content) override {
-    return inner_.upload(fp, content);
+  std::vector<std::uint8_t> query_many(
+      const std::vector<Fingerprint>& fps) const override {
+    return inner_.query_many(fps);
   }
   bool upload_precompressed(const Fingerprint& fp, Bytes compressed) override {
     return inner_.upload_precompressed(fp, std::move(compressed));
-  }
-  StatusOr<Bytes> download(const Fingerprint& fp) const override {
-    return inner_.download(fp);
   }
   StatusOr<std::vector<Bytes>> download_batch(
       const std::vector<Fingerprint>& fps, util::ThreadPool* pool,

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -72,10 +73,11 @@ Bytes framed(BytesView frame) {
   return out;
 }
 
+/// A single-fingerprint query: a kQueryMany batch of one.
 Bytes query_frame(const Fingerprint& fp) {
   net::WireMessage req;
-  req.type = net::MessageType::kQueryRequest;
-  req.fp = fp;
+  req.type = net::MessageType::kQueryManyRequest;
+  req.items.push_back({fp, net::Status::kOk, {}});
   return net::encode_message(req);
 }
 
@@ -159,9 +161,10 @@ TEST_F(TcpSocketFixture, SplitWritesAndShortReadsReassemble) {
   }
   StatusOr<net::WireMessage> decoded = net::decode_message(response);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->type, net::MessageType::kQueryResponse);
-  EXPECT_EQ(decoded->status, net::Status::kExists);
-  EXPECT_EQ(decoded->fp, fp);
+  EXPECT_EQ(decoded->type, net::MessageType::kQueryManyResponse);
+  ASSERT_EQ(decoded->items.size(), 1u);
+  EXPECT_EQ(decoded->items[0].status, net::Status::kExists);
+  EXPECT_EQ(decoded->items[0].fp, fp);
   ::close(fd);
 }
 
@@ -268,6 +271,43 @@ TEST(TcpReconnect, ServerRestartHealsMidWorkload) {
   // Nothing was re-uploaded: the disk store already held both objects.
   EXPECT_EQ(reopened.object_count(), 2u);
   EXPECT_EQ(frames.stats().upload_round_trips, 0u);
+  server.stop();
+  fs::remove_all(dir);
+}
+
+TEST(TcpDamagedObject, CorruptStoredFrameIsReportedNotAnOutage) {
+  // A daemon whose disk store holds one object with an overwritten GZC1
+  // magic. Its download is corrupt data naming the file — not an
+  // unreachable registry — and the same connection keeps serving.
+  fs::path dir = fresh_dir("damaged");
+  GearRegistry registry(std::make_unique<DiskObjectStore>(dir));
+  FrameServer frames(registry);
+  TcpServer server(frames);
+  server.start("127.0.0.1", 0);
+
+  Bytes intact = to_bytes("an intact object");
+  Bytes damaged = to_bytes("an object whose stored frame rots on disk");
+  Fingerprint fp_intact = default_hasher().fingerprint(intact);
+  Fingerprint fp_damaged = default_hasher().fingerprint(damaged);
+  registry.upload(fp_intact, intact);
+  registry.upload(fp_damaged, damaged);
+  {
+    std::fstream object(dir / "objects" / fp_damaged.hex(),
+                        std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(object.is_open());
+    object.write("XXXX", 4);
+  }
+
+  TcpTransport transport("127.0.0.1", server.port());
+  RemoteGearRegistry remote(transport, 4, kNoVerify);
+  StatusOr<Bytes> got = remote.download(fp_damaged);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.code(), ErrorCode::kCorruptData);
+  EXPECT_NE(got.message().find(fp_damaged.hex()), std::string::npos)
+      << got.message();
+  EXPECT_EQ(remote.download(fp_intact).value(), intact);
+  EXPECT_EQ(server.connections_accepted(), 1u);
+  EXPECT_EQ(remote.stats().retries, 0u);  // every frame decoded fine
   server.stop();
   fs::remove_all(dir);
 }

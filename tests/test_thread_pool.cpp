@@ -49,6 +49,22 @@ TEST(ThreadPool, WidthOneRunsInlineWithoutThreads) {
   EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
+TEST(ThreadPool, SingleTaskRunsInlineOnWidePool) {
+  ThreadPool pool(4);
+  std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  pool.parallel_for_each(1, [&](std::size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_THROW(pool.parallel_for_each(1,
+                                      [](std::size_t) {
+                                        throw_error(ErrorCode::kInternal,
+                                                    "single task");
+                                      }),
+               Error);
+}
+
 TEST(ThreadPool, ParallelForEachCoversEveryIndexOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 500;

@@ -21,6 +21,7 @@
 // --remote HOST:PORT (the Docker half — manifests, index layers — stays a
 // local snapshot under the client's store dir).
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -1290,12 +1291,29 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // A decimal count: digits only (no sign, space or suffix) and no overflow.
+  auto parse_u64 = [](const std::string& value, std::uint64_t* out) {
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string::npos) {
+      return false;
+    }
+    errno = 0;
+    *out = std::strtoull(value.c_str(), nullptr, 10);
+    return errno == 0;
+  };
+
   try {
     Store store(store_dir, /*must_exist=*/cmd != "init");
     if (cmd == "init" && args.empty()) return cmd_init(store);
     if (cmd == "import" && (args.size() == 2 || args.size() == 3)) {
-      std::uint64_t threshold =
-          args.size() == 3 ? std::strtoull(args[2].c_str(), nullptr, 10) : 0;
+      std::uint64_t threshold = 0;
+      if (args.size() == 3 && !parse_u64(args[2], &threshold)) {
+        std::fprintf(stderr,
+                     "gearctl: import chunk threshold expects a byte count, "
+                     "got '%s'\n",
+                     args[2].c_str());
+        return 2;
+      }
       return cmd_import(store, args[0], args[1], threshold);
     }
     if (cmd == "images" && args.empty()) return cmd_images(store);
@@ -1304,11 +1322,6 @@ int main(int argc, char** argv) {
       return cmd_cat(store, args[0], args[1]);
     }
     if (cmd == "cat" && args.size() == 4) {
-      auto parse_u64 = [](const std::string& value, std::uint64_t* out) {
-        char* end = nullptr;
-        *out = std::strtoull(value.c_str(), &end, 10);
-        return !value.empty() && end != nullptr && *end == '\0';
-      };
       std::uint64_t offset = 0;
       std::uint64_t length = 0;
       if (!parse_u64(args[2], &offset) || !parse_u64(args[3], &length) ||
