@@ -7,13 +7,6 @@
 
 namespace gear {
 
-namespace {
-/// Cap on plain files per upload_precompressed_batch round-trip during a
-/// push: keeps a single burst's memory and the registry's per-request
-/// fan-in bounded.
-constexpr std::size_t kMaxUploadBatchFiles = 64;
-}  // namespace
-
 /// One in-flight registry download, shared by every concurrent
 /// materialization of the same fingerprint.
 struct GearClient::Inflight {
@@ -86,7 +79,7 @@ std::size_t push_gear_image(const GearImage& image,
       ++uploaded;
     } else {
       plain_batch.emplace_back(fp, std::move(compressed[i]));
-      if (plain_batch.size() >= kMaxUploadBatchFiles) flush_plain();
+      if (plain_batch.size() >= kMaxBatchFiles) flush_plain();
     }
   }
   flush_plain();

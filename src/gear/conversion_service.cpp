@@ -12,11 +12,7 @@ ConversionService::ConversionService(docker::DockerRegistry& classic_registry,
       index_registry_(index_registry),
       file_registry_(file_registry),
       options_(options),
-      converter_(default_hasher(), [this](const Fingerprint& fp) {
-        StatusOr<Bytes> got = file_registry_.download(fp);
-        return got.ok() ? std::optional<Bytes>(std::move(got).value())
-                        : std::nullopt;
-      }) {
+      converter_(default_hasher(), &file_registry_) {
   converter_.set_concurrency(options_.concurrency);
 }
 

@@ -1,47 +1,149 @@
 #include "gear/converter.hpp"
 
-#include <unordered_map>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <utility>
 
+#include "gear/registry_api.hpp"
 #include "util/error.hpp"
 
 namespace gear {
 
-GearConverter::GearConverter(
-    const FingerprintHasher& hasher,
-    std::function<std::optional<Bytes>(const Fingerprint&)> existing_lookup)
-    : hasher_(hasher), existing_lookup_(std::move(existing_lookup)) {}
+namespace {
 
-util::ThreadPool& GearConverter::pool() const {
+/// A ".wh." name is a tar layer's whiteout marker; a Gear index has no
+/// whiteout nodes, so a source tree may not carry one.
+bool reserved_name(std::string_view path) {
+  std::string_view name = path.substr(path.rfind('/') + 1);  // npos + 1 == 0
+  return name.starts_with(".wh.");
+}
+
+/// Runs one registry read, folding a thrown Error into its status: an
+/// in-process registry throws on an undecodable stored frame where a remote
+/// one answers kCorruptData.
+template <typename T, typename Read>
+StatusOr<T> capture(Read&& read) {
+  try {
+    return read();
+  } catch (const Error& e) {
+    // what() leads with the code's name, which the status carries apart.
+    std::string message = e.what();
+    message.erase(0, std::string_view(error_code_name(e.code())).size() + 2);
+    return {e.code(), std::move(message)};
+  }
+}
+
+}  // namespace
+
+GearConverter::GearConverter(const FingerprintHasher& hasher,
+                             const FileRegistryApi* existing)
+    : hasher_(hasher), existing_(existing) {}
+
+util::ThreadPool* GearConverter::pool() const {
   std::size_t width = concurrency_.resolved_workers();
+  if (width <= 1) return nullptr;
   if (!pool_ || pool_->worker_count() != width) {
     pool_ = std::make_unique<util::ThreadPool>(width);
   }
-  return *pool_;
+  return pool_.get();
 }
 
-Fingerprint GearConverter::resolve_fingerprint(
-    const Bytes& content,
-    const std::unordered_map<Fingerprint, const Bytes*, FingerprintHash>&
-        local,
-    bool* collided, const Fingerprint* precomputed) const {
+std::optional<Bytes> GearConverter::fetch_existing(
+    const Fingerprint& fp) const {
+  if (existing_ == nullptr) return std::nullopt;
+  StatusOr<Bytes> got =
+      capture<Bytes>([&] { return existing_->download(fp); });
+  if (got.ok()) return std::move(got).value();
+  if (got.code() == ErrorCode::kNotFound) return std::nullopt;
+  throw_error(got.code(),
+              "collision probe of " + fp.hex() + ": " + got.message());
+}
+
+std::vector<std::uint8_t> GearConverter::probe_existing(
+    const std::vector<const Bytes*>& contents,
+    const std::vector<Fingerprint>& raw) const {
+  std::vector<std::uint8_t> clash(contents.size(), 0);
+  if (existing_ == nullptr || contents.empty()) return clash;
+
+  // Step 1: one query over the distinct fingerprints. `users[d]` lists the
+  // files hashing to distinct[d]: copies of one content, or different
+  // contents on a collision.
+  std::unordered_map<Fingerprint, std::size_t, FingerprintHash> slot;
+  std::vector<Fingerprint> distinct;
+  std::vector<std::vector<std::size_t>> users;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    auto [it, fresh] = slot.emplace(raw[i], distinct.size());
+    if (fresh) {
+      distinct.push_back(raw[i]);
+      users.emplace_back();
+    }
+    users[it->second].push_back(i);
+  }
+  std::vector<std::uint8_t> present = existing_->query_many(distinct);
+
+  // Steps 2 and 3: fetch the present files in slices of kMaxBatchFiles,
+  // bounded by max_inflight_bytes (sized by the local copy), decompressing
+  // on the pool; compare, keep the verdict, drop the bytes. A failed slice
+  // is re-probed one file at a time, so a file gone since the query stays a
+  // miss and any other failure names its fingerprint.
+  const std::uint64_t max_bytes = concurrency_.max_inflight_bytes;
+  std::vector<std::size_t> slice;
+  std::uint64_t slice_bytes = 0;
+  auto judge = [&](std::size_t d, const Bytes& stored) {
+    for (std::size_t i : users[d]) clash[i] = *contents[i] != stored;
+  };
+  auto flush = [&]() {
+    if (slice.empty()) return;
+    std::vector<Fingerprint> fps;
+    fps.reserve(slice.size());
+    for (std::size_t d : slice) fps.push_back(distinct[d]);
+    StatusOr<std::vector<Bytes>> got = capture<std::vector<Bytes>>(
+        [&] { return existing_->download_batch(fps, pool()); });
+    for (std::size_t k = 0; k < slice.size(); ++k) {
+      if (got.ok()) {
+        judge(slice[k], (*got)[k]);
+      } else if (std::optional<Bytes> one = fetch_existing(fps[k])) {
+        judge(slice[k], *one);
+      }
+    }
+    slice.clear();
+    slice_bytes = 0;
+  };
+  for (std::size_t d = 0; d < distinct.size(); ++d) {
+    if (present[d] == 0) continue;
+    std::uint64_t bytes = contents[users[d].front()]->size();
+    bool full = slice.size() == kMaxBatchFiles ||
+                (max_bytes != 0 && slice_bytes + bytes > max_bytes);
+    if (!slice.empty() && full) flush();
+    slice.push_back(d);
+    slice_bytes += bytes;
+  }
+  flush();
+  return clash;
+}
+
+Fingerprint GearConverter::resolve_fingerprint(const Bytes& content,
+                                               const Fingerprint& raw,
+                                               bool clash,
+                                               const Assigned& assigned,
+                                               bool* collided) const {
   *collided = false;
   Bytes salted;  // lazily built: content || 0x01 || salt varint
   std::uint64_t salt = 0;
-  Fingerprint fp =
-      precomputed != nullptr ? *precomputed : hasher_.fingerprint(content);
+  Fingerprint fp = raw;
   for (;;) {
-    // Compare against content already assigned this fingerprint.
-    const Bytes* owner = nullptr;
-    if (auto it = local.find(fp); it != local.end()) {
-      owner = it->second;
-    }
-    std::optional<Bytes> remote;
-    if (owner == nullptr && existing_lookup_) {
-      remote = existing_lookup_(fp);
-      if (remote.has_value()) owner = &*remote;
-    }
-    if (owner == nullptr || *owner == content) {
-      return fp;  // fresh fingerprint, or true duplicate (dedup)
+    // Compare against content already assigned this fingerprint, else
+    // against the registry's copy (the probe's verdict for the unsalted
+    // fingerprint, a single lookup for a salted one).
+    if (auto it = assigned.find(fp); it != assigned.end()) {
+      if (*it->second == content) return fp;  // duplicate within the image
+    } else {
+      if (salt != 0) {
+        std::optional<Bytes> copy = fetch_existing(fp);
+        clash = copy && *copy != content;
+      }
+      if (!clash) return fp;  // fresh, or a dedup against the registry
     }
     // Collision: same fingerprint, different bytes. Assign a salted unique
     // ID in place of the fingerprint (paper §III-B) and re-check.
@@ -56,38 +158,50 @@ Fingerprint GearConverter::resolve_fingerprint(
 }
 
 ConversionResult GearConverter::convert(const docker::Image& image) const {
+  // Replay layers bottom-to-top into the full root filesystem.
+  return convert(image.flatten(), image.manifest.name, image.manifest.tag,
+                 image.manifest.config);
+}
+
+ConversionResult GearConverter::convert(const vfs::FileTree& root,
+                                        std::string name, std::string tag,
+                                        docker::ImageConfig config) const {
   ConversionResult result;
   ConversionStats& stats = result.stats;
 
-  // Replay layers bottom-to-top into the full root filesystem.
-  vfs::FileTree root = image.flatten();
-
-  // Parallel pre-pass: hash every regular file across the pool. Contents are
-  // collected in walk order, so `raw[i]` lines up with the i-th regular file
-  // the index-building walk below will visit.
+  // Collect regular-file contents in walk order, so `contents[i]` lines up
+  // with the i-th regular file the index-building walk below will visit.
+  // Whiteout names are refused here, before any registry traffic.
   std::vector<const Bytes*> contents;
   root.walk([&contents](const std::string& path, const vfs::FileNode& node) {
-    (void)path;
+    if (reserved_name(path)) {
+      throw_error(ErrorCode::kInvalidArgument,
+                  "reserved whiteout name in root filesystem: " + path);
+    }
     if (node.type() == vfs::NodeType::kRegular) {
       contents.push_back(&node.content());
     }
   });
+
+  // Parallel pre-pass: hash every regular file across the pool.
   std::vector<Fingerprint> raw;
-  if (contents.size() < 4 || concurrency_.resolved_workers() <= 1) {
+  util::ThreadPool* workers = contents.size() < 4 ? nullptr : pool();
+  if (workers == nullptr) {
     raw.reserve(contents.size());  // too small to pay pool hand-off costs
     for (const Bytes* c : contents) raw.push_back(hasher_.fingerprint(*c));
   } else {
-    raw = pool().parallel_map<Fingerprint>(
+    raw = workers->parallel_map<Fingerprint>(
         contents.size(),
         [&](std::size_t i) { return hasher_.fingerprint(*contents[i]); },
         concurrency_.max_inflight_bytes,
         [&](std::size_t i) { return contents[i]->size(); });
   }
+  std::vector<std::uint8_t> clash = probe_existing(contents, raw);
 
   // Ordered serial reduce: collision resolution and salted-ID assignment
   // walk the files in the same order as the serial implementation, so stats
   // and the unique-file set are identical at any worker count.
-  std::unordered_map<Fingerprint, const Bytes*, FingerprintHash> assigned;
+  Assigned assigned;
   std::vector<std::pair<Fingerprint, Bytes>> files;
   std::size_t next_file = 0;
 
@@ -97,8 +211,10 @@ ConversionResult GearConverter::convert(const docker::Image& image) const {
         ++stats.files_seen;
         stats.bytes_seen += content.size();
         bool collided = false;
-        Fingerprint fp = resolve_fingerprint(content, assigned, &collided,
-                                             &raw[next_file++]);
+        Fingerprint fp = resolve_fingerprint(content, raw[next_file],
+                                             clash[next_file] != 0, assigned,
+                                             &collided);
+        ++next_file;
         if (collided) ++stats.collisions;
         if (assigned.emplace(fp, &content).second) {
           files.emplace_back(fp, content);
@@ -107,14 +223,13 @@ ConversionResult GearConverter::convert(const docker::Image& image) const {
       });
   stats.files_unique = files.size();
 
-  // Package the index as a single-layer Docker image with the original
-  // config (env/entrypoint copied so the application still runs, §III-C).
-  docker::ImageConfig config = image.manifest.config;
+  // Package the index as a single-layer Docker image with the image config
+  // (env/entrypoint copied so the application still runs, §III-C).
   config.labels[kGearIndexLabel] = "1";
   docker::ImageBuilder builder;
   builder.add_snapshot(index.to_wire_tree());
   docker::Image index_image =
-      builder.build(image.manifest.name, image.manifest.tag, std::move(config));
+      builder.build(std::move(name), std::move(tag), std::move(config));
   stats.index_wire_bytes = index_image.compressed_size();
 
   result.image.index_image = std::move(index_image);

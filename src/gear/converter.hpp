@@ -1,24 +1,28 @@
-// Gear Converter: turns a layered Docker image into a Gear image.
+// Gear Converter: turns a root filesystem into a Gear image.
 //
-// Runs registry-side, once per image (paper §III-B): decompress the image's
-// layers bottom-to-top, replay them into the full root filesystem (applying
-// whiteouts), then walk the tree building the Gear index and the set of
-// unique Gear files. The index is packaged as a single-layer Docker image
-// carrying the original image's config (env/entrypoint), so Docker tooling
-// stores and distributes it unchanged (paper §III-C).
+// Runs registry-side, once per image (paper §III-B). A layered Docker image
+// is first decompressed and replayed bottom-to-top into the full root
+// filesystem (applying whiteouts); a tree that is already flat (gearctl's
+// loaded directory) goes in directly. The converter walks the tree building
+// the Gear index and the set of unique Gear files. The index is packaged as a
+// single-layer Docker image carrying the image config (env/entrypoint), so
+// Docker tooling stores and distributes it unchanged (paper §III-C).
 //
 // Collision handling (paper §III-B): when two different contents map to the
 // same fingerprint — impossible in practice with MD5, but exercised in tests
 // via a truncated hasher — the converter detects it by content comparison
 // and assigns the newcomer a salted unique fingerprint, disabling dedup for
-// that file only.
+// that file only. Contents already in the registry take part through a
+// batched probe: one query_many over the image's fingerprints, then the
+// present files fetched in bounded slices and compared byte for byte.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "docker/image.hpp"
 #include "gear/index.hpp"
@@ -41,21 +45,31 @@ struct ConversionResult {
   ConversionStats stats;
 };
 
+class FileRegistryApi;
+
 class GearConverter {
  public:
-  /// `existing_lookup` resolves a fingerprint to content already stored in
-  /// the Gear registry, letting conversion detect collisions against files
-  /// from previously converted images; pass nullptr to check only within
-  /// the image being converted.
-  explicit GearConverter(
-      const FingerprintHasher& hasher = default_hasher(),
-      std::function<std::optional<Bytes>(const Fingerprint&)> existing_lookup =
-          nullptr);
+  /// `existing` is the registry whose stored files conversion checks for
+  /// collisions, so a file from a previously converted image is never
+  /// shadowed by different bytes under the same fingerprint; pass nullptr
+  /// to check only within the image being converted. Only kNotFound from
+  /// it reads as "absent": any other probe failure throws, naming the
+  /// fingerprint.
+  explicit GearConverter(const FingerprintHasher& hasher = default_hasher(),
+                         const FileRegistryApi* existing = nullptr);
 
-  /// Converts `image`. The index image is named "<name>:<tag>" with the
-  /// original config copied over; its manifest is distinguishable from a
-  /// classic image by the "gear.index" label.
+  /// Converts `image`: flattens its layers, then converts the result as
+  /// convert(tree, ...) does under the image's name, tag and config.
   ConversionResult convert(const docker::Image& image) const;
+
+  /// Converts the root filesystem `root` directly. The index image is named
+  /// "<name>:<tag>" and carries `config`; its manifest is distinguishable
+  /// from a classic image by the "gear.index" label. Throws
+  /// kInvalidArgument, before any registry traffic, when a node's name
+  /// starts with ".wh." (reserved for layer whiteouts, which a Gear index
+  /// cannot carry).
+  ConversionResult convert(const vfs::FileTree& root, std::string name,
+                           std::string tag, docker::ImageConfig config) const;
 
   /// Converts while charging the work to a disk model: reading the
   /// compressed layers, writing back the unpacked tree, reading it for the
@@ -65,10 +79,11 @@ class GearConverter {
                                  sim::DiskModel& disk,
                                  double* seconds_out) const;
 
-  /// Sets the worker budget for convert(): per-file fingerprinting fans out
-  /// across a pool of `resolved_workers()` threads; collision resolution and
-  /// stats stay an ordered single-threaded reduce, so the result (index,
-  /// stats, file set, salted IDs) is byte-identical at any width.
+  /// Sets the worker budget for convert(): per-file fingerprinting and the
+  /// probe's decompression fan out across a pool of `resolved_workers()`
+  /// threads; collision resolution and stats stay an ordered
+  /// single-threaded reduce, so the result (index, stats, file set, salted
+  /// IDs) is byte-identical at any width.
   /// A converter is not itself thread-safe: call convert() from one thread.
   void set_concurrency(const util::Concurrency& concurrency) {
     concurrency_ = concurrency;
@@ -76,22 +91,36 @@ class GearConverter {
   }
   const util::Concurrency& concurrency() const noexcept { return concurrency_; }
 
-  /// Resolves the fingerprint for `content`: normally hasher(content), but
-  /// salted to a unique value when a different content already owns that
-  /// fingerprint. `local` is the in-conversion map of assigned fingerprints.
-  /// `precomputed` (optional) supplies hasher(content) when the caller has
-  /// already fingerprinted the content (the parallel pre-pass).
-  Fingerprint resolve_fingerprint(
-      const Bytes& content,
-      const std::unordered_map<Fingerprint, const Bytes*, FingerprintHash>&
-          local,
-      bool* collided, const Fingerprint* precomputed = nullptr) const;
-
  private:
-  util::ThreadPool& pool() const;
+  using Assigned =
+      std::unordered_map<Fingerprint, const Bytes*, FingerprintHash>;
+
+  /// The batched probe: out[i] != 0 iff the registry holds bytes other
+  /// than *contents[i] under raw[i] (a collision with stored content). All
+  /// zero without a registry.
+  std::vector<std::uint8_t> probe_existing(
+      const std::vector<const Bytes*>& contents,
+      const std::vector<Fingerprint>& raw) const;
+
+  /// One registry download of `fp`: nullopt on kNotFound (or without a
+  /// registry), the content on success; throws, naming `fp`, on any other
+  /// failure. Serves the salted re-probes and the per-file retry of a
+  /// failed probe slice.
+  std::optional<Bytes> fetch_existing(const Fingerprint& fp) const;
+
+  /// Resolves the fingerprint for `content`: normally `raw`
+  /// (= hasher(content)), but salted to a unique value when a different
+  /// content already owns that fingerprint, in `assigned` (this conversion)
+  /// or in the registry (`clash` is the probe's verdict for `raw`).
+  Fingerprint resolve_fingerprint(const Bytes& content, const Fingerprint& raw,
+                                  bool clash, const Assigned& assigned,
+                                  bool* collided) const;
+
+  /// The pool, or nullptr when the budget is one worker.
+  util::ThreadPool* pool() const;
 
   const FingerprintHasher& hasher_;
-  std::function<std::optional<Bytes>(const Fingerprint&)> existing_lookup_;
+  const FileRegistryApi* existing_;
   util::Concurrency concurrency_;
   mutable std::unique_ptr<util::ThreadPool> pool_;  // lazily built
 };

@@ -35,6 +35,12 @@
 
 namespace gear {
 
+/// Files per batch call that a caller of this interface forms on its own:
+/// push_gear_image's upload bursts and the converter's collision-probe
+/// downloads. Keeps one burst's memory and the registry's per-request fan-in
+/// bounded.
+inline constexpr std::size_t kMaxBatchFiles = 64;
+
 class FileRegistryApi {
  public:
   virtual ~FileRegistryApi() = default;

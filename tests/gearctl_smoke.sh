@@ -85,6 +85,32 @@ if "$GEARCTL" --store-dir "$BADOBJ" "$DSTORE" scrub > "$WORK/scrub.out"
 then exit 1; else test $? -eq 1; fi
 grep -q "CORRUPT: $VICTIM" "$WORK/scrub.out"
 grep -q "1 corrupt" "$WORK/scrub.out"
+# Re-importing over the damaged object: the collision probe's failure is an
+# error naming the object (exit 1), not a miss that pushes a broken image.
+if "$GEARCTL" --store-dir "$BADOBJ" "$DSTORE" import "$SRC" disk:bad \
+  > /dev/null 2> "$WORK/badimport.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "$VICTIM" "$WORK/badimport.err"
+if "$GEARCTL" --store-dir "$BADOBJ" "$DSTORE" images | grep -q "disk:bad"
+then exit 1; fi
+
+# A source tree holding a ".wh." name (the layer whiteout marker, which a
+# Gear index cannot carry) is refused with exit 1, naming the path, before
+# anything is uploaded or any manifest is written.
+WSRC="$WORK/wsrc"
+WSTORE="$WORK/wstore"
+WOBJ="$WORK/wobj"
+mkdir -p "$WSRC/etc"
+printf 'mode=prod\n' > "$WSRC/etc/app.conf"
+printf 'kept\n' > "$WSRC/etc/.wh.keep"
+"$GEARCTL" --store-dir "$WOBJ" "$WSTORE" init
+if "$GEARCTL" --store-dir "$WOBJ" "$WSTORE" import "$WSRC" wh:v1 \
+  > /dev/null 2> "$WORK/wh.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "etc/.wh.keep" "$WORK/wh.err"
+test -z "$(ls "$WOBJ/objects" 2>/dev/null)"
+if "$GEARCTL" --store-dir "$WOBJ" "$WSTORE" images | grep -q "wh:v1"
+then exit 1; fi
 
 # Flag validation mirrors --workers: a missing or empty path is a usage
 # error (exit 2), not a crash.
@@ -352,6 +378,18 @@ wait_serving "$WORK/serve2.out"
 diff -r "$SRC" "$NOUT"
 test "$("$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" \
   cat net:v1 app/hello.txt)" = "hello from gearctl"
+
+# One object in the daemon's store damaged (its GZC1 magic overwritten): a
+# re-import over --remote must fail naming it (exit 1) and push no manifest,
+# instead of reading the damaged object as absent and the import as a dedup.
+NVICTIM="$(ls "$NOBJ/objects" | head -n 1)"
+printf 'XXXX' | dd of="$NOBJ/objects/$NVICTIM" bs=1 conv=notrunc 2>/dev/null
+if "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" import "$SRC" net:bad \
+  > /dev/null 2> "$WORK/netbad.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "$NVICTIM" "$WORK/netbad.err"
+if "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" images | grep -q "net:bad"
+then exit 1; fi
 
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"

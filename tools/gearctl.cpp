@@ -269,23 +269,15 @@ int cmd_import(Store& store, const std::string& dir, const std::string& ref,
               static_cast<unsigned long long>(stats.symlinks),
               format_size(stats.total_file_bytes).c_str());
 
-  docker::ImageBuilder builder;
-  builder.add_snapshot(root);
+  // Convert the loaded tree directly, with collision detection against what
+  // the store already holds.
   docker::ImageConfig config;
   config.labels["gearctl.import.source"] = dir;
-  docker::Image image = builder.build(ref.substr(0, colon),
-                                      ref.substr(colon + 1), config);
-
-  // Convert with collision detection against what the store already holds.
-  GearConverter converter(default_hasher(),
-                          [&store](const Fingerprint& fp) {
-                            StatusOr<Bytes> got = store.files().download(fp);
-                            return got.ok()
-                                       ? std::optional<Bytes>(std::move(got).value())
-                                       : std::nullopt;
-                          });
+  GearConverter converter(default_hasher(), &store.files());
   converter.set_concurrency(g_concurrency);
-  ConversionResult conv = converter.convert(image);
+  ConversionResult conv = converter.convert(root, ref.substr(0, colon),
+                                            ref.substr(colon + 1),
+                                            std::move(config));
   ChunkPolicy policy;
   if (chunk_threshold > 0) {
     policy.threshold_bytes = chunk_threshold;
