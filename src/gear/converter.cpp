@@ -19,21 +19,6 @@ bool reserved_name(std::string_view path) {
   return name.starts_with(".wh.");
 }
 
-/// Runs one registry read, folding a thrown Error into its status: an
-/// in-process registry throws on an undecodable stored frame where a remote
-/// one answers kCorruptData.
-template <typename T, typename Read>
-StatusOr<T> capture(Read&& read) {
-  try {
-    return read();
-  } catch (const Error& e) {
-    // what() leads with the code's name, which the status carries apart.
-    std::string message = e.what();
-    message.erase(0, std::string_view(error_code_name(e.code())).size() + 2);
-    return {e.code(), std::move(message)};
-  }
-}
-
 }  // namespace
 
 GearConverter::GearConverter(const FingerprintHasher& hasher,
@@ -52,8 +37,7 @@ util::ThreadPool* GearConverter::pool() const {
 std::optional<Bytes> GearConverter::fetch_existing(
     const Fingerprint& fp) const {
   if (existing_ == nullptr) return std::nullopt;
-  StatusOr<Bytes> got =
-      capture<Bytes>([&] { return existing_->download(fp); });
+  StatusOr<Bytes> got = existing_->download(fp);
   if (got.ok()) return std::move(got).value();
   if (got.code() == ErrorCode::kNotFound) return std::nullopt;
   throw_error(got.code(),
@@ -82,44 +66,37 @@ std::vector<std::uint8_t> GearConverter::probe_existing(
   }
   std::vector<std::uint8_t> present = existing_->query_many(distinct);
 
-  // Steps 2 and 3: fetch the present files in slices of kMaxBatchFiles,
-  // bounded by max_inflight_bytes (sized by the local copy), decompressing
-  // on the pool; compare, keep the verdict, drop the bytes. A failed slice
-  // is re-probed one file at a time, so a file gone since the query stays a
-  // miss and any other failure names its fingerprint.
-  const std::uint64_t max_bytes = concurrency_.max_inflight_bytes;
-  std::vector<std::size_t> slice;
-  std::uint64_t slice_bytes = 0;
-  auto judge = [&](std::size_t d, const Bytes& stored) {
-    for (std::size_t i : users[d]) clash[i] = *contents[i] != stored;
-  };
-  auto flush = [&]() {
-    if (slice.empty()) return;
-    std::vector<Fingerprint> fps;
-    fps.reserve(slice.size());
-    for (std::size_t d : slice) fps.push_back(distinct[d]);
-    StatusOr<std::vector<Bytes>> got = capture<std::vector<Bytes>>(
-        [&] { return existing_->download_batch(fps, pool()); });
-    for (std::size_t k = 0; k < slice.size(); ++k) {
-      if (got.ok()) {
-        judge(slice[k], (*got)[k]);
-      } else if (std::optional<Bytes> one = fetch_existing(fps[k])) {
-        judge(slice[k], *one);
-      }
-    }
-    slice.clear();
-    slice_bytes = 0;
-  };
+  // Steps 2 and 3: fetch the present files in batch_slices slices bounded
+  // by max_inflight_bytes and kMaxBatchBytes (sized by the local copy),
+  // decompressing on the pool; compare, keep the verdict, drop the bytes.
+  // A failed slice is re-probed one file at a time, so a file gone since
+  // the query stays a miss and any other failure names its fingerprint.
+  std::vector<std::size_t> stored;
+  std::vector<std::uint64_t> sizes;
   for (std::size_t d = 0; d < distinct.size(); ++d) {
     if (present[d] == 0) continue;
-    std::uint64_t bytes = contents[users[d].front()]->size();
-    bool full = slice.size() == kMaxBatchFiles ||
-                (max_bytes != 0 && slice_bytes + bytes > max_bytes);
-    if (!slice.empty() && full) flush();
-    slice.push_back(d);
-    slice_bytes += bytes;
+    stored.push_back(d);
+    sizes.push_back(contents[users[d].front()]->size());
   }
-  flush();
+  auto judge = [&](std::size_t d, const Bytes& copy) {
+    for (std::size_t i : users[d]) clash[i] = *contents[i] != copy;
+  };
+  for (const BatchSlice& slice :
+       batch_slices(sizes, concurrency_.max_inflight_bytes)) {
+    std::vector<Fingerprint> fps;
+    for (std::size_t k = slice.begin; k < slice.end; ++k) {
+      fps.push_back(distinct[stored[k]]);
+    }
+    StatusOr<std::vector<Bytes>> got = existing_->download_batch(fps, pool());
+    for (std::size_t k = slice.begin; k < slice.end; ++k) {
+      if (got.ok()) {
+        judge(stored[k], (*got)[k - slice.begin]);
+      } else if (std::optional<Bytes> one =
+                     fetch_existing(fps[k - slice.begin])) {
+        judge(stored[k], *one);
+      }
+    }
+  }
   return clash;
 }
 

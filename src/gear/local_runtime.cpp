@@ -7,6 +7,50 @@
 
 namespace gear {
 
+void fetch_in_slices(const FileRegistryApi& registry,
+                     const std::vector<FetchItem>& items,
+                     util::ThreadPool* pool, HostBudget* budget,
+                     std::string_view what,
+                     const std::function<void(std::size_t, Bytes)>& take) {
+  std::vector<std::uint64_t> sizes;
+  sizes.reserve(items.size());
+  // Smallest-remaining-first key for host-wide admission: the bytes this
+  // fetch still has to move.
+  std::uint64_t remaining = 0;
+  for (const FetchItem& item : items) {
+    sizes.push_back(item.size);
+    remaining += item.size;
+  }
+  const std::uint64_t max_bytes =
+      budget != nullptr ? budget->budget_bytes() : 0;
+  for (const BatchSlice& slice : batch_slices(sizes, max_bytes)) {
+    BudgetLease lease(budget, slice.bytes, AdmissionLane::kBackground,
+                      remaining);
+    remaining -= slice.bytes;
+    std::vector<Fingerprint> fps;
+    fps.reserve(slice.end - slice.begin);
+    for (std::size_t i = slice.begin; i < slice.end; ++i) {
+      fps.push_back(items[i].fp);
+    }
+    StatusOr<std::vector<Bytes>> got = registry.download_batch(fps, pool);
+    for (std::size_t i = slice.begin; i < slice.end; ++i) {
+      if (got.ok()) {
+        take(i, std::move((*got)[i - slice.begin]));
+        continue;
+      }
+      // A failed slice is refetched one file at a time, so the error names
+      // the first file that fails on its own.
+      StatusOr<Bytes> one = registry.download(items[i].fp);
+      if (!one.ok()) {
+        throw_error(one.code(), std::string(what) + " of " + items[i].path +
+                                    " (" + items[i].fp.hex() +
+                                    "): " + one.message());
+      }
+      take(i, std::move(one).value());
+    }
+  }
+}
+
 LocalRuntime::LocalRuntime(docker::DockerRegistry& index_registry,
                            FileRegistryApi& file_registry,
                            std::filesystem::path root)
@@ -96,7 +140,8 @@ Bytes LocalRuntime::materialize(const std::string& reference,
 }
 
 std::pair<std::size_t, std::uint64_t> LocalRuntime::prefetch(
-    const std::string& reference, PrefetchOrder order) {
+    const std::string& reference, PrefetchOrder order,
+    util::ThreadPool* pool) {
   if (!store_.has_index(reference)) {
     throw_error(ErrorCode::kNotFound, "no index installed: " + reference);
   }
@@ -132,29 +177,18 @@ std::pair<std::size_t, std::uint64_t> LocalRuntime::prefetch(
   }
 
   PrefetchPlan plan = build_prefetch_plan(index, order, previous, profile_ptr);
-  // Smallest-remaining-first key for host-wide admission: the bytes this
-  // prefetch still has to move.
-  std::uint64_t remaining = 0;
+  std::vector<FetchItem> missing;
   for (const PrefetchItem& item : plan.items) {
-    if (!store_.cache_contains(item.fingerprint)) remaining += item.size;
-  }
-  std::size_t fetched = 0;
-  std::uint64_t bytes = 0;
-  for (const PrefetchItem& item : plan.items) {
-    if (store_.cache_contains(item.fingerprint)) continue;
-    BudgetLease lease(host_budget_, item.size, AdmissionLane::kBackground,
-                      remaining);
-    remaining -= item.size;
-    StatusOr<Bytes> content = file_registry_.download(item.fingerprint);
-    if (!content.ok()) {
-      throw_error(content.code(), "prefetch of " + item.path + " (" +
-                                      item.fingerprint.hex() + "): " +
-                                      content.message());
+    if (!store_.cache_contains(item.fingerprint)) {
+      missing.push_back({item.fingerprint, item.size, item.path});
     }
-    bytes += content->size();
-    ++fetched;
-    store_.cache_put(item.fingerprint, std::move(content).value());
   }
+  std::uint64_t bytes = 0;
+  fetch_in_slices(file_registry_, missing, pool, host_budget_, "prefetch",
+                  [&](std::size_t i, Bytes content) {
+                    bytes += content.size();
+                    store_.cache_put(missing[i].fp, std::move(content));
+                  });
   // Link every still-unmaterialized stub path from the now-warm cache.
   index.walk([&](const std::string& path, const vfs::FileNode& node) {
     if (!node.is_fingerprint()) return;
@@ -165,7 +199,7 @@ std::pair<std::size_t, std::uint64_t> LocalRuntime::prefetch(
     if (!store_.cache_contains(node.fingerprint())) return;
     store_.link_file(reference, path, node.fingerprint());
   });
-  return {fetched, bytes};
+  return {missing.size(), bytes};
 }
 
 StatusOr<Bytes> LocalRuntime::read(const std::string& container_id,

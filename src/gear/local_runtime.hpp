@@ -19,7 +19,9 @@
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "docker/registry.hpp"
@@ -30,6 +32,30 @@
 #include "gear/registry_api.hpp"
 
 namespace gear {
+
+/// One file of a multi-file fetch: a distinct fingerprint, its raw (stub)
+/// size, which its slice is bounded by, and the first path naming it, which
+/// errors name.
+struct FetchItem {
+  Fingerprint fp;
+  std::uint64_t size = 0;
+  std::string path;
+};
+
+/// The real path's multi-file download (export, and prefetch = the lazy
+/// backfill): fetches `items` through download_batch, one batch_slices
+/// slice at a time, decompressing on `pool` (null = inline). Slices are
+/// bounded by kMaxBatchBytes and, under a nonzero `budget`, by its budget
+/// too; each holds one background-lane lease on `budget` (null =
+/// ungoverned) from before its download until its files are handed on.
+/// `take(i, content)` receives item i's content, in item order. A failed
+/// slice is refetched one file at a time; the first file that fails on its
+/// own throws "<what> of <path> (<fp>): <registry error>".
+void fetch_in_slices(const FileRegistryApi& registry,
+                     const std::vector<FetchItem>& items,
+                     util::ThreadPool* pool, HostBudget* budget,
+                     std::string_view what,
+                     const std::function<void(std::size_t, Bytes)>& take);
 
 class LocalRuntime {
  public:
@@ -75,12 +101,16 @@ class LocalRuntime {
   /// Warms every still-unmaterialized file of an installed image into the
   /// on-disk cache in priority order (gear/prefetch): delta vs the newest
   /// other installed version of the series, then the persisted access
-  /// profiles of the whole series, then fan-in/size tie-breakers. Files are
-  /// hard-linked into the image directory afterwards. Returns (files
-  /// fetched from the registry, bytes moved).
+  /// profiles of the whole series, then fan-in/size tie-breakers. The files
+  /// not yet cached move in fetch_in_slices batches, decompressed on `pool`
+  /// (null = inline; what is cached and linked is the same at any width)
+  /// and cached in plan order; they are hard-linked into the image
+  /// directory afterwards. Returns (files fetched from the registry, bytes
+  /// moved).
   std::pair<std::size_t, std::uint64_t> prefetch(
       const std::string& reference,
-      PrefetchOrder order = PrefetchOrder::kDelta);
+      PrefetchOrder order = PrefetchOrder::kDelta,
+      util::ThreadPool* pool = nullptr);
 
   /// Attaches a host-wide admission budget (gearctl --host-budget-bytes):
   /// prefetch's downloads stage their bytes on the background lane,

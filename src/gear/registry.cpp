@@ -1,6 +1,7 @@
 #include "gear/registry.hpp"
 
 #include <mutex>
+#include <string>
 
 #include "compress/codec.hpp"
 
@@ -8,6 +9,17 @@ namespace gear {
 
 namespace {
 constexpr auto kRelaxed = std::memory_order_relaxed;
+
+/// Decompresses the stored frame of `fp`; a damaged frame is kCorruptData
+/// naming the object rather than an exception out of the caller's phase.
+StatusOr<Bytes> decompress_object(const Fingerprint& fp, BytesView frame) {
+  try {
+    return decompress(frame);
+  } catch (const Error& e) {
+    return {ErrorCode::kCorruptData,
+            "corrupt object " + fp.hex() + ": " + e.message()};
+  }
+}
 }  // namespace
 
 GearRegistry::GearRegistry(std::unique_ptr<ObjectStore> store)
@@ -101,7 +113,12 @@ StatusOr<Bytes> GearRegistry::reassemble_locked(const Fingerprint& fp) const {
       return {ErrorCode::kCorruptData,
               "chunk missing for " + fp.hex() + ": " + chunk_fp.hex()};
     }
-    append(out, decompress(*chunk));
+    StatusOr<Bytes> content = decompress_object(chunk_fp, *chunk);
+    if (!content.ok()) {
+      return {content.code(),
+              "chunk of " + fp.hex() + ": " + content.message()};
+    }
+    append(out, *content);
   }
   if (out.size() != m.file_size) {
     return {ErrorCode::kCorruptData, "chunked reassembly size mismatch"};
@@ -175,14 +192,29 @@ StatusOr<std::vector<Bytes>> GearRegistry::download_batch(
     deferred[i] = 1;
   }
 
-  // Parallel phase: pure decompression, results placed by index.
+  // Parallel phase: pure decompression, results placed by index. A damaged
+  // frame fails only its own slot; the lowest failed slot is reported, so
+  // the error is the same at any pool width.
+  std::vector<std::string> damaged(fps.size());
   auto decompress_one = [&](std::size_t i) {
-    if (deferred[i] != 0) out[i] = decompress(plain[i]);
+    if (deferred[i] == 0) return;
+    StatusOr<Bytes> content = decompress_object(fps[i], plain[i]);
+    if (content.ok()) {
+      out[i] = std::move(content).value();
+    } else {
+      damaged[i] = content.message();
+    }
   };
   if (pool != nullptr) {
     pool->parallel_for_each(fps.size(), decompress_one);
   } else {
     for (std::size_t i = 0; i < fps.size(); ++i) decompress_one(i);
+  }
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    if (!damaged[i].empty()) {
+      return {ErrorCode::kCorruptData,
+              "download_batch: " + damaged[i] + item_pos(i)};
+    }
   }
 
   if (wire_bytes_out != nullptr) *wire_bytes_out = wire;
@@ -206,7 +238,12 @@ StatusOr<Bytes> GearRegistry::download_range(
         return {ErrorCode::kCorruptData, "chunk missing: " + m.chunks[c].hex()};
       }
       wire += chunk->size();
-      append(assembled, decompress(*chunk));
+      StatusOr<Bytes> content = decompress_object(m.chunks[c], *chunk);
+      if (!content.ok()) {
+        return {content.code(),
+                "chunk of " + fp.hex() + ": " + content.message()};
+      }
+      append(assembled, *content);
     }
     if (wire_bytes_out != nullptr) *wire_bytes_out = wire;
     std::uint64_t skip = offset - first * m.chunk_bytes;
@@ -224,12 +261,13 @@ StatusOr<Bytes> GearRegistry::download_range(
   }
   stats_.downloads.fetch_add(1, kRelaxed);
   if (wire_bytes_out != nullptr) *wire_bytes_out = frame->size();
-  Bytes whole = decompress(*frame);
-  if (offset + length > whole.size() || length == 0) {
+  StatusOr<Bytes> whole = decompress_object(fp, *frame);
+  if (!whole.ok()) return whole;
+  if (offset + length > whole->size() || length == 0) {
     return {ErrorCode::kInvalidArgument, "range out of bounds"};
   }
-  return Bytes(whole.begin() + static_cast<std::ptrdiff_t>(offset),
-               whole.begin() + static_cast<std::ptrdiff_t>(offset + length));
+  return Bytes(whole->begin() + static_cast<std::ptrdiff_t>(offset),
+               whole->begin() + static_cast<std::ptrdiff_t>(offset + length));
 }
 
 StatusOr<std::uint64_t> GearRegistry::stored_size_locked(

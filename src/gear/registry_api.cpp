@@ -7,6 +7,23 @@
 
 namespace gear {
 
+std::vector<BatchSlice> batch_slices(const std::vector<std::uint64_t>& sizes,
+                                     std::uint64_t max_bytes) {
+  const std::uint64_t bound =
+      max_bytes == 0 ? kMaxBatchBytes : std::min(max_bytes, kMaxBatchBytes);
+  std::vector<BatchSlice> slices;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    if (slices.empty() ||
+        slices.back().end - slices.back().begin == kMaxBatchFiles ||
+        slices.back().bytes + sizes[i] > bound) {
+      slices.push_back({i, i, 0});
+    }
+    slices.back().end = i + 1;
+    slices.back().bytes += sizes[i];
+  }
+  return slices;
+}
+
 bool FileRegistryApi::query(const Fingerprint& fp) const {
   return query_many({fp})[0] != 0;
 }

@@ -4,6 +4,23 @@
 
 namespace gear::net {
 
+namespace {
+
+// A download slice fills one response frame, so it must stay clear of the
+// frame cap with room for each item's framing.
+static_assert(2 * kMaxBatchBytes <= kDefaultMaxFrameBytes);
+
+/// The item status answering a failed registry read. Only a missing object
+/// is kNotFound, which a client takes as an answer; any other failure (a
+/// stored frame or chunk that no longer decodes) is kServerError, which the
+/// client refetches and finally reports as kCorruptData naming the item.
+Status failed_read_status(const StatusOr<Bytes>& read) {
+  return read.code() == ErrorCode::kNotFound ? Status::kNotFound
+                                             : Status::kServerError;
+}
+
+}  // namespace
+
 Bytes FrameServer::serve(BytesView request_frame,
                          std::uint64_t* n_items_out) {
   stats_.round_trips.fetch_add(1, std::memory_order_relaxed);
@@ -82,7 +99,7 @@ Bytes FrameServer::serve(BytesView request_frame,
           out.status = Status::kOk;
           out.payload = std::move(stored).value();
         } else {
-          out.status = Status::kNotFound;
+          out.status = failed_read_status(stored);
         }
         response.items.push_back(std::move(out));
       }
@@ -128,7 +145,7 @@ Bytes FrameServer::serve(BytesView request_frame,
           out.status = Status::kOk;
           out.payload = std::move(stored).value();
         } else {
-          out.status = Status::kNotFound;
+          out.status = failed_read_status(stored);
         }
         response.items.push_back(std::move(out));
       }

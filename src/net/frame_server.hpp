@@ -7,7 +7,9 @@
 // frame, each hit advertising its stored size), kUploadMany (precompressed
 // frames stored verbatim), kDownloadMany (stored frames shipped verbatim)
 // and kDownloadChunks (manifest probes and chunk bursts). A frame the server
-// cannot decode or dispatch gets a kServerError reply.
+// cannot decode or dispatch gets a kServerError reply; a download item the
+// registry cannot read is kNotFound only when the object is absent, and an
+// item-level kServerError otherwise (e.g. a chunk that no longer decodes).
 //
 // FrameServer knows nothing about HOW frames travel — LoopbackTransport
 // hands them over in-process (optionally charging a simulated link) and

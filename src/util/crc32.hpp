@@ -1,4 +1,4 @@
-// CRC-32 (IEEE 802.3 polynomial), table-driven, from scratch.
+// CRC-32 (IEEE 802.3 polynomial), table-driven (slicing-by-8), from scratch.
 //
 // Used by the wire protocol to detect frames damaged in transit — cheaper
 // than a cryptographic digest and exactly what integrity checking at this

@@ -44,12 +44,16 @@ class Error : public std::runtime_error {
  public:
   Error(ErrorCode code, const std::string& message)
       : std::runtime_error(std::string(error_code_name(code)) + ": " + message),
-        code_(code) {}
+        code_(code),
+        message_(message) {}
 
   ErrorCode code() const noexcept { return code_; }
+  /// what() without the leading code name: what a StatusOr carries.
+  const std::string& message() const noexcept { return message_; }
 
  private:
   ErrorCode code_;
+  std::string message_;
 };
 
 [[noreturn]] inline void throw_error(ErrorCode code, const std::string& msg) {

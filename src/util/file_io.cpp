@@ -1,6 +1,7 @@
 #include "util/file_io.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -10,27 +11,6 @@
 #include "util/error.hpp"
 
 namespace gear {
-
-Bytes read_file_bytes(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw_error(ErrorCode::kInternal, "cannot open " + path.string());
-  }
-  return Bytes((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-}
-
-void write_file_bytes(const std::filesystem::path& path, BytesView content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw_error(ErrorCode::kInternal, "cannot create " + path.string());
-  }
-  out.write(reinterpret_cast<const char*>(content.data()),
-            static_cast<std::streamsize>(content.size()));
-  if (!out) {
-    throw_error(ErrorCode::kInternal, "short write to " + path.string());
-  }
-}
 
 namespace {
 
@@ -53,6 +33,54 @@ void fsync_path(const std::filesystem::path& path, int open_flags) {
 }
 
 }  // namespace
+
+Bytes read_file_bytes(const std::filesystem::path& path) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    throw_error(ErrorCode::kInternal, "cannot open " + path.string());
+  }
+  // One buffer sized by fstat, filled by read(). st_size is only a hint —
+  // 0 for procfs files, stale for a file still growing — so reading goes on
+  // to EOF: once the buffer is full, further bytes arrive through a probe
+  // buffer and are appended.
+  Bytes out;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    out.resize(static_cast<std::size_t>(st.st_size));
+  }
+  std::size_t got = 0;
+  std::uint8_t probe[4096];
+  for (;;) {
+    const bool full = got == out.size();
+    ssize_t n = full ? ::read(fd, probe, sizeof probe)
+                     : ::read(fd, out.data() + got, out.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      int saved = errno;
+      ::close(fd);
+      errno = saved;
+      throw_errno("read failed for", path);
+    }
+    if (n == 0) break;
+    if (full) out.insert(out.end(), probe, probe + n);
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  out.resize(got);  // the file shrank since fstat
+  return out;
+}
+
+void write_file_bytes(const std::filesystem::path& path, BytesView content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    throw_error(ErrorCode::kInternal, "cannot create " + path.string());
+  }
+  out.write(reinterpret_cast<const char*>(content.data()),
+            static_cast<std::streamsize>(content.size()));
+  if (!out) {
+    throw_error(ErrorCode::kInternal, "short write to " + path.string());
+  }
+}
 
 void write_file_durable(const std::filesystem::path& path, BytesView content) {
   const std::filesystem::path tmp = path.string() + ".tmp";

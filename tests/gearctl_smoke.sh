@@ -93,6 +93,19 @@ then exit 1; else test $? -eq 1; fi
 grep -q "$VICTIM" "$WORK/badimport.err"
 if "$GEARCTL" --store-dir "$BADOBJ" "$DSTORE" images | grep -q "disk:bad"
 then exit 1; fi
+# Export and a lazy launch's backfill over the damaged object fail (exit 1)
+# naming the file: its image path and its fingerprint.
+BADFILE="\(app/hello.txt\|app/blob.bin\|etc/app.conf\) ($VICTIM)"
+if "$GEARCTL" --store-dir "$BADOBJ" "$DSTORE" export disk:v1 "$WORK/badout" \
+  > /dev/null 2> "$WORK/badexport.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "export of $BADFILE" "$WORK/badexport.err"
+LSTORE="$WORK/lstore"
+cp -r "$DSTORE" "$LSTORE"
+if "$GEARCTL" --store-dir "$BADOBJ" --lazy "$LSTORE" launch disk:v1 \
+  > /dev/null 2> "$WORK/badlaunch.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "prefetch of $BADFILE" "$WORK/badlaunch.err"
 
 # A source tree holding a ".wh." name (the layer whiteout marker, which a
 # Gear index cannot carry) is refused with exit 1, naming the path, before
@@ -390,7 +403,51 @@ then exit 1; else test $? -eq 1; fi
 grep -q "$NVICTIM" "$WORK/netbad.err"
 if "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" images | grep -q "net:bad"
 then exit 1; fi
+# A remote export over it fails the same way, naming the path too.
+if "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" export net:v1 \
+  "$WORK/netbadout" > /dev/null 2> "$WORK/netbadexport.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "export of \(app/hello.txt\|app/blob.bin\|etc/app.conf\) ($NVICTIM)" \
+  "$WORK/netbadexport.err"
 
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_PID=""
+
+# A damaged chunk of a chunked file in the daemon's store is corrupt data
+# over --remote, not an absent file. With the daemon down, a local import
+# with a chunk threshold adds model.bin (4 chunks) to its store; the daemon
+# restarts, the client imports the same tree (all deduplicated), and one of
+# the new chunks is damaged. A re-import then fails naming the file instead
+# of taking it for absent, and export and a lazy launch's backfill fail
+# naming its path.
+ls "$NOBJ/objects" | sort > "$WORK/plain.list"
+"$GEARCTL" --store-dir "$NOBJ" "$WORK/kstore" init > /dev/null
+"$GEARCTL" --store-dir "$NOBJ" "$WORK/kstore" import "$CSRC" chunky:v1 65536 \
+  > /dev/null
+KFILE="$(ls "$NOBJ/chunked" | sed 's/\.gcm$//')"
+KVICTIM="$(ls "$NOBJ/objects" | sort | comm -13 "$WORK/plain.list" - \
+  | head -n 1)"
+test -n "$KFILE" && test -n "$KVICTIM"
+"$GEARCTL" serve --addr "127.0.0.1:$PORT" --store-dir "$NOBJ" \
+  > "$WORK/serve3.out" 2> "$WORK/serve3.err" &
+SERVE_PID=$!
+wait_serving "$WORK/serve3.out"
+"$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" import "$CSRC" chunky:v1 \
+  | grep -q "0 uploaded"
+printf 'XXXX' | dd of="$NOBJ/objects/$KVICTIM" bs=1 conv=notrunc 2>/dev/null
+if "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" import "$CSRC" chunky:bad \
+  > /dev/null 2> "$WORK/chunkbad.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "corrupt_data: collision probe of $KFILE" "$WORK/chunkbad.err"
+if "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" export chunky:v1 \
+  "$WORK/chunkout" > /dev/null 2> "$WORK/chunkexport.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "corrupt_data: export of model.bin ($KFILE)" "$WORK/chunkexport.err"
+if "$GEARCTL" --remote "127.0.0.1:$PORT" --lazy "$NSTORE" launch chunky:v1 \
+  > /dev/null 2> "$WORK/chunklaunch.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "corrupt_data: prefetch of model.bin ($KFILE)" "$WORK/chunklaunch.err"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""

@@ -2,6 +2,8 @@
 // registry stub.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "compress/codec.hpp"
 #include "net/remote_registry.hpp"
 #include "net/transport.hpp"
@@ -35,6 +37,50 @@ TEST(Crc32, IncrementalMatchesOneShot) {
       crc32(BytesView(data.data(), 3000)),
       BytesView(data.data() + 3000, data.size() - 3000));
   EXPECT_EQ(whole, split);
+}
+
+/// The bytewise table-driven CRC-32, kept here as the reference the
+/// slicing-by-8 kernel must match.
+std::uint32_t reference_crc32(BytesView data) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) c = table[(c ^ byte) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(3);
+  Bytes data = rng.next_bytes(8 + 80, 0.0);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 80; ++length) {
+      BytesView view(data.data() + offset, length);
+      ASSERT_EQ(crc32(view), reference_crc32(view))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, EverySplitPointMatchesOneShot) {
+  Rng rng(4);
+  Bytes data = rng.next_bytes(100, 0.0);
+  const std::uint32_t whole = reference_crc32(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    std::uint32_t head = crc32(BytesView(data.data(), split));
+    EXPECT_EQ(crc32_update(head, BytesView(data.data() + split,
+                                           data.size() - split)),
+              whole)
+        << "split " << split;
+  }
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {

@@ -20,6 +20,7 @@
 
 #include "gear/client.hpp"
 #include "gear/converter.hpp"
+#include "gear/local_runtime.hpp"
 #include "gear/object_store.hpp"
 #include "gear/registry.hpp"
 #include "net/remote_registry.hpp"
@@ -129,6 +130,34 @@ TEST_F(TcpSocketFixture, RegistryCallsWorkOverRealSockets) {
   EXPECT_EQ(frames.stats().round_trips, 5u);
   EXPECT_EQ(server.frames_served(), 5u);
   EXPECT_EQ(server.connections_accepted(), 1u);  // one persistent connection
+  EXPECT_EQ(remote.stats().retries, 0u);
+}
+
+TEST_F(TcpSocketFixture, DownloadSliceAtTheByteCapFitsOneFrame) {
+  // Two incompressible files whose sizes sum to kMaxBatchBytes share one
+  // download frame, which the default frame cap on both ends accepts; a
+  // third file opens the next frame.
+  Rng rng(5150);
+  const std::vector<Bytes> contents = {rng.next_bytes(kMaxBatchBytes / 2),
+                                       rng.next_bytes(kMaxBatchBytes / 2),
+                                       rng.next_bytes(1000)};
+  std::vector<FetchItem> items;
+  for (std::size_t i = 0; i < contents.size(); ++i) {
+    Fingerprint fp = default_hasher().fingerprint(contents[i]);
+    registry.upload(fp, contents[i]);
+    items.push_back({fp, contents[i].size(), "f" + std::to_string(i)});
+  }
+  TcpTransport transport("127.0.0.1", server.port());
+  RemoteGearRegistry remote(transport, 3, kNoVerify);
+  std::vector<Bytes> got(items.size());
+  fetch_in_slices(remote, items, nullptr, nullptr, "export",
+                  [&](std::size_t i, Bytes content) {
+                    got[i] = std::move(content);
+                  });
+  EXPECT_TRUE(got == contents);
+  EXPECT_EQ(frames.stats().download_round_trips, 2u);
+  EXPECT_GT(frames.stats().bytes_out, kMaxBatchBytes);
+  EXPECT_EQ(server.frames_rejected(), 0u);
   EXPECT_EQ(remote.stats().retries, 0u);
 }
 

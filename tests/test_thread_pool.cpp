@@ -245,6 +245,62 @@ TEST(GearRegistryBatch, DownloadBatchMatchesIndividualDownloads) {
   EXPECT_FALSE(reg.download_batch(with_missing, &pool, nullptr).ok());
 }
 
+TEST(GearRegistryBatch, DamagedObjectIsCorruptDataNamingItAndItsPosition) {
+  // A stored frame that no longer decodes fails the batch as a status
+  // naming the object and its item position — never as an exception out of
+  // the parallel phase — at any pool width, for plain and chunked files.
+  GearRegistry reg;
+  Rng rng(7201);
+  std::vector<Fingerprint> fps;
+  for (int i = 0; i < 20; ++i) {
+    Bytes content = rng.next_bytes(300 + i * 11, 0.5);
+    fps.push_back(default_hasher().fingerprint(content));
+    reg.upload(fps.back(), content);
+  }
+  Bytes big = rng.next_bytes(4096, 0.5);
+  const Fingerprint chunked = default_hasher().fingerprint(big);
+  reg.upload_chunked(chunked, big, ChunkPolicy{1024, 1024});
+  ASSERT_TRUE(reg.is_chunked(chunked));
+
+  auto damage = [&](const Fingerprint& fp) {
+    Bytes frame = reg.store().get(fp).value();
+    frame[0] ^= 0xFF;  // GZC1 magic overwritten, as by bit rot
+    ASSERT_GT(reg.remove(fp), 0u);
+    reg.upload_precompressed(fp, std::move(frame));
+  };
+  damage(fps[7]);
+  const Fingerprint chunk = reg.chunk_manifest(chunked).value().chunks[2];
+  damage(chunk);
+
+  ThreadPool pool(4);
+  for (ThreadPool* width : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    StatusOr<std::vector<Bytes>> got = reg.download_batch(fps, width);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.code(), ErrorCode::kCorruptData);
+    EXPECT_NE(got.message().find(fps[7].hex()), std::string::npos)
+        << got.message();
+    EXPECT_NE(got.message().find("(item 8 of 20)"), std::string::npos)
+        << got.message();
+
+    std::vector<Fingerprint> only_chunked = {fps[0], chunked};
+    got = reg.download_batch(only_chunked, width);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.code(), ErrorCode::kCorruptData);
+    EXPECT_NE(got.message().find(chunk.hex()), std::string::npos)
+        << got.message();
+    EXPECT_NE(got.message().find(chunked.hex()), std::string::npos)
+        << got.message();
+    EXPECT_NE(got.message().find("(item 2 of 2)"), std::string::npos)
+        << got.message();
+  }
+  EXPECT_EQ(reg.download(fps[7]).code(), ErrorCode::kCorruptData);
+  EXPECT_EQ(reg.download_compressed(chunked).code(), ErrorCode::kCorruptData);
+  EXPECT_EQ(reg.download_range(fps[7], 0, 10).code(), ErrorCode::kCorruptData);
+  EXPECT_EQ(reg.download_range(chunked, 2048, 10).code(),
+            ErrorCode::kCorruptData);
+  EXPECT_TRUE(reg.download_range(chunked, 0, 10).ok());  // chunk 0 is intact
+}
+
 TEST(PipelinedPrefetch, TimingAndResultIndependentOfWorkerCount) {
   docker::Image image = collision_heavy_image();
   ConversionResult conv = GearConverter().convert(image);

@@ -1,9 +1,13 @@
 // Unit tests for util/: hex, MD5, SHA-256, RNG, fingerprints, formatting.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <set>
 
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/fingerprint.hpp"
 #include "util/format.hpp"
 #include "util/hex.hpp"
@@ -360,6 +364,44 @@ TEST(StatusOr, MoveOut) {
   StatusOr<std::string> s(std::string("hello"));
   std::string v = std::move(s).value();
   EXPECT_EQ(v, "hello");
+}
+
+// -------------------------------------------------------------- file io
+
+TEST(ReadFileBytes, ReadsWholeFilesOfEverySize) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("gear_file_io_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  Rng rng(16);
+  for (std::size_t size : {std::size_t{0}, std::size_t{1},
+                           std::size_t{(1u << 20) + 3}}) {
+    const std::filesystem::path path = dir / ("f" + std::to_string(size));
+    Bytes content = rng.next_bytes(size, 0.5);
+    write_file_bytes(path, content);
+    EXPECT_EQ(read_file_bytes(path), content) << size;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReadFileBytes, ReadsPastAZeroStSize) {
+  // procfs reports st_size 0 for files that do have content.
+  ASSERT_EQ(std::filesystem::file_size("/proc/self/status"), 0u);
+  std::string status = to_string(read_file_bytes("/proc/self/status"));
+  EXPECT_NE(status.find("Name:"), std::string::npos);
+  EXPECT_EQ(status.back(), '\n');
+}
+
+TEST(ReadFileBytes, MissingFileThrowsNamingIt) {
+  const std::string path = ::testing::TempDir() + "/gear_no_such_file";
+  try {
+    read_file_bytes(path);
+    FAIL() << "read of a missing file succeeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInternal);
+    EXPECT_NE(std::string(e.what()).find("cannot open " + path),
+              std::string::npos);
+  }
 }
 
 }  // namespace

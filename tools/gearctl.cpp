@@ -30,6 +30,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -45,6 +46,7 @@
 #include "net/remote_registry.hpp"
 #include "net/tcp.hpp"
 #include "p2p/topology.hpp"
+#include "util/file_io.hpp"
 #include "util/format.hpp"
 #include "vfs/fs_io.hpp"
 #include "workload/generator.hpp"
@@ -242,8 +244,17 @@ GearIndex load_index_of(Store& store, const std::string& ref) {
   return GearIndex::from_wire_tree(layer.to_tree());
 }
 
-Bytes fetch_file(Store& store, const Fingerprint& fp) {
-  return store.files().download(fp).value();
+/// A pool of --workers threads for batch compression and decompression;
+/// null when that is one worker.
+std::unique_ptr<util::ThreadPool> make_pool() {
+  if (g_concurrency.resolved_workers() <= 1) return nullptr;
+  return std::make_unique<util::ThreadPool>(g_concurrency.resolved_workers());
+}
+
+/// One file's content for cat, with an error naming the path and file.
+Bytes fetch_file(Store& store, const std::string& path, const Fingerprint& fp) {
+  return unwrap(store.files().download(fp),
+                "cat of " + path + " (" + fp.hex() + ")");
 }
 
 int cmd_init(Store& store) {
@@ -282,10 +293,7 @@ int cmd_import(Store& store, const std::string& dir, const std::string& ref,
   if (chunk_threshold > 0) {
     policy.threshold_bytes = chunk_threshold;
   }
-  std::unique_ptr<util::ThreadPool> pool;
-  if (g_concurrency.resolved_workers() > 1) {
-    pool = std::make_unique<util::ThreadPool>(g_concurrency.resolved_workers());
-  }
+  std::unique_ptr<util::ThreadPool> pool = make_pool();
   std::size_t uploaded =
       push_gear_image(conv.image, store.docker, store.files(), policy,
                       pool.get(), g_concurrency.max_inflight_bytes);
@@ -349,7 +357,7 @@ int cmd_cat(Store& store, const std::string& ref, const std::string& path) {
     std::fprintf(stderr, "not a regular file: %s\n", path.c_str());
     return 1;
   }
-  Bytes content = fetch_file(store, node->fingerprint());
+  Bytes content = fetch_file(store, path, node->fingerprint());
   std::fwrite(content.data(), 1, content.size(), stdout);
   return 0;
 }
@@ -368,7 +376,7 @@ int cmd_cat_range(Store& store, const std::string& ref, const std::string& path,
   }
   Fingerprint fp = node->fingerprint();
   if (!store.files().is_chunked(fp)) {
-    Bytes content = fetch_file(store, fp);
+    Bytes content = fetch_file(store, path, fp);
     if (offset + length > content.size()) {
       std::fprintf(stderr, "range out of bounds for %s\n", path.c_str());
       return 1;
@@ -417,28 +425,46 @@ int cmd_cat_range(Store& store, const std::string& ref, const std::string& path,
 
 int cmd_export(Store& store, const std::string& ref, const std::string& dir) {
   GearIndex index = load_index_of(store, ref);
-  // Materialize: stubs -> contents.
-  vfs::FileTree out;
-  out.root().metadata() = index.tree().root().metadata();
+  // Directories and symlinks first. Then the files: each distinct
+  // fingerprint is fetched once, in batches, and written to every path
+  // naming it as its batch lands, so at most one batch of content is held.
+  // A failed fetch leaves the files written so far.
+  vfs::FileTree skeleton;
+  std::vector<FetchItem> items;
+  std::vector<std::vector<std::string>> paths;
+  std::unordered_map<Fingerprint, std::size_t, FingerprintHash> slot;
   index.tree().walk([&](const std::string& path, const vfs::FileNode& node) {
     switch (node.type()) {
       case vfs::NodeType::kDirectory:
-        out.add_directory(path, node.metadata());
+        skeleton.add_directory(path, node.metadata());
         break;
       case vfs::NodeType::kSymlink:
-        out.add_symlink(path, node.link_target(), node.metadata());
+        skeleton.add_symlink(path, node.link_target(), node.metadata());
         break;
-      case vfs::NodeType::kFingerprint:
-        out.add_file(path, fetch_file(store, node.fingerprint()),
-                     node.metadata());
+      case vfs::NodeType::kFingerprint: {
+        auto [it, fresh] = slot.emplace(node.fingerprint(), items.size());
+        if (fresh) {
+          items.push_back({node.fingerprint(), node.stub_size(), path});
+          paths.emplace_back();
+        }
+        paths[it->second].push_back(path);
         break;
+      }
       default:
         break;
     }
   });
-  vfs::write_tree(out, dir);
+  vfs::write_tree(skeleton, dir);
+  std::unique_ptr<util::ThreadPool> pool = make_pool();
+  fetch_in_slices(store.files(), items, pool.get(), g_host_budget.get(),
+                  "export",
+                  [&](std::size_t i, Bytes content) {
+                    for (const std::string& path : paths[i]) {
+                      write_file_bytes(fs::path(dir) / path, content);
+                    }
+                  });
   std::printf("exported %s to %s (%s)\n", ref.c_str(), dir.c_str(),
-              format_size(out.stats().total_file_bytes).c_str());
+              format_size(index.tree().stats().total_file_bytes).c_str());
   return 0;
 }
 
@@ -471,13 +497,14 @@ int cmd_run(Store& store, const std::string& ref,
       continue;
     }
     Fingerprint fp = node->fingerprint();
+    const std::string context = "run of " + path + " (" + fp.hex() + ")";
     const char* source = "cache";
     if (!local.cache_contains(fp)) {
-      local.cache_put(fp, store.files().download(fp).value());
+      local.cache_put(fp, unwrap(store.files().download(fp), context));
       source = "registry";
     }
     local.link_file(ref, path, fp);
-    Bytes content = local.read_materialized(ref, path).value();
+    Bytes content = unwrap(local.read_materialized(ref, path), context);
     std::printf("  %s: %s (%s, nlink=%llu, %s)\n", path.c_str(),
                 format_size(content.size()).c_str(), source,
                 static_cast<unsigned long long>(local.link_count(fp)),
@@ -541,7 +568,8 @@ int cmd_launch(Store& store, const std::string& ref, bool lazy) {
     // index is local; the backfill below is the background half, warming
     // the remaining files in priority order after readiness is reported.
     std::fflush(stdout);
-    auto [files, bytes] = runtime.prefetch(ref, g_prefetch_order);
+    std::unique_ptr<util::ThreadPool> pool = make_pool();
+    auto [files, bytes] = runtime.prefetch(ref, g_prefetch_order, pool.get());
     store.save();
     std::fprintf(stderr, "backfilled %s (%s order): %zu files, %s\n",
                  ref.c_str(), prefetch_order_name(g_prefetch_order), files,
@@ -575,7 +603,8 @@ int cmd_exec_write(Store& store, const std::string& container,
 int cmd_prefetch(Store& store, const std::string& ref) {
   LocalRuntime runtime = make_runtime(store);
   if (!runtime.has_image(ref)) runtime.pull(ref);
-  auto [files, bytes] = runtime.prefetch(ref, g_prefetch_order);
+  std::unique_ptr<util::ThreadPool> pool = make_pool();
+  auto [files, bytes] = runtime.prefetch(ref, g_prefetch_order, pool.get());
   store.save();
   std::printf("prefetched %s (%s order): %zu files, %s\n", ref.c_str(),
               prefetch_order_name(g_prefetch_order), files,
