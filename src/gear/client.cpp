@@ -58,17 +58,27 @@ std::size_t push_gear_image(const GearImage& image,
     for (std::size_t j = 0; j < to_compress.size(); ++j) compress_one(j);
   }
 
-  // Insertion round: serial and ordered — plain files group into
-  // upload_precompressed_batch bursts (one round-trip each when remote),
-  // flushed before any chunked upload so the registry sees every insert in
-  // file order and stats/storage accounting match the serial run exactly.
+  // Insertion round: serial and ordered — each run of plain files between
+  // chunked uploads goes out in batch_slices bursts sized by the compressed
+  // frames they carry (one upload_precompressed_batch round-trip each when
+  // remote), so the registry sees every insert in file order and
+  // stats/storage accounting match the serial run exactly.
   std::size_t uploaded = 0;
-  std::vector<std::pair<Fingerprint, Bytes>> plain_batch;
+  std::vector<std::size_t> run;  // plain absentees since the last flush
   auto flush_plain = [&]() {
-    if (plain_batch.empty()) return;
-    uploaded += plain_batch.size();
-    file_registry.upload_precompressed_batch(std::move(plain_batch));
-    plain_batch.clear();
+    std::vector<std::uint64_t> sizes;
+    sizes.reserve(run.size());
+    for (std::size_t i : run) sizes.push_back(compressed[i].size());
+    for (const BatchSlice& slice : batch_slices(sizes, 0)) {
+      std::vector<std::pair<Fingerprint, Bytes>> burst;
+      for (std::size_t k = slice.begin; k < slice.end; ++k) {
+        burst.emplace_back(image.files[run[k]].first,
+                           std::move(compressed[run[k]]));
+      }
+      uploaded += burst.size();
+      file_registry.upload_precompressed_batch(std::move(burst));
+    }
+    run.clear();
   };
   for (std::size_t i = 0; i < image.files.size(); ++i) {
     if (!missing[i]) continue;
@@ -78,8 +88,7 @@ std::size_t push_gear_image(const GearImage& image,
       file_registry.upload_chunked(fp, content, chunk_policy);
       ++uploaded;
     } else {
-      plain_batch.emplace_back(fp, std::move(compressed[i]));
-      if (plain_batch.size() >= kMaxBatchFiles) flush_plain();
+      run.push_back(i);
     }
   }
   flush_plain();

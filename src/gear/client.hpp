@@ -49,10 +49,11 @@ namespace gear {
 /// as chunk objects + a manifest (paper §VII future work).
 ///
 /// The presence check is one query_many and plain absent files move in
-/// upload_precompressed_batch groups, so pushing to a remote registry costs
-/// 1 + ⌈missing/batch⌉ round-trips instead of one per file. In-process the
-/// batched entry points are ordered loops: registry contents and stats are
-/// byte-identical to the serial per-file protocol.
+/// upload_precompressed_batch bursts (batch_slices of their compressed
+/// frames), so pushing to a remote registry costs 1 + ⌈missing/batch⌉
+/// round-trips instead of one per file, and no burst outgrows a wire frame.
+/// In-process the batched entry points are ordered loops: registry contents
+/// and stats are byte-identical to the serial per-file protocol.
 ///
 /// When `pool` is non-null, per-file compression of the absent files fans
 /// out across it (bounded by `max_inflight_bytes` of raw content, 0 =

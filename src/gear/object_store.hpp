@@ -7,10 +7,9 @@
 //
 //   * MemoryObjectStore — the historical in-process map, now sharded so
 //     independent fingerprints never contend on one lock;
-//   * DiskObjectStore   — a durable content-addressed directory using the
-//     gear/persistence naming layout (objects/<md5-hex>,
-//     chunked/<md5-hex>.gcm), so a registry served over net/wire reopens
-//     its store after a process restart with no re-push.
+//   * DiskObjectStore   — a durable content-addressed directory
+//     (objects/<md5-hex>, chunked/<md5-hex>.gcm), so a registry served over
+//     net/wire reopens its store after a process restart with no re-push.
 //
 // Two kinds of payload, two namespaces (an fp may legitimately appear in
 // both, see GearRegistry::remove):
@@ -144,12 +143,8 @@ class MemoryObjectStore final : public ObjectStore {
 /// torn temp, which reopen ignores and reaps — reaped_temps() reports how
 /// many. A freshly opened store therefore serves exactly the objects whose
 /// writes completed, and a wire-served registry built on it survives a
-/// process restart with no re-push.
-///
-/// Object names and manifest bytes follow the gear/persistence snapshot
-/// layout; object *content* here is the stored compressed frame (what the
-/// wire protocol ships per item), where persistence snapshots write
-/// decompressed interchange bytes.
+/// process restart with no re-push. Object content is the stored
+/// compressed frame, what the wire protocol ships per item.
 class DiskObjectStore final : public ObjectStore {
  public:
   /// Opens (creating if needed) a store rooted at `root`: indexes existing

@@ -1,6 +1,5 @@
 #include "gear/persistence.hpp"
 
-#include "compress/codec.hpp"
 #include "gear/fs_store.hpp"  // sanitize_reference
 #include "util/file_io.hpp"
 
@@ -33,42 +32,6 @@ PersistReport save_docker_registry(const docker::DockerRegistry& registry,
   return report;
 }
 
-PersistReport save_gear_registry(const GearRegistry& registry,
-                                 const fs::path& root) {
-  PersistReport report;
-  fs::remove_all(root / "gear");
-  fs::create_directories(root / "gear" / "objects");
-  fs::create_directories(root / "gear" / "chunked");
-
-  const ObjectStore& store = registry.store();
-  for (const Fingerprint& fp : store.list_objects()) {
-    // list_objects() covers plain files AND individual chunks; both are
-    // written decompressed and re-compressed deterministically on load.
-    write_file_bytes(
-        root / "gear" / "objects" / fp.hex(),
-        decompress(unwrap(store.get(fp), "save: gear object " + fp.hex())));
-    ++report.objects;
-  }
-  for (const Fingerprint& fp : store.list_manifests()) {
-    write_file_bytes(root / "gear" / "chunked" / (fp.hex() + ".gcm"),
-                     unwrap(store.get_manifest(fp),
-                            "save: chunk manifest " + fp.hex())
-                         .serialize());
-    ++report.chunk_manifests;
-  }
-  return report;
-}
-
-PersistReport save_registries(const docker::DockerRegistry& docker_registry,
-                              const GearRegistry& gear_registry,
-                              const fs::path& root) {
-  PersistReport report = save_docker_registry(docker_registry, root);
-  PersistReport gear = save_gear_registry(gear_registry, root);
-  report.objects = gear.objects;
-  report.chunk_manifests = gear.chunk_manifests;
-  return report;
-}
-
 PersistReport load_docker_registry(const fs::path& root,
                                    docker::DockerRegistry* registry) {
   if (!fs::is_directory(root / "docker")) {
@@ -90,45 +53,6 @@ PersistReport load_docker_registry(const fs::path& root,
     registry->put_manifest_json(manifest.reference(), std::move(json));
     ++report.manifests;
   }
-  return report;
-}
-
-PersistReport load_gear_registry(const fs::path& root,
-                                 GearRegistry* registry) {
-  if (!fs::is_directory(root / "gear")) {
-    throw_error(ErrorCode::kNotFound,
-                "no persisted gear registry at " + root.string());
-  }
-  PersistReport report;
-  for (const auto& entry : fs::directory_iterator(root / "gear" / "objects")) {
-    Fingerprint fp = Fingerprint::from_hex(entry.path().filename().string());
-    registry->upload(fp, read_file_bytes(entry.path()));
-    ++report.objects;
-  }
-  for (const auto& entry : fs::directory_iterator(root / "gear" / "chunked")) {
-    std::string name = entry.path().filename().string();
-    if (name.size() < 5) {
-      throw_error(ErrorCode::kCorruptData, "bad chunk manifest name: " + name);
-    }
-    Fingerprint fp = Fingerprint::from_hex(name.substr(0, name.size() - 4));
-    registry->restore_chunked(
-        fp, ChunkManifest::parse(read_file_bytes(entry.path())));
-    ++report.chunk_manifests;
-  }
-  return report;
-}
-
-PersistReport load_registries(const fs::path& root,
-                              docker::DockerRegistry* docker_registry,
-                              GearRegistry* gear_registry) {
-  if (!fs::is_directory(root / "docker") || !fs::is_directory(root / "gear")) {
-    throw_error(ErrorCode::kNotFound,
-                "no persisted registries at " + root.string());
-  }
-  PersistReport report = load_docker_registry(root, docker_registry);
-  PersistReport gear = load_gear_registry(root, gear_registry);
-  report.objects = gear.objects;
-  report.chunk_manifests = gear.chunk_manifests;
   return report;
 }
 

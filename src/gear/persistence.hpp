@@ -1,35 +1,24 @@
-// Registry persistence: save/load both registries to plain directories.
+// Catalog persistence: save/load the Docker registry (manifests and index
+// layers) to a plain directory.
 //
 // Layout (what a real deployment would keep on the registry host's disk):
 //
 //   <root>/docker/blobs/<sha256-hex>         compressed layer tarballs
 //   <root>/docker/manifests/<ref>.json       manifest documents
-//   <root>/gear/objects/<md5-hex>            Gear files / chunks (raw bytes)
-//   <root>/gear/chunked/<md5-hex>.gcm        chunk manifests
 //
-// Object files are stored decompressed; load re-compresses with the
-// deterministic in-tree codec, reproducing identical registry state.
-// (A DiskObjectStore shares the objects/ + chunked/ naming but keeps the
-// compressed frames — it is the live storage engine, not a snapshot.)
-//
-// Each registry has its own save/load pair so deployments that keep one
-// side durable (e.g. gearctl --store-dir puts the Gear files on a
-// DiskObjectStore) can snapshot just the other; save_registries /
-// load_registries compose the two.
+// The Gear files need no snapshot: they live in a DiskObjectStore
+// (gear/object_store.hpp), which is durable as written.
 #pragma once
 
 #include <filesystem>
 
 #include "docker/registry.hpp"
-#include "gear/registry.hpp"
 
 namespace gear {
 
 struct PersistReport {
   std::size_t blobs = 0;
   std::size_t manifests = 0;
-  std::size_t objects = 0;
-  std::size_t chunk_manifests = 0;
 };
 
 /// Writes the Docker registry under `<root>/docker` (full snapshot: stale
@@ -37,31 +26,9 @@ struct PersistReport {
 PersistReport save_docker_registry(const docker::DockerRegistry& registry,
                                    const std::filesystem::path& root);
 
-/// Writes the Gear registry under `<root>/gear` (full snapshot). Reads
-/// through the registry's ObjectStore, so saving has no effect on interface
-/// stats (a snapshot is not a download).
-PersistReport save_gear_registry(const GearRegistry& registry,
-                                 const std::filesystem::path& root);
-
-/// Writes both registries under `root` (created if needed) as a full
-/// snapshot: stale files from earlier saves are removed.
-PersistReport save_registries(const docker::DockerRegistry& docker_registry,
-                              const GearRegistry& gear_registry,
-                              const std::filesystem::path& root);
-
 /// Loads the Docker registry from `<root>/docker`. Throws Error(kNotFound)
 /// when the layout is missing, kCorruptData on damaged content.
 PersistReport load_docker_registry(const std::filesystem::path& root,
                                    docker::DockerRegistry* registry);
-
-/// Loads the Gear registry from `<root>/gear` (same error contract).
-PersistReport load_gear_registry(const std::filesystem::path& root,
-                                 GearRegistry* registry);
-
-/// Loads both registries from `root`. Throws Error(kNotFound) when the
-/// layout is missing, kCorruptData on damaged content.
-PersistReport load_registries(const std::filesystem::path& root,
-                              docker::DockerRegistry* docker_registry,
-                              GearRegistry* gear_registry);
 
 }  // namespace gear

@@ -314,19 +314,6 @@ StatusOr<std::uint64_t> GearRegistry::chunk_stored_size(
   return size;
 }
 
-void GearRegistry::restore_chunked(const Fingerprint& fp,
-                                   ChunkManifest manifest) {
-  std::unique_lock lock(shard_lock(fp));
-  if (store_->contains_manifest(fp)) return;  // already registered
-  for (const Fingerprint& chunk_fp : manifest.chunks) {
-    if (!store_->contains(chunk_fp)) {
-      throw_error(ErrorCode::kCorruptData,
-                  "restore_chunked: missing chunk " + chunk_fp.hex());
-    }
-  }
-  store_->put_manifest_if_absent(fp, manifest);
-}
-
 std::vector<Fingerprint> GearRegistry::list_objects() const {
   return store_->list_objects();
 }

@@ -133,13 +133,8 @@ class GearRegistry : public FileRegistryApi {
   /// are swept individually if unreferenced.
   std::uint64_t remove(const Fingerprint& fp);
 
-  /// Re-registers a chunk manifest (persistence restore). Every chunk must
-  /// already be present as an object; throws kCorruptData otherwise.
-  void restore_chunked(const Fingerprint& fp, ChunkManifest manifest);
-
-  /// The storage engine beneath this registry. Snapshot/persistence code
-  /// reads through this instead of the interface above so snapshots carry
-  /// no stats side effects.
+  /// The storage engine beneath this registry. Reads through it bypass the
+  /// interface above, so they carry no stats side effects.
   ObjectStore& store() noexcept { return *store_; }
   const ObjectStore& store() const noexcept { return *store_; }
 

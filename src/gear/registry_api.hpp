@@ -41,12 +41,13 @@ namespace gear {
 /// fan-in bounded.
 inline constexpr std::size_t kMaxBatchFiles = 64;
 
-/// Raw bytes per multi-file download (see batch_slices), whatever larger
-/// bound the caller passes. A wire response carries its items' stored
-/// frames, at most a few dozen bytes of framing above their raw size, so
-/// this stays far below the transport's frame cap (net::kDefaultMaxFrameBytes,
-/// 256 MiB) and bounds what one request holds on either side; 64 of the
-/// ~100 KB files of a typical image still travel together.
+/// Bytes per multi-file burst (see batch_slices), whatever larger bound the
+/// caller passes: raw bytes per download, compressed frames per upload. A
+/// wire frame carries its items' stored frames plus a few dozen bytes of
+/// framing each, so this stays far below the transport's frame cap
+/// (net::kDefaultMaxFrameBytes, 256 MiB) and bounds what one request holds
+/// on either side; 64 of the ~100 KB files of a typical image still travel
+/// together.
 inline constexpr std::uint64_t kMaxBatchBytes = std::uint64_t{16} << 20;
 
 /// Items [begin, end) of a fetch list, and the sum of their sizes.
@@ -56,12 +57,12 @@ struct BatchSlice {
   std::uint64_t bytes = 0;
 };
 
-/// Cuts a fetch list, in order, into consecutive download_batch slices of at
-/// most kMaxBatchFiles items and at most min(`max_bytes`, kMaxBatchBytes) of
+/// Cuts a list of items, in order, into consecutive slices of at most
+/// kMaxBatchFiles items and at most min(`max_bytes`, kMaxBatchBytes) of
 /// `sizes` (`max_bytes` 0 = kMaxBatchBytes alone); an item larger than the
-/// bound travels alone. The one place every multi-file download forms its
-/// batches: the converter's collision probe, export, and prefetch (the lazy
-/// backfill).
+/// bound travels alone. The one place every multi-file burst is formed: the
+/// downloads of the converter's collision probe, export, and prefetch (the
+/// lazy backfill), and push_gear_image's upload bursts.
 std::vector<BatchSlice> batch_slices(const std::vector<std::uint64_t>& sizes,
                                      std::uint64_t max_bytes);
 

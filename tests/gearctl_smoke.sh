@@ -19,8 +19,17 @@ head -c 65536 /dev/urandom > "$SRC/app/blob.bin"
 printf 'mode=prod\n' > "$SRC/etc/app.conf"
 ln -s ../etc/app.conf "$SRC/app/conf-link"
 
+# A store that was never initialized is refused (exit 1) and left uncreated.
+if "$GEARCTL" "$WORK/never" stats 2> "$WORK/never.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "no gear store" "$WORK/never.err"
+test ! -e "$WORK/never"
+
 "$GEARCTL" "$STORE" init
 "$GEARCTL" "$STORE" import "$SRC" demo:v1
+# The Gear files live in a durable object store under the store root.
+test -n "$(ls "$STORE/objects")"
+test ! -e "$STORE/gear"
 "$GEARCTL" "$STORE" images | grep -q "demo:v1"
 "$GEARCTL" "$STORE" inspect demo:v1 | grep -q "files:"
 test "$("$GEARCTL" "$STORE" cat demo:v1 app/hello.txt)" = "hello from gearctl"
@@ -48,6 +57,18 @@ test "$("$GEARCTL" "$STORE" cat demo:patched app/note.txt)" = "patched"
 "$GEARCTL" "$STORE" rm demo:patched
 "$GEARCTL" "$STORE" gc | grep -q "swept"
 "$GEARCTL" "$STORE" stats | grep -q "0 objects"
+# gc also sweeps the removed images' index blobs from the catalog.
+"$GEARCTL" "$STORE" stats | grep -q "0 manifests, 0 blobs"
+
+# A store in the retired snapshot layout (decompressed Gear files under
+# <store>/gear) is refused (exit 1) naming that directory, instead of
+# listing images whose every read would fail.
+GSTORE="$WORK/gstore"
+"$GEARCTL" "$GSTORE" init > /dev/null
+mkdir -p "$GSTORE/gear/objects"
+if "$GEARCTL" "$GSTORE" images > /dev/null 2> "$WORK/retired.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "$GSTORE/gear" "$WORK/retired.err"
 
 # --- durable on-disk backend (--store-dir) -------------------------------
 # Push into a DiskObjectStore-backed registry, then "restart" (every gearctl
@@ -291,6 +312,19 @@ test "$("$GEARCTL" "$ZSTORE" read "$ZC" app/hello.txt)" = "hello from gearctl"
 "$GEARCTL" "$ZSTORE" run zz:v1 app/blob.bin | grep -q "cache"
 "$GEARCTL" "$ZSTORE" prefetch zz:v1 | grep -q "0 files"
 
+# Only init, import, commit, rm and gc write the catalog (<store>/docker):
+# every read-only command leaves it as it found it, a foreign file included.
+touch "$ZSTORE/docker/sentinel"
+"$GEARCTL" "$ZSTORE" launch zz:v1 > /dev/null
+"$GEARCTL" "$ZSTORE" launch --lazy zz:v1 > /dev/null 2>&1
+"$GEARCTL" "$ZSTORE" prefetch zz:v1 > /dev/null
+"$GEARCTL" "$ZSTORE" export zz:v1 "$WORK/zout" > /dev/null
+"$GEARCTL" "$ZSTORE" cat zz:v1 app/hello.txt > /dev/null
+"$GEARCTL" "$ZSTORE" inspect zz:v1 > /dev/null
+"$GEARCTL" "$ZSTORE" images > /dev/null
+"$GEARCTL" "$ZSTORE" stats > /dev/null
+test -e "$ZSTORE/docker/sentinel"
+
 # Strict flag validation: --lazy with any command but launch is a usage
 # error (exit 2), not a silent no-op.
 if "$GEARCTL" --lazy "$ZSTORE" stats 2>/dev/null; then exit 1
@@ -391,6 +425,11 @@ wait_serving "$WORK/serve2.out"
 diff -r "$SRC" "$NOUT"
 test "$("$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" \
   cat net:v1 app/hello.txt)" = "hello from gearctl"
+# A remote lazy launch leaves the client's catalog alone too.
+touch "$NSTORE/docker/sentinel"
+"$GEARCTL" --remote "127.0.0.1:$PORT" --lazy "$NSTORE" launch net:v1 \
+  > /dev/null 2>&1
+test -e "$NSTORE/docker/sentinel"
 
 # One object in the daemon's store damaged (its GZC1 magic overwritten): a
 # re-import over --remote must fail naming it (exit 1) and push no manifest,

@@ -1,4 +1,4 @@
-// Tests for filesystem I/O (directory <-> tree) and registry persistence.
+// Tests for filesystem I/O (directory <-> tree) and catalog persistence.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -6,7 +6,6 @@
 
 #include "gear/client.hpp"
 #include "gear/converter.hpp"
-#include "gear/gc.hpp"
 #include "gear/persistence.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -133,45 +132,22 @@ struct PersistenceFixture : ::testing::Test {
 };
 
 TEST_F(PersistenceFixture, SaveLoadRoundTrip) {
-  docker::Image image = push_one(700, "app");
-  PersistReport saved = save_registries(docker_registry, gear_registry, root);
+  push_one(700, "app");
+  PersistReport saved = save_docker_registry(docker_registry, root);
   EXPECT_GT(saved.blobs, 0u);
-  EXPECT_GT(saved.objects, 0u);
   EXPECT_EQ(saved.manifests, 1u);
 
   docker::DockerRegistry docker2;
-  GearRegistry gear2;
-  PersistReport loaded = load_registries(root, &docker2, &gear2);
+  PersistReport loaded = load_docker_registry(root, &docker2);
   EXPECT_EQ(loaded.blobs, saved.blobs);
-  EXPECT_EQ(loaded.objects, saved.objects);
   EXPECT_EQ(loaded.manifests, saved.manifests);
 
   // Identical logical state.
   EXPECT_EQ(docker2.get_manifest("app:v1").value(),
             docker_registry.get_manifest("app:v1").value());
-  EXPECT_EQ(gear2.object_count(), gear_registry.object_count());
-  EXPECT_EQ(gear2.storage_bytes(), gear_registry.storage_bytes());
-  for (const Fingerprint& fp : gear_registry.list_objects()) {
-    EXPECT_EQ(gear2.download(fp).value(),
-              gear_registry.download(fp).value());
-  }
-}
-
-TEST_F(PersistenceFixture, ChunkedFilesSurviveRoundTrip) {
-  const ChunkPolicy policy{16 * 1024, 8 * 1024};
-  push_one(710, "ai", policy);
-  ASSERT_FALSE(gear_registry.list_chunked().empty());
-  save_registries(docker_registry, gear_registry, root);
-
-  docker::DockerRegistry docker2;
-  GearRegistry gear2;
-  load_registries(root, &docker2, &gear2);
-  for (const Fingerprint& fp : gear_registry.list_chunked()) {
-    ASSERT_TRUE(gear2.is_chunked(fp));
-    EXPECT_EQ(gear2.chunk_manifest(fp).value(),
-              gear_registry.chunk_manifest(fp).value());
-    EXPECT_EQ(gear2.download(fp).value(),
-              gear_registry.download(fp).value());
+  for (const docker::Digest& digest : docker_registry.list_blobs()) {
+    EXPECT_EQ(docker2.get_blob(digest).value(),
+              docker_registry.get_blob(digest).value());
   }
 }
 
@@ -180,18 +156,18 @@ TEST_F(PersistenceFixture, SaveIsFullSnapshot) {
   // manifest file behind to resurrect the image on load.
   push_one(720, "keep");
   push_one(721, "drop");
-  save_registries(docker_registry, gear_registry, root);
+  save_docker_registry(docker_registry, root);
 
   docker_registry.delete_manifest("drop:v1");
-  GearRegistryGc(docker_registry, gear_registry).collect();
-  save_registries(docker_registry, gear_registry, root);
+  docker_registry.collect_garbage();
+  save_docker_registry(docker_registry, root);
 
   docker::DockerRegistry docker2;
-  GearRegistry gear2;
-  load_registries(root, &docker2, &gear2);
+  load_docker_registry(root, &docker2);
   EXPECT_TRUE(docker2.has_manifest("keep:v1"));
   EXPECT_FALSE(docker2.has_manifest("drop:v1"));
-  EXPECT_EQ(gear2.object_count(), gear_registry.object_count());
+  // The swept index blob is gone on disk too.
+  EXPECT_EQ(docker2.blob_count(), docker_registry.blob_count());
 }
 
 TEST_F(PersistenceFixture, SingleChunkFilesStoredPlain) {
@@ -200,22 +176,16 @@ TEST_F(PersistenceFixture, SingleChunkFilesStoredPlain) {
   const ChunkPolicy policy{16 * 1024, 1024 * 1024};
   push_one(730, "single", policy);
   EXPECT_TRUE(gear_registry.list_chunked().empty());
-  // Round-trip still clean.
-  save_registries(docker_registry, gear_registry, root);
-  docker::DockerRegistry docker2;
-  GearRegistry gear2;
-  EXPECT_NO_THROW(load_registries(root, &docker2, &gear2));
 }
 
 TEST_F(PersistenceFixture, LoadMissingLayoutThrows) {
   docker::DockerRegistry d;
-  GearRegistry g;
-  EXPECT_THROW(load_registries(root / "nothing_here", &d, &g), Error);
+  EXPECT_THROW(load_docker_registry(root / "nothing_here", &d), Error);
 }
 
 TEST_F(PersistenceFixture, CorruptBlobDetectedOnLoad) {
   push_one(740, "app");
-  save_registries(docker_registry, gear_registry, root);
+  save_docker_registry(docker_registry, root);
   // Flip a byte in some blob on disk.
   for (const auto& entry : fs::directory_iterator(root / "docker" / "blobs")) {
     std::fstream f(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
@@ -224,8 +194,7 @@ TEST_F(PersistenceFixture, CorruptBlobDetectedOnLoad) {
     break;
   }
   docker::DockerRegistry d;
-  GearRegistry g;
-  EXPECT_THROW(load_registries(root, &d, &g), Error);  // digest mismatch
+  EXPECT_THROW(load_docker_registry(root, &d), Error);  // digest mismatch
 }
 
 }  // namespace

@@ -161,6 +161,39 @@ TEST_F(TcpSocketFixture, DownloadSliceAtTheByteCapFitsOneFrame) {
   EXPECT_EQ(remote.stats().retries, 0u);
 }
 
+TEST(TcpUploadBursts, IncompressiblePushStaysUnderTheFrameCap) {
+  // 64 incompressible 1 MiB files are ~64 MiB of stored frames, far over a
+  // 24 MiB frame cap on both ends. push_gear_image must cut its upload
+  // bursts by the bytes they carry, not by file count alone, or the
+  // transport refuses the burst and the push fails as unreachable.
+  constexpr std::size_t kFrameCap = std::size_t{24} << 20;
+  GearRegistry registry;
+  FrameServer frames(registry);
+  TcpServer::Options server_options;
+  server_options.max_frame_bytes = kFrameCap;
+  TcpServer server(frames, server_options);
+  server.start("127.0.0.1", 0);
+  TcpTransport::Options transport_options;
+  transport_options.max_frame_bytes = kFrameCap;
+  TcpTransport transport("127.0.0.1", server.port(), transport_options);
+  RemoteGearRegistry remote(transport, 3, kNoVerify);
+
+  Rng rng(6464);
+  vfs::FileTree tree;
+  for (int i = 0; i < 64; ++i) {
+    tree.add_file("f" + std::to_string(i), rng.next_bytes(1 << 20));
+  }
+  GearImage image = GearConverter().convert(tree, "big", "v1", {}).image;
+  docker::DockerRegistry index_registry;
+  EXPECT_EQ(push_gear_image(image, index_registry, remote), 64u);
+  EXPECT_EQ(server.frames_rejected(), 0u);
+  EXPECT_EQ(remote.stats().retries, 0u);
+  EXPECT_EQ(registry.object_count(), 64u);
+  for (const auto& [fp, content] : image.files) {
+    EXPECT_EQ(remote.download(fp).value(), content) << fp.hex();
+  }
+}
+
 TEST_F(TcpSocketFixture, SplitWritesAndShortReadsReassemble) {
   // A peer trickling one byte at a time is still one frame to the server,
   // and a client that drains the response one byte at a time still sees one

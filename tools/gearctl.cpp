@@ -12,14 +12,17 @@
 //   gearctl <store-dir> stats
 //   gearctl serve --addr HOST:PORT --store-dir DIR [--shards N --replicas R]
 //
-// The store directory persists both registries (gear/persistence.hpp
-// layout). `import` turns a real directory into a Gear image; `export`
-// reconstructs an image's root filesystem back onto disk.
+// The store directory holds the catalog (manifests and index layers) under
+// docker/ (gear/persistence.hpp), the Gear files in a durable
+// DiskObjectStore (objects/, chunked/; --store-dir moves it), and the local
+// runtime's cache and containers under local/. Only the commands that
+// change the catalog (init, import, commit, rm, gc) write it back. `import`
+// turns a real directory into a Gear image; `export` reconstructs an
+// image's root filesystem back onto disk.
 //
 // `serve` runs the gear-file registry as a TCP daemon over the wire
 // protocol; client invocations in other processes reach it with
-// --remote HOST:PORT (the Docker half — manifests, index layers — stays a
-// local snapshot under the client's store dir).
+// --remote HOST:PORT (the catalog stays under the client's store dir).
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -69,11 +72,8 @@ std::size_t g_range_batch = 64;
 /// command (gear/prefetch.hpp). Delta-first is the paper's redeploy case.
 PrefetchOrder g_prefetch_order = PrefetchOrder::kDelta;
 
-/// --store-dir PATH: keep the Gear files on a durable DiskObjectStore at
-/// PATH instead of in memory. The disk store IS the live registry state —
-/// it needs no save/load snapshot and survives process restarts — so only
-/// the Docker half (manifests, index layers) is snapshotted under the
-/// store root. Empty = historical in-memory mode.
+/// --store-dir PATH: where the Gear files' DiskObjectStore lives. Empty =
+/// the store root itself. `serve` requires it.
 fs::path g_object_store_dir;
 
 /// --shards N / --replicas R: run the gear-file side as a FleetRegistry of
@@ -135,90 +135,90 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 
 void handle_serve_signal(int) { g_serve_stop = 1; }
 
-std::unique_ptr<ObjectStore> make_file_backend() {
-  if (g_object_store_dir.empty()) return nullptr;  // in-memory default
-  return std::make_unique<DiskObjectStore>(g_object_store_dir);
-}
+/// The gear-file side of a local store or of `serve`: one DiskObjectStore
+/// at `dir`, or with --shards > 1 a FleetRegistry over one per
+/// <dir>/shard-<i>.
+struct FileBackend {
+  std::vector<std::unique_ptr<GearRegistry>> shards;
+  std::unique_ptr<FleetRegistry> fleet;  // set only with --shards > 1
+
+  explicit FileBackend(const fs::path& dir) {
+    if (g_shards == 1) {
+      shards.push_back(std::make_unique<GearRegistry>(
+          std::make_unique<DiskObjectStore>(dir)));
+      return;
+    }
+    std::vector<FileRegistryApi*> backends;
+    for (std::size_t i = 0; i < g_shards; ++i) {
+      shards.push_back(std::make_unique<GearRegistry>(
+          std::make_unique<DiskObjectStore>(dir /
+                                            ("shard-" + std::to_string(i)))));
+      backends.push_back(shards.back().get());
+    }
+    FleetRegistry::Options opts;
+    opts.replicas = g_replicas;
+    fleet = std::make_unique<FleetRegistry>(std::move(backends), opts);
+  }
+
+  FileRegistryApi& files() {
+    return fleet ? static_cast<FileRegistryApi&>(*fleet) : *shards[0];
+  }
+};
 
 struct Store {
   fs::path root;
   docker::DockerRegistry docker;
-  // Backend registries: one in single-registry mode, g_shards disk-backed
-  // instances in fleet mode (--shards > 1).
-  std::vector<std::unique_ptr<GearRegistry>> shards;
-  std::unique_ptr<FleetRegistry> fleet;  // set only in fleet mode
+  // Local mode: the gear files at --store-dir, or under the store root.
+  std::unique_ptr<FileBackend> backend;
   // Remote mode (--remote): the gear files live behind a `gearctl serve`
   // daemon; the stub frames every call through one TCP connection.
   std::unique_ptr<net::TcpTransport> remote_transport;
   std::unique_ptr<net::RemoteGearRegistry> remote;
 
   explicit Store(fs::path r, bool must_exist) : root(std::move(r)) {
-    if (g_remote_set) {
-      remote_transport =
-          std::make_unique<net::TcpTransport>(g_remote.host, g_remote.port);
-      // The daemon may hold collision-salted unique ids whose names
-      // intentionally differ from their content hash, so skip the client's
-      // re-hash check (the frame CRC still covers transit integrity).
-      remote = std::make_unique<net::RemoteGearRegistry>(
-          *remote_transport, /*max_attempts=*/4, /*verify_content=*/false);
-      if (fs::is_directory(root / "docker")) {
-        load_docker_registry(root, &docker);
-      } else if (must_exist) {
-        throw Error(ErrorCode::kNotFound,
-                    "no gear store at " + root.string() + " (run init first)");
-      }
-      return;
+    if (!g_remote_set && fs::is_directory(root / "gear")) {
+      throw Error(ErrorCode::kUnsupported,
+                  (root / "gear").string() +
+                      " holds gear files in the retired snapshot layout; "
+                      "re-import the images into a new store");
     }
-    if (g_shards > 1) {
-      std::vector<FileRegistryApi*> backends;
-      for (std::size_t i = 0; i < g_shards; ++i) {
-        shards.push_back(std::make_unique<GearRegistry>(
-            std::make_unique<DiskObjectStore>(
-                g_object_store_dir / ("shard-" + std::to_string(i)))));
-        backends.push_back(shards.back().get());
-      }
-      FleetRegistry::Options opts;
-      opts.replicas = g_replicas;
-      fleet = std::make_unique<FleetRegistry>(std::move(backends), opts);
-    } else {
-      shards.push_back(std::make_unique<GearRegistry>(make_file_backend()));
-    }
-    const bool disk_backed = !g_object_store_dir.empty();
+    // Checked before any backend opens, so a typo'd path creates nothing.
     if (fs::is_directory(root / "docker")) {
-      if (disk_backed) {
-        load_docker_registry(root, &docker);
-      } else {
-        load_registries(root, &docker, shards[0].get());
-      }
+      load_docker_registry(root, &docker);
     } else if (must_exist) {
       throw Error(ErrorCode::kNotFound,
                   "no gear store at " + root.string() + " (run init first)");
     }
+    if (!g_remote_set) {
+      backend = std::make_unique<FileBackend>(
+          g_object_store_dir.empty() ? root : g_object_store_dir);
+      return;
+    }
+    remote_transport =
+        std::make_unique<net::TcpTransport>(g_remote.host, g_remote.port);
+    // The daemon may hold collision-salted unique ids whose names
+    // intentionally differ from their content hash, so skip the client's
+    // re-hash check (the frame CRC still covers transit integrity).
+    remote = std::make_unique<net::RemoteGearRegistry>(
+        *remote_transport, /*max_attempts=*/4, /*verify_content=*/false);
   }
 
   /// The registry the data path talks to: the remote stub with --remote,
   /// the fleet router with --shards > 1, the lone backend otherwise.
   FileRegistryApi& files() {
     if (remote) return *remote;
-    return fleet ? static_cast<FileRegistryApi&>(*fleet) : *shards[0];
+    return backend->files();
   }
 
   /// The single backend registry, or null in fleet/remote mode. Commands
   /// that need registry internals (gc, scrub) only work against a local
   /// single instance.
   GearRegistry* single() {
-    return (fleet || remote) ? nullptr : shards[0].get();
+    return backend && !backend->fleet ? backend->shards[0].get() : nullptr;
   }
 
-  void save() {
-    if (remote) {
-      save_docker_registry(docker, root);
-    } else if (g_object_store_dir.empty()) {
-      save_registries(docker, *shards[0], root);
-    } else {
-      save_docker_registry(docker, root);
-    }
-  }
+  /// Writes the catalog back. Only the commands that change it call this.
+  void save() { save_docker_registry(docker, root); }
 };
 
 /// The single backend, or a "unsupported with --shards/--remote" error.
@@ -561,7 +561,6 @@ int cmd_launch(Store& store, const std::string& ref, bool lazy) {
   LocalRuntime runtime = make_runtime(store);
   runtime.pull(ref);
   std::string container = runtime.launch(ref);
-  store.save();  // the pull may have cached nothing, but keep state coherent
   std::printf("%s\n", container.c_str());
   if (lazy) {
     // Start-before-warm: the container id above is usable the moment the
@@ -570,7 +569,6 @@ int cmd_launch(Store& store, const std::string& ref, bool lazy) {
     std::fflush(stdout);
     std::unique_ptr<util::ThreadPool> pool = make_pool();
     auto [files, bytes] = runtime.prefetch(ref, g_prefetch_order, pool.get());
-    store.save();
     std::fprintf(stderr, "backfilled %s (%s order): %zu files, %s\n",
                  ref.c_str(), prefetch_order_name(g_prefetch_order), files,
                  format_size(bytes).c_str());
@@ -605,7 +603,6 @@ int cmd_prefetch(Store& store, const std::string& ref) {
   if (!runtime.has_image(ref)) runtime.pull(ref);
   std::unique_ptr<util::ThreadPool> pool = make_pool();
   auto [files, bytes] = runtime.prefetch(ref, g_prefetch_order, pool.get());
-  store.save();
   std::printf("prefetched %s (%s order): %zu files, %s\n", ref.c_str(),
               prefetch_order_name(g_prefetch_order), files,
               format_size(bytes).c_str());
@@ -644,12 +641,15 @@ int cmd_gc(Store& store) {
   if (single == nullptr) return 2;
   GearRegistryGc gc(store.docker, *single);
   GcReport report = gc.collect();
+  // Then the catalog's own sweep: the index blobs of removed images.
+  auto [blobs, blob_bytes] = store.docker.collect_garbage();
   store.save();
   std::printf("gc: scanned %zu indexes, %zu live objects, swept %zu "
-              "(%s reclaimed)\n",
+              "(%s reclaimed), swept %zu index blobs (%s)\n",
               report.indexes_scanned, report.live_objects,
               report.swept_objects,
-              format_size(report.bytes_reclaimed).c_str());
+              format_size(report.bytes_reclaimed).c_str(), blobs,
+              format_size(blob_bytes).c_str());
   return 0;
 }
 
@@ -727,21 +727,22 @@ int cmd_stats(Store& store) {
   std::printf("docker registry: %zu manifests, %zu blobs, %s\n",
               store.docker.manifest_count(), store.docker.blob_count(),
               format_size(store.docker.storage_bytes()).c_str());
-  if (store.fleet) {
+  if (const FleetRegistry* fleet = store.backend->fleet.get()) {
+    const auto& shards = store.backend->shards;
     std::size_t objects = 0;
     std::uint64_t bytes = 0;
-    for (const auto& shard : store.shards) {
+    for (const auto& shard : shards) {
       objects += shard->object_count();
       bytes += shard->storage_bytes();
     }
     std::printf("gear registry:   fleet of %zu shards (replicas %zu), "
                 "%zu stored objects, %s\n",
-                store.shards.size(), store.fleet->replication(), objects,
+                shards.size(), fleet->replication(), objects,
                 format_size(bytes).c_str());
-    for (std::size_t i = 0; i < store.shards.size(); ++i) {
+    for (std::size_t i = 0; i < shards.size(); ++i) {
       std::printf("  shard %zu: %zu objects, %s\n", i,
-                  store.shards[i]->object_count(),
-                  format_size(store.shards[i]->storage_bytes()).c_str());
+                  shards[i]->object_count(),
+                  format_size(shards[i]->storage_bytes()).c_str());
     }
   } else {
     std::printf("gear registry:   %zu objects, %s\n",
@@ -789,26 +790,8 @@ int cmd_stats(Store& store) {
 /// "serving on HOST:PORT" once bound — with --addr HOST:0 the kernel picks
 /// the port and this line is how callers learn it.
 int cmd_serve() {
-  std::vector<std::unique_ptr<GearRegistry>> shards;
-  std::unique_ptr<FleetRegistry> fleet;
-  if (g_shards > 1) {
-    std::vector<FileRegistryApi*> backends;
-    for (std::size_t i = 0; i < g_shards; ++i) {
-      shards.push_back(std::make_unique<GearRegistry>(
-          std::make_unique<DiskObjectStore>(
-              g_object_store_dir / ("shard-" + std::to_string(i)))));
-      backends.push_back(shards.back().get());
-    }
-    FleetRegistry::Options opts;
-    opts.replicas = g_replicas;
-    fleet = std::make_unique<FleetRegistry>(std::move(backends), opts);
-  } else {
-    shards.push_back(std::make_unique<GearRegistry>(
-        std::make_unique<DiskObjectStore>(g_object_store_dir)));
-  }
-  FileRegistryApi& files =
-      fleet ? static_cast<FileRegistryApi&>(*fleet) : *shards[0];
-  net::FrameServer frames(files);
+  FileBackend backend(g_object_store_dir);
+  net::FrameServer frames(backend.files());
   net::TcpServer server(frames);
 
   // Handlers go in before the socket opens: a supervisor that signals the
@@ -963,8 +946,8 @@ int usage() {
                "[--wan-mbps F] [--lan-mbps F] [--mode eager|lazy] [--churn]\n"
                "  --workers N      worker threads for import's fingerprinting/"
                "compression (default: one per core)\n"
-               "  --store-dir PATH durable on-disk object store for the gear "
-               "files (survives restarts; default: in-memory + snapshot)\n"
+               "  --store-dir PATH where the durable object store of the "
+               "gear files lives (default: the store dir itself)\n"
                "  --shards N       route the gear files over a fleet of N "
                "disk-backed registry instances (consistent-hash ring; "
                "requires --store-dir)\n"
@@ -987,7 +970,7 @@ int usage() {
                "--cache-capacity-bytes (default lru)\n"
                "  --remote HOST:PORT dial a `gearctl serve` daemon for the "
                "gear files instead of opening a local store (the docker "
-               "snapshot stays under <store-dir>)\n"
+               "catalog stays under <store-dir>)\n"
                "  --addr HOST:PORT serve only: the endpoint to bind "
                "(HOST:0 = kernel-assigned port, printed on stdout)\n"
                "  --sites N / --nodes-per-site N  cluster-sim only: shape "
