@@ -114,16 +114,28 @@ Bytes lzss_compress(BytesView input) {
 }
 
 Bytes lzss_decompress(BytesView input, std::size_t decoded_size) {
-  Bytes out;
-  out.reserve(decoded_size);
+  // The densest stream is a flag byte and eight 3-byte match tokens: 25
+  // payload bytes decode to at most 8 * kMaxMatch bytes. A larger claim is
+  // corrupt, and is refused before the output buffer is allocated.
+  constexpr std::size_t kGroupBytes = 1 + 8 * 3;
+  const std::uint64_t max_decoded =
+      (static_cast<std::uint64_t>(input.size()) + kGroupBytes - 1) /
+      kGroupBytes * (8 * kMaxMatch);
+  if (decoded_size > max_decoded) {
+    throw_error(ErrorCode::kCorruptData,
+                "lzss: claimed size exceeds what the stream can encode");
+  }
+  Bytes out(decoded_size);
+  std::uint8_t* dst = out.data();
+  std::size_t used = 0;
 
   std::size_t pos = 0;
-  while (out.size() < decoded_size) {
+  while (used < decoded_size) {
     if (pos >= input.size()) {
       throw_error(ErrorCode::kCorruptData, "lzss: truncated stream");
     }
     std::uint8_t flags = input[pos++];
-    for (int bit = 0; bit < 8 && out.size() < decoded_size; ++bit) {
+    for (int bit = 0; bit < 8 && used < decoded_size; ++bit) {
       if (flags & (1u << bit)) {
         if (pos + 3 > input.size()) {
           throw_error(ErrorCode::kCorruptData, "lzss: truncated match token");
@@ -131,20 +143,25 @@ Bytes lzss_decompress(BytesView input, std::size_t decoded_size) {
         std::size_t dist = input[pos] | (static_cast<std::size_t>(input[pos + 1]) << 8);
         std::size_t len = kMinMatch + input[pos + 2];
         pos += 3;
-        if (dist == 0 || dist > out.size()) {
+        if (dist == 0 || dist > used) {
           throw_error(ErrorCode::kCorruptData, "lzss: bad match distance");
         }
-        if (out.size() + len > decoded_size) {
+        if (used + len > decoded_size) {
           throw_error(ErrorCode::kCorruptData, "lzss: match overruns output");
         }
-        std::size_t src = out.size() - dist;
-        // Byte-by-byte copy: overlapping matches (dist < len) replicate runs.
-        for (std::size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+        const std::uint8_t* src = dst + used - dist;
+        if (dist >= len) {
+          std::memcpy(dst + used, src, len);
+        } else {
+          // Overlapping match (dist < len): byte by byte replicates the run.
+          for (std::size_t i = 0; i < len; ++i) dst[used + i] = src[i];
+        }
+        used += len;
       } else {
         if (pos >= input.size()) {
           throw_error(ErrorCode::kCorruptData, "lzss: truncated literal");
         }
-        out.push_back(input[pos++]);
+        dst[used++] = input[pos++];
       }
     }
   }

@@ -19,7 +19,8 @@ Bytes lzss_compress(BytesView input);
 
 /// Decodes a raw LZSS token stream produced by lzss_compress.
 /// `decoded_size` must be the exact original size (carried by the framing).
-/// Throws Error(kCorruptData) on malformed input.
+/// Throws Error(kCorruptData) on malformed input, including a size larger
+/// than the stream could encode, which is refused before any allocation.
 Bytes lzss_decompress(BytesView input, std::size_t decoded_size);
 
 }  // namespace gear

@@ -1,12 +1,56 @@
 #include "gear/fs_store.hpp"
 
-#include <algorithm>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
-#include "util/file_io.hpp"
+#include <algorithm>
+#include <cerrno>
+
 #include "vfs/tree_serialize.hpp"
 
 namespace gear {
 namespace fs = std::filesystem;
+
+namespace {
+
+/// `path` checked by the tree's path rules (index paths come from the
+/// registry: no "..", not empty), in the relative form the *at() calls
+/// take: "a//./b" -> "a/b".
+std::string relative_path(const std::string& path) {
+  std::string rel;
+  for (const std::string& segment : vfs::FileTree::split_path(path)) {
+    if (!rel.empty()) rel.push_back('/');
+    rel += segment;
+  }
+  return rel;
+}
+
+enum class LinkOutcome { kLinked, kAlreadyLinked, kNotCached };
+
+/// Hard-links cache entry `name` (in the directory `cache_fd`) to `dst`,
+/// which is relative to `dir_fd`, the directory at `dir` (or absolute, with
+/// AT_FDCWD and an empty `dir`). One linkat, decided by its errno: EEXIST
+/// is a path already materialized; ENOENT is either an absent entry (one
+/// faccessat tells), which creates nothing, or a missing parent of `dst`,
+/// created before the one retry.
+LinkOutcome link_entry(int cache_fd, const std::string& name, int dir_fd,
+                       const fs::path& dir, const std::string& dst) {
+  for (bool made_parents = false;; made_parents = true) {
+    if (::linkat(cache_fd, name.c_str(), dir_fd, dst.c_str(), 0) == 0) {
+      return LinkOutcome::kLinked;
+    }
+    if (errno == EEXIST) return LinkOutcome::kAlreadyLinked;
+    if (errno != ENOENT || made_parents) throw_errno("cannot link", dir / dst);
+    if (::faccessat(cache_fd, name.c_str(), F_OK, 0) != 0) {
+      if (errno == ENOENT) return LinkOutcome::kNotCached;
+      throw_errno("cannot probe cache entry", name);
+    }
+    fs::create_directories((dir / dst).parent_path());
+  }
+}
+
+}  // namespace
 
 std::string sanitize_reference(const std::string& reference) {
   if (reference.empty()) {
@@ -36,6 +80,7 @@ FsStore::FsStore(fs::path root) : root_(std::move(root)) {
   fs::create_directories(root_ / "cache");
   fs::create_directories(root_ / "images");
   fs::create_directories(root_ / "containers");
+  cache_fd_ = open_directory(root_ / "cache");
   // Recover containers created by earlier processes: each container dir
   // carries a "ref" file naming its image.
   for (const auto& entry : fs::directory_iterator(root_ / "containers")) {
@@ -47,8 +92,8 @@ FsStore::FsStore(fs::path root) : root_(std::move(root)) {
   }
 }
 
-fs::path FsStore::cache_path(const Fingerprint& fp) const {
-  return root_ / "cache" / fp.hex();
+fs::path FsStore::cache_path(const std::string& name) const {
+  return root_ / "cache" / name;
 }
 
 fs::path FsStore::image_dir(const std::string& reference) const {
@@ -60,40 +105,55 @@ fs::path FsStore::container_dir(const std::string& id) const {
 }
 
 bool FsStore::cache_contains(const Fingerprint& fp) const {
-  return fs::exists(cache_path(fp));
+  return ::faccessat(cache_fd_.get(), fp.hex().c_str(), F_OK, 0) == 0;
 }
 
 void FsStore::cache_put(const Fingerprint& fp, BytesView content) {
-  fs::path p = cache_path(fp);
-  if (fs::exists(p)) {
+  const std::string name = fp.hex();
+  // O_EXCL decides dedup and creation in one call; mode 0666 (less the
+  // umask) is what std::ofstream creates files with.
+  UniqueFd file(::openat(cache_fd_.get(), name.c_str(),
+                         O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666));
+  if (!file) {
+    if (errno != EEXIST) throw_errno("cannot create", cache_path(name));
     // Deduplicated insert: under LRU this still counts as a touch.
     if (cache_policy_ == EvictionPolicy::kLru) {
-      cache_ticks_[fp.hex()] = ++cache_tick_;
+      cache_ticks_[name] = ++cache_tick_;
     }
     return;
   }
-  if (cache_capacity_ != 0 && !make_cache_room(content.size())) {
-    // Every evictable file is gone and linked bytes still overflow the
-    // envelope. The file lands anyway — the caller is about to hard-link
-    // it into an index — but the overshoot is recorded.
-    ++cache_stats_.rejected;
+  try {
+    if (cache_capacity_ != 0 && !make_cache_room(content.size(), name)) {
+      // Every evictable file is gone and linked bytes still overflow the
+      // envelope. The file lands anyway — the caller is about to hard-link
+      // it into an index — but the overshoot is recorded.
+      ++cache_stats_.rejected;
+    }
+    write_all(file.get(), content, cache_path(name));
+    if (::close(file.release()) != 0) {
+      throw_errno("close failed for", cache_path(name));
+    }
+  } catch (...) {
+    // A partial entry would pass for the file: remove it.
+    ::unlinkat(cache_fd_.get(), name.c_str(), 0);
+    throw;
   }
-  write_file_bytes(p, content);
+  if (cache_used_) *cache_used_ += content.size();
   ++cache_stats_.insertions;
-  cache_ticks_[fp.hex()] = ++cache_tick_;
+  cache_ticks_[name] = ++cache_tick_;
 }
 
 StatusOr<Bytes> FsStore::cache_get(const Fingerprint& fp) const {
-  fs::path p = cache_path(fp);
-  if (!fs::exists(p)) {
+  const std::string name = fp.hex();
+  if (::faccessat(cache_fd_.get(), name.c_str(), F_OK, 0) != 0) {
     ++cache_stats_.misses;
-    return {ErrorCode::kNotFound, "not cached: " + fp.hex()};
+    return {ErrorCode::kNotFound, "not cached: " + name};
   }
   ++cache_stats_.hits;
   if (cache_policy_ == EvictionPolicy::kLru) {
-    cache_ticks_[fp.hex()] = ++cache_tick_;
+    cache_ticks_[name] = ++cache_tick_;
   }
-  return read_file_bytes(p);
+  return read_file_bytes(cache_path(name));
 }
 
 void FsStore::set_cache_capacity(std::uint64_t capacity_bytes,
@@ -104,9 +164,9 @@ void FsStore::set_cache_capacity(std::uint64_t capacity_bytes,
   if (cache_capacity_ != 0) make_cache_room(0);
 }
 
-bool FsStore::make_cache_room(std::uint64_t needed) {
-  std::uint64_t used = cache_bytes();
-  if (used + needed <= cache_capacity_) return true;
+bool FsStore::make_cache_room(std::uint64_t needed, const std::string& keep) {
+  if (cache_bytes() + needed <= cache_capacity_) return true;
+  std::uint64_t& used = *cache_used_;
   // Victim scan: unlinked entries (st_nlink == 1) in policy-tick order;
   // untracked files from earlier processes rank oldest, name-ordered for
   // determinism.
@@ -120,6 +180,7 @@ bool FsStore::make_cache_room(std::uint64_t needed) {
     if (!entry.is_regular_file()) continue;
     if (fs::hard_link_count(entry.path()) != 1) continue;
     std::string name = entry.path().filename().string();
+    if (name == keep) continue;
     auto it = cache_ticks_.find(name);
     victims.push_back({it == cache_ticks_.end() ? 0 : it->second, name,
                        entry.file_size()});
@@ -148,24 +209,29 @@ std::size_t FsStore::cache_entries() const {
 }
 
 std::uint64_t FsStore::cache_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& entry : fs::directory_iterator(root_ / "cache")) {
-    if (entry.is_regular_file()) total += entry.file_size();
+  if (!cache_used_) {
+    std::uint64_t total = 0;
+    for (const auto& entry : fs::directory_iterator(root_ / "cache")) {
+      if (entry.is_regular_file()) total += entry.file_size();
+    }
+    cache_used_ = total;
   }
-  return total;
+  return *cache_used_;
 }
 
 std::uint64_t FsStore::link_count(const Fingerprint& fp) const {
-  fs::path p = cache_path(fp);
-  if (!fs::exists(p)) return 0;
-  return fs::hard_link_count(p);
+  struct stat st {};
+  if (::fstatat(cache_fd_.get(), fp.hex().c_str(), &st, 0) != 0) return 0;
+  return st.st_nlink;
 }
 
 std::size_t FsStore::evict_unlinked() {
   std::size_t removed = 0;
   for (const auto& entry : fs::directory_iterator(root_ / "cache")) {
     if (entry.is_regular_file() && fs::hard_link_count(entry.path()) == 1) {
+      const std::uint64_t size = entry.file_size();
       fs::remove(entry.path());
+      if (cache_used_) *cache_used_ -= size;
       ++removed;
     }
   }
@@ -236,33 +302,33 @@ std::vector<std::string> FsStore::images() const {
 
 void FsStore::link_file(const std::string& reference, const std::string& path,
                         const Fingerprint& fp) {
-  fs::path src = cache_path(fp);
-  if (!fs::exists(src)) {
-    throw_error(ErrorCode::kNotFound, "link_file: not cached: " + fp.hex());
+  const std::string name = fp.hex();
+  const std::string dst =
+      (image_dir(reference) / "files").string() + "/" + relative_path(path);
+  if (link_entry(cache_fd_.get(), name, AT_FDCWD, {}, dst) ==
+      LinkOutcome::kNotCached) {
+    throw_error(ErrorCode::kNotFound, "link_file: not cached: " + name);
   }
-  // Validate the path through the tree rules (rejects "..", empty, etc.).
-  auto segments = vfs::FileTree::split_path(path);
-  fs::path dst = image_dir(reference) / "files";
-  for (std::size_t i = 0; i + 1 < segments.size(); ++i) dst /= segments[i];
-  fs::create_directories(dst);
-  dst /= segments.back();
-  if (fs::exists(dst)) return;  // already materialized
-  fs::create_hard_link(src, dst);
 }
 
-bool FsStore::is_materialized(const std::string& reference,
-                              const std::string& path) const {
-  auto segments = vfs::FileTree::split_path(path);
-  fs::path p = image_dir(reference) / "files";
-  for (const auto& seg : segments) p /= seg;
-  return fs::exists(p);
+std::size_t FsStore::link_stubs(const std::string& reference,
+                                const vfs::FileTree& index) {
+  const fs::path files = image_dir(reference) / "files";
+  const UniqueFd files_fd = open_directory(files);
+  std::size_t linked = 0;
+  index.walk([&](const std::string& path, const vfs::FileNode& node) {
+    if (!node.is_fingerprint()) return;
+    if (link_entry(cache_fd_.get(), node.fingerprint().hex(), files_fd.get(),
+                   files, relative_path(path)) == LinkOutcome::kLinked) {
+      ++linked;
+    }
+  });
+  return linked;
 }
 
 StatusOr<Bytes> FsStore::read_materialized(const std::string& reference,
                                            const std::string& path) const {
-  auto segments = vfs::FileTree::split_path(path);
-  fs::path p = image_dir(reference) / "files";
-  for (const auto& seg : segments) p /= seg;
+  const fs::path p = image_dir(reference) / "files" / relative_path(path);
   if (!fs::exists(p)) {
     return {ErrorCode::kNotFound, "not materialized: " + path};
   }

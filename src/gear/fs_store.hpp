@@ -14,11 +14,17 @@
 // because the link count only drops to 1. evict_unlinked() is the cache
 // replacement candidate scan: exactly the files with st_nlink == 1 ("files
 // that are not linked to Gear indexes", §III-D1).
+//
+// The per-file calls of a deploy are one system call each, decided by errno
+// rather than by existence checks: the store holds <root>/cache open as a
+// directory fd, and probes (faccessat), inserts (openat O_EXCL) and links
+// (linkat) name each entry by its fingerprint's hex, encoded once per call.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,10 +32,12 @@
 #include "gear/index.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/fingerprint.hpp"
 
 namespace gear {
 
+/// Move-only: it owns the cache directory's fd.
 class FsStore {
  public:
   /// Opens (creating if needed) a store rooted at `root`.
@@ -41,12 +49,18 @@ class FsStore {
 
   bool cache_contains(const Fingerprint& fp) const;
 
-  /// Stores content under its fingerprint. Idempotent.
+  /// Stores content under its fingerprint. Idempotent: an existing entry
+  /// keeps its bytes (and counts as a touch under LRU). A write that fails
+  /// removes the partial entry.
   void cache_put(const Fingerprint& fp, BytesView content);
 
   StatusOr<Bytes> cache_get(const Fingerprint& fp) const;
 
   std::size_t cache_entries() const;
+
+  /// Bytes the cache entries hold. A running total: the first call (or
+  /// set_cache_capacity) scans the directory once; this store's inserts and
+  /// evictions keep it current after that.
   std::uint64_t cache_bytes() const;
 
   /// Hard-link count of a cached file: 1 = cache only (evictable),
@@ -96,12 +110,19 @@ class FsStore {
   StatusOr<std::string> load_access_profile(const std::string& reference) const;
 
   /// Materializes one stub: hard-links the cached file into the image's
-  /// files/ directory at the stub's path. The cache entry must exist.
+  /// files/ directory at the stub's path, creating missing parents. A path
+  /// already materialized is left as it is. Throws kNotFound when the cache
+  /// entry is absent.
   void link_file(const std::string& reference, const std::string& path,
                  const Fingerprint& fp);
 
-  bool is_materialized(const std::string& reference,
-                       const std::string& path) const;
+  /// Materializes every stub of `index`, the installed image's tree, whose
+  /// cache entry exists: one linkat per stub, in walk order. A stub whose
+  /// entry is absent (evicted under a capacity envelope) stays a stub, and
+  /// no directory is created for it. Returns the number of files linked now.
+  std::size_t link_stubs(const std::string& reference,
+                         const vfs::FileTree& index);
+
   StatusOr<Bytes> read_materialized(const std::string& reference,
                                     const std::string& path) const;
 
@@ -118,15 +139,19 @@ class FsStore {
   void remove_container(const std::string& container_id);
 
  private:
-  std::filesystem::path cache_path(const Fingerprint& fp) const;
+  std::filesystem::path cache_path(const std::string& name) const;
   std::filesystem::path image_dir(const std::string& reference) const;
   std::filesystem::path container_dir(const std::string& id) const;
 
   /// Evicts unlinked entries in policy order until `needed` more bytes fit
-  /// the envelope. Returns false when pinned bytes still overflow it.
-  bool make_cache_room(std::uint64_t needed);
+  /// the envelope, never the entry named `keep` (the one being written).
+  /// Returns false when pinned bytes still overflow it.
+  bool make_cache_room(std::uint64_t needed, const std::string& keep = {});
 
   std::filesystem::path root_;
+  UniqueFd cache_fd_;  // <root>/cache
+  /// cache_bytes()'s running total; empty until the first scan.
+  mutable std::optional<std::uint64_t> cache_used_;
   std::map<std::string, std::string> container_refs_;  // id -> reference
   std::uint64_t next_container_ = 1;
   std::uint64_t cache_capacity_ = 0;  // 0 = unbounded

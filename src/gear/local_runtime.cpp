@@ -189,16 +189,12 @@ std::pair<std::size_t, std::uint64_t> LocalRuntime::prefetch(
                     bytes += content.size();
                     store_.cache_put(missing[i].fp, std::move(content));
                   });
-  // Link every still-unmaterialized stub path from the now-warm cache.
-  index.walk([&](const std::string& path, const vfs::FileNode& node) {
-    if (!node.is_fingerprint()) return;
-    if (store_.is_materialized(reference, path)) return;
-    // Under a capacity envelope, an entry this pass cached earlier may
-    // already have been evicted again before anything pinned it. Leave the
-    // stub — a later read demand-faults it in.
-    if (!store_.cache_contains(node.fingerprint())) return;
-    store_.link_file(reference, path, node.fingerprint());
-  });
+  // Link every still-unmaterialized stub path from the now-warm cache, one
+  // linkat each. Links follow the whole fetch: linking as files land would
+  // pin entries sooner and change what a capacity envelope evicts. Under
+  // such an envelope, an entry this pass cached may already have been
+  // evicted again; its stub stays, and a later read demand-faults it in.
+  store_.link_stubs(reference, index);
   return {missing.size(), bytes};
 }
 

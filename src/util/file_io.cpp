@@ -12,31 +12,47 @@
 
 namespace gear {
 
-namespace {
-
-[[noreturn]] void throw_errno(const std::string& what,
-                              const std::filesystem::path& path) {
+void throw_errno(const std::string& what, const std::filesystem::path& path) {
   throw_error(ErrorCode::kInternal,
               what + " " + path.string() + ": " + std::strerror(errno));
 }
 
+namespace {
+
 void fsync_path(const std::filesystem::path& path, int open_flags) {
-  int fd = ::open(path.c_str(), open_flags);
-  if (fd < 0) throw_errno("cannot open for fsync", path);
-  if (::fsync(fd) != 0) {
-    int saved = errno;
-    ::close(fd);
-    errno = saved;
-    throw_errno("fsync failed for", path);
-  }
-  ::close(fd);
+  UniqueFd fd(::open(path.c_str(), open_flags));
+  if (!fd) throw_errno("cannot open for fsync", path);
+  if (::fsync(fd.get()) != 0) throw_errno("fsync failed for", path);
 }
 
 }  // namespace
 
+void UniqueFd::reset(int fd) noexcept {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+}
+
+UniqueFd open_directory(const std::filesystem::path& path) {
+  UniqueFd fd(::open(path.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
+  if (!fd) throw_errno("cannot open directory", path);
+  return fd;
+}
+
+void write_all(int fd, BytesView content, const std::filesystem::path& path) {
+  std::size_t written = 0;
+  while (written < content.size()) {
+    ssize_t n = ::write(fd, content.data() + written, content.size() - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("write failed to", path);
+    }
+    written += static_cast<std::size_t>(n);
+  }
+}
+
 Bytes read_file_bytes(const std::filesystem::path& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
+  UniqueFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!fd) {
     throw_error(ErrorCode::kInternal, "cannot open " + path.string());
   }
   // One buffer sized by fstat, filled by read(). st_size is only a hint —
@@ -45,27 +61,23 @@ Bytes read_file_bytes(const std::filesystem::path& path) {
   // buffer and are appended.
   Bytes out;
   struct stat st {};
-  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+  if (::fstat(fd.get(), &st) == 0 && st.st_size > 0) {
     out.resize(static_cast<std::size_t>(st.st_size));
   }
   std::size_t got = 0;
   std::uint8_t probe[4096];
   for (;;) {
     const bool full = got == out.size();
-    ssize_t n = full ? ::read(fd, probe, sizeof probe)
-                     : ::read(fd, out.data() + got, out.size() - got);
+    ssize_t n = full ? ::read(fd.get(), probe, sizeof probe)
+                     : ::read(fd.get(), out.data() + got, out.size() - got);
     if (n < 0) {
       if (errno == EINTR) continue;
-      int saved = errno;
-      ::close(fd);
-      errno = saved;
       throw_errno("read failed for", path);
     }
     if (n == 0) break;
     if (full) out.insert(out.end(), probe, probe + n);
     got += static_cast<std::size_t>(n);
   }
-  ::close(fd);
   out.resize(got);  // the file shrank since fstat
   return out;
 }
@@ -84,27 +96,11 @@ void write_file_bytes(const std::filesystem::path& path, BytesView content) {
 
 void write_file_durable(const std::filesystem::path& path, BytesView content) {
   const std::filesystem::path tmp = path.string() + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_errno("cannot create", tmp);
-  std::size_t written = 0;
-  while (written < content.size()) {
-    ssize_t n = ::write(fd, content.data() + written, content.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      int saved = errno;
-      ::close(fd);
-      errno = saved;
-      throw_errno("write failed to", tmp);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    int saved = errno;
-    ::close(fd);
-    errno = saved;
-    throw_errno("fsync failed for", tmp);
-  }
-  if (::close(fd) != 0) throw_errno("close failed for", tmp);
+  UniqueFd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
+  if (!fd) throw_errno("cannot create", tmp);
+  write_all(fd.get(), content, tmp);
+  if (::fsync(fd.get()) != 0) throw_errno("fsync failed for", tmp);
+  if (::close(fd.release()) != 0) throw_errno("close failed for", tmp);
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     throw_errno("rename failed onto", path);
   }

@@ -243,7 +243,8 @@ FOBJ="$WORK/fobj"
 FOUT="$WORK/fout"
 "$GEARCTL" --store-dir "$FOBJ" --shards 2 "$FSTORE" init
 "$GEARCTL" --store-dir "$FOBJ" --shards 2 "$FSTORE" import "$SRC" fleet:v1
-test -d "$FOBJ/shard-0" && test -d "$FOBJ/shard-1"
+test -d "$FOBJ/shard-0"
+test -d "$FOBJ/shard-1"
 "$GEARCTL" --store-dir "$FOBJ" --shards 2 "$FSTORE" import "$SRC" fleet:v2 \
   | grep -q "0 uploaded"
 "$GEARCTL" --store-dir "$FOBJ" --shards 2 "$FSTORE" export fleet:v1 "$FOUT"
@@ -467,7 +468,8 @@ ls "$NOBJ/objects" | sort > "$WORK/plain.list"
 KFILE="$(ls "$NOBJ/chunked" | sed 's/\.gcm$//')"
 KVICTIM="$(ls "$NOBJ/objects" | sort | comm -13 "$WORK/plain.list" - \
   | head -n 1)"
-test -n "$KFILE" && test -n "$KVICTIM"
+test -n "$KFILE"
+test -n "$KVICTIM"
 "$GEARCTL" serve --addr "127.0.0.1:$PORT" --store-dir "$NOBJ" \
   > "$WORK/serve3.out" 2> "$WORK/serve3.err" &
 SERVE_PID=$!

@@ -4,6 +4,7 @@
 #include "compress/codec.hpp"
 #include "compress/lzss.hpp"
 #include "util/error.hpp"
+#include "util/hex.hpp"
 #include "util/rng.hpp"
 
 namespace gear {
@@ -161,6 +162,66 @@ TEST(Codec, StoredSizeMismatchThrows) {
   ASSERT_EQ(compressed_frame_method(frame), CompressionMethod::kStored);
   frame.push_back('!');
   EXPECT_THROW(decompress(frame), Error);
+}
+
+TEST(Codec, SizeClaimBeyondThePayloadIsCorruptData) {
+  // "GZC1", method lzss, and 2^50 (1 PiB) as an 8-byte varint, with no
+  // payload: 13 bytes that must not reach the allocator.
+  try {
+    decompress(hex_decode("475a4331018080808080808002"));
+    FAIL() << "a 1 PiB claim decoded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorruptData);
+  }
+  // 25 payload bytes decode to at most 8 * 259: an 11-byte stream may claim
+  // 2,072 bytes (and then fails as truncated), not one byte more.
+  const Bytes packed = lzss_compress(Bytes(600, 0));
+  ASSERT_EQ(packed.size(), 11u);
+  EXPECT_EQ(lzss_decompress(packed, 600), Bytes(600, 0));
+  for (std::size_t claim : {std::size_t{2072}, std::size_t{2073}}) {
+    try {
+      lzss_decompress(packed, claim);
+      FAIL() << claim;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptData);
+      EXPECT_EQ(std::string(e.what()).find("claimed size") !=
+                    std::string::npos,
+                claim == 2073)
+          << e.what();
+    }
+  }
+}
+
+TEST(Codec, GoldenFramesPinTheEncoder) {
+  // compress() output for fixed inputs. Stored objects and wire frames are
+  // compared byte for byte, so a compressor change must keep these bytes.
+  struct Golden {
+    std::string input;
+    std::string frame_hex;
+  };
+  std::string gear6;
+  for (int i = 0; i < 6; ++i) gear6 += "gear:";
+  const Golden goldens[] = {
+      // Empty, and too short to shrink: both stored.
+      {"", "475a43310000"},
+      {"abc", "475a43310003616263"},
+      // Seven literals and a 7-byte match: eight tokens, so the stream ends
+      // with an unused 0 flag byte.
+      {"01234560123456", "475a4331010e803031323334353607000300"},
+      // One overlapping match: distance 5, length 25.
+      {gear6, "475a4331011e20676561723a050015"},
+      // Longest matches (259 bytes) at distance 1.
+      {std::string(600, '\0'), "475a433101d8040e000100ff0100ff01004d"},
+      {"the quick brown fox jumps over the lazy dog; the quick brown fox "
+       "naps",
+       "475a43310145007468652071756963006b2062726f776e2000666f78206a756d7080"
+       "73206f766572201f0000006c617a7920646f67063b0e00012d000c6e617073"},
+  };
+  for (const Golden& g : goldens) {
+    const Bytes input = to_bytes(g.input);
+    EXPECT_EQ(hex_encode(compress(input)), g.frame_hex) << g.input;
+    EXPECT_EQ(decompress(hex_decode(g.frame_hex)), input) << g.input;
+  }
 }
 
 // --------------------------------------------------------------- varint

@@ -308,7 +308,9 @@ TEST(Converter, DirectTreeMatchesLayeredImage) {
       ConversionResult direct =
           GearConverter(*hasher).convert(tree, "eq", "v1", cfg);
       expect_same_conversion(layered, direct);
-      if (hasher == &weak) EXPECT_GT(direct.stats.collisions, 0u);
+      if (hasher == &weak) {
+        EXPECT_GT(direct.stats.collisions, 0u);
+      }
     }
   }
 }

@@ -1,5 +1,6 @@
 // Tests for the on-disk three-level store: real files, real hard links.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <filesystem>
 
@@ -35,6 +36,42 @@ struct FsStoreFixture : ::testing::Test {
     Fingerprint fp = default_hasher().fingerprint(data);
     store->cache_put(fp, data);
     return fp;
+  }
+
+  /// The cache directory's size as the filesystem reports it.
+  std::uint64_t disk_bytes() const {
+    std::uint64_t total = 0;
+    for (const auto& entry : fs::directory_iterator(root / "cache")) {
+      total += entry.file_size();
+    }
+    return total;
+  }
+
+  /// Installs a three-file image nested two directories deep and caches
+  /// every file but "deep/er/uncached".
+  GearIndex install_nested(const std::string& ref) {
+    vfs::FileTree t;
+    t.add_file("top.txt", to_bytes("top"));
+    t.add_file("a/b/c/leaf.bin", to_bytes("leaf-content"));
+    t.add_file("a/b/mid.bin", to_bytes("mid-content"));
+    t.add_file("deep/er/uncached", to_bytes("never-cached"));
+    GearIndex index = GearIndex::from_root_fs(
+        t, [](const std::string&, const Bytes& c) {
+          return default_hasher().fingerprint(c);
+        });
+    store->install_index(ref, index);
+    for (const auto& stub : index.stubs()) {
+      if (stub.path != "deep/er/uncached") {
+        store->cache_put(stub.fingerprint, t.lookup(stub.path)->content());
+      }
+    }
+    return index;
+  }
+
+  struct stat stat_of(const fs::path& p) const {
+    struct stat st {};
+    EXPECT_EQ(::stat(p.c_str(), &st), 0) << p;
+    return st;
   }
 };
 
@@ -89,9 +126,9 @@ TEST_F(FsStoreFixture, HardLinkMaterialization) {
   Fingerprint fp = default_hasher().fingerprint(file->content());
   store->cache_put(fp, file->content());
 
-  EXPECT_FALSE(store->is_materialized("app:v1", "usr/bin/app"));
+  EXPECT_FALSE(store->read_materialized("app:v1", "usr/bin/app").ok());
   store->link_file("app:v1", "usr/bin/app", fp);
-  EXPECT_TRUE(store->is_materialized("app:v1", "usr/bin/app"));
+  EXPECT_TRUE(store->read_materialized("app:v1", "usr/bin/app").ok());
   // The materialized file IS the cache file: st_nlink == 2, same bytes.
   EXPECT_EQ(store->link_count(fp), 2u);
   EXPECT_EQ(store->read_materialized("app:v1", "usr/bin/app").value(),
@@ -299,6 +336,110 @@ TEST_F(FsStoreFixture, PreexistingFilesRankOldestUnderCapacity) {
   EXPECT_FALSE(store->cache_contains(old_fp));
   EXPECT_TRUE(store->cache_contains(fresh));
   EXPECT_TRUE(store->cache_contains(fresh2));
+}
+
+TEST_F(FsStoreFixture, CacheBytesTracksTheDisk) {
+  // Files from an earlier process are counted by the one scan.
+  put("from-before");       // 11 bytes
+  put("also-from-before");  // 16 bytes
+  store = std::make_unique<FsStore>(root);
+  store->set_cache_capacity(50, EvictionPolicy::kFifo);
+  EXPECT_EQ(store->cache_bytes(), 27u);
+  EXPECT_EQ(store->cache_bytes(), disk_bytes());
+
+  Fingerprint a = put(std::string(20, 'a'));
+  put(std::string(20, 'a'));  // deduplicated
+  EXPECT_EQ(store->cache_bytes(), disk_bytes());
+  Fingerprint b = put(std::string(20, 'b'));  // FIFO: evicts both old files
+  EXPECT_EQ(store->session_stats().evictions, 2u);
+  EXPECT_EQ(store->cache_bytes(), disk_bytes());
+
+  store->set_cache_capacity(50, EvictionPolicy::kLru);
+  store->cache_get(a).value();
+  Fingerprint c = put(std::string(20, 'c'));  // LRU: evicts b, not a
+  EXPECT_FALSE(store->cache_contains(b));
+  EXPECT_EQ(store->session_stats().evictions, 3u);
+  EXPECT_EQ(store->cache_bytes(), disk_bytes());
+
+  // Linked entries survive a shrink; removing their image unpins them.
+  GearIndex index = GearIndex::from_root_fs(
+      gear::testing::sample_tree(), [](const std::string&, const Bytes& c) {
+        return default_hasher().fingerprint(c);
+      });
+  store->install_index("app:v1", index);
+  store->link_file("app:v1", "x/a.bin", a);
+  store->link_file("app:v1", "x/c.bin", c);
+  store->set_cache_capacity(20, EvictionPolicy::kLru);
+  EXPECT_EQ(store->session_stats().evictions, 3u);
+  EXPECT_EQ(store->cache_bytes(), disk_bytes());
+  store->remove_image("app:v1");
+  store->set_cache_capacity(20, EvictionPolicy::kLru);  // evicts a
+  EXPECT_EQ(store->session_stats().evictions, 4u);
+  EXPECT_EQ(store->cache_bytes(), disk_bytes());
+  EXPECT_EQ(store->evict_unlinked(), 1u);
+  EXPECT_EQ(store->cache_bytes(), 0u);
+  EXPECT_EQ(disk_bytes(), 0u);
+}
+
+TEST_F(FsStoreFixture, LinkStubsSharesTheCacheInodeAtEveryDepth) {
+  GearIndex index = install_nested("app:v1");
+  EXPECT_EQ(store->link_stubs("app:v1", index.tree()), 3u);
+  for (const auto& stub : index.stubs()) {
+    if (stub.path == "deep/er/uncached") continue;
+    struct stat linked = stat_of(root / "images/app_v1/files" / stub.path);
+    struct stat cached = stat_of(root / "cache" / stub.fingerprint.hex());
+    EXPECT_EQ(linked.st_ino, cached.st_ino) << stub.path;
+    EXPECT_EQ(linked.st_nlink, 2u) << stub.path;
+  }
+}
+
+TEST_F(FsStoreFixture, LinkStubsAgainLinksNothing) {
+  GearIndex index = install_nested("app:v1");
+  ASSERT_EQ(store->link_stubs("app:v1", index.tree()), 3u);
+  const fs::path leaf = root / "images/app_v1/files/a/b/c/leaf.bin";
+  struct stat before = stat_of(leaf);
+  EXPECT_EQ(store->link_stubs("app:v1", index.tree()), 0u);
+  struct stat after = stat_of(leaf);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(after.st_nlink, 2u);
+  EXPECT_EQ(after.st_ctim.tv_sec, before.st_ctim.tv_sec);
+  EXPECT_EQ(after.st_ctim.tv_nsec, before.st_ctim.tv_nsec);
+}
+
+TEST_F(FsStoreFixture, UncachedStubStaysAStubWithNoDirectory) {
+  GearIndex index = install_nested("app:v1");
+  store->link_stubs("app:v1", index.tree());
+  EXPECT_FALSE(store->read_materialized("app:v1", "deep/er/uncached").ok());
+  EXPECT_FALSE(fs::exists(root / "images/app_v1/files/deep"));
+  EXPECT_TRUE(store->read_materialized("app:v1", "a/b/c/leaf.bin").ok());
+}
+
+TEST_F(FsStoreFixture, LinkFileOfUncachedFingerprintNamesIt) {
+  install_nested("app:v1");
+  const Fingerprint fp =
+      default_hasher().fingerprint(to_bytes("never-cached"));
+  try {
+    store->link_file("app:v1", "deep/er/uncached", fp);
+    FAIL() << "an uncached file was linked";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNotFound);
+    EXPECT_EQ(e.message(), "link_file: not cached: " + fp.hex());
+  }
+  EXPECT_FALSE(fs::exists(root / "images/app_v1/files/deep"));
+}
+
+TEST_F(FsStoreFixture, CachePutOverAnEntryKeepsItsBytesAndTouchesIt) {
+  store->set_cache_capacity(25, EvictionPolicy::kLru);
+  Fingerprint a = put("aaaaaaaaaa");
+  Fingerprint b = put("bbbbbbbbbb");
+  // A second put of a's fingerprint keeps the first bytes, and counts as a
+  // touch: b becomes the LRU victim.
+  store->cache_put(a, to_bytes("other-bytes"));
+  EXPECT_EQ(store->session_stats().insertions, 2u);
+  put("cccccccccc");
+  EXPECT_TRUE(store->cache_contains(a));
+  EXPECT_FALSE(store->cache_contains(b));
+  EXPECT_EQ(to_string(store->cache_get(a).value()), "aaaaaaaaaa");
 }
 
 TEST(SanitizeReference, MapsAndRejects) {

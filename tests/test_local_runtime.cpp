@@ -2,9 +2,12 @@
 // semantics, persistence across reopen, and differential equivalence with
 // the in-memory client path.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
+#include <tuple>
 
 #include "gear/client.hpp"
 #include "gear/converter.hpp"
@@ -73,7 +76,7 @@ TEST_F(LocalRuntimeFixture, PullLaunchReadRoundTrip) {
   });
   Fingerprint fp = default_hasher().fingerprint(some->content());
   EXPECT_EQ(runtime.store().link_count(fp), 2u);
-  EXPECT_TRUE(runtime.store().is_materialized("app:v1", some_path));
+  EXPECT_TRUE(runtime.store().read_materialized("app:v1", some_path).ok());
 }
 
 TEST_F(LocalRuntimeFixture, WritesPersistAcrossReopen) {
@@ -148,6 +151,58 @@ TEST_F(LocalRuntimeFixture, DestroyKeepsImageLaunchable) {
   runtime.destroy(container);
   EXPECT_FALSE(runtime.read(container, "anything").ok());
   EXPECT_NO_THROW(runtime.launch("app:v1"));
+}
+
+TEST_F(LocalRuntimeFixture, PrefetchLinksEveryStubToItsCacheInode) {
+  LocalRuntime runtime(index_registry, file_registry, root);
+  runtime.pull("app:v1");
+  runtime.prefetch("app:v1");
+  // An entry carries one link per path naming it (empty files share one).
+  std::map<Fingerprint, nlink_t> paths_of;
+  flat.walk([&](const std::string&, const vfs::FileNode& node) {
+    if (node.is_regular()) {
+      ++paths_of[default_hasher().fingerprint(node.content())];
+    }
+  });
+  int checked = 0;
+  flat.walk([&](const std::string& path, const vfs::FileNode& node) {
+    if (!node.is_regular()) return;
+    const Fingerprint fp = default_hasher().fingerprint(node.content());
+    struct stat linked {}, cached {};
+    ASSERT_EQ(::stat((root / "images/app_v1/files" / path).c_str(), &linked),
+              0)
+        << path;
+    ASSERT_EQ(::stat((root / "cache" / fp.hex()).c_str(), &cached), 0);
+    EXPECT_EQ(linked.st_ino, cached.st_ino) << path;
+    EXPECT_EQ(linked.st_nlink, 1 + paths_of[fp]) << path;
+    ++checked;
+  });
+  EXPECT_EQ(checked, 20);
+}
+
+TEST_F(LocalRuntimeFixture, SecondPrefetchOfAMaterializedImageChangesNothing) {
+  LocalRuntime runtime(index_registry, file_registry, root);
+  runtime.pull("app:v1");
+  runtime.prefetch("app:v1");
+  // Every path under the store with its inode, link count and change time:
+  // a link made or removed anywhere shows in one of them.
+  auto snapshot = [&] {
+    std::map<std::string, std::tuple<ino_t, nlink_t, long, long>> out;
+    for (const auto& entry : fs::recursive_directory_iterator(root)) {
+      struct stat st {};
+      EXPECT_EQ(::lstat(entry.path().c_str(), &st), 0);
+      out[entry.path().string()] = {st.st_ino, st.st_nlink, st.st_ctim.tv_sec,
+                                    st.st_ctim.tv_nsec};
+    }
+    return out;
+  };
+  const auto before = snapshot();
+  EXPECT_EQ(runtime.prefetch("app:v1"),
+            (std::pair<std::size_t, std::uint64_t>{0, 0}));
+  EXPECT_EQ(runtime.store().link_stubs(
+                "app:v1", runtime.store().load_index("app:v1").tree()),
+            0u);
+  EXPECT_EQ(snapshot(), before);
 }
 
 TEST_F(LocalRuntimeFixture, PullRejectsClassicImage) {
@@ -301,8 +356,8 @@ struct RuntimeBatchFixture : ::testing::Test {
                      bool allow_stubs = false) {
     tree.walk([&](const std::string& path, const vfs::FileNode& node) {
       if (!node.is_regular()) return;
-      if (allow_stubs && !runtime.store().is_materialized(ref, path)) return;
       StatusOr<Bytes> linked = runtime.store().read_materialized(ref, path);
+      if (allow_stubs && !linked.ok()) return;
       ASSERT_TRUE(linked.ok()) << path;
       EXPECT_EQ(*linked, node.content()) << path;
     });
@@ -474,7 +529,8 @@ TEST_F(RuntimeBatchFixture, CacheCapacityLeavesTheStubsPerFileCachingWould) {
   index.tree().walk([&](const std::string& path, const vfs::FileNode& node) {
     if (!node.is_fingerprint()) return;
     const bool cached = replay.cache_contains(node.fingerprint());
-    EXPECT_EQ(runtime.store().is_materialized("app:v1", path), cached) << path;
+    EXPECT_EQ(runtime.store().read_materialized("app:v1", path).ok(), cached)
+        << path;
     ++(cached ? linked : stubs);
   });
   EXPECT_GT(linked, 0u);

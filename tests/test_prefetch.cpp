@@ -302,8 +302,8 @@ struct TwoVersionFixture : ::testing::Test {
         });
     ASSERT_EQ(delta_fps.size(), 6u);
 
-    access_v1.files = {{"a/f0", 3000}, {"a/f1", 3000}};
-    access_v2.files = {{"a/f0", 3000}, {"z_delta/g0", 3000}};
+    access_v1.files = {{"a/f0", 3000, {}}, {"a/f1", 3000, {}}};
+    access_v2.files = {{"a/f0", 3000, {}}, {"z_delta/g0", 3000, {}}};
   }
 
   GearImage push(const vfs::FileTree& tree, const std::string& name,
