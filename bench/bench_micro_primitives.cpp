@@ -62,6 +62,20 @@ void BM_LzssCompress(benchmark::State& state) {
 }
 BENCHMARK(BM_LzssCompress)->Arg(0)->Arg(30)->Arg(70);
 
+// One compress() call per iteration on a small file, the unit of a Gear
+// push: {size in bytes, compressibility in percent}.
+void BM_LzssCompressSmall(benchmark::State& state) {
+  Bytes data = test_data(static_cast<std::size_t>(state.range(0)),
+                         static_cast<double>(state.range(1)) / 100.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compress(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_LzssCompressSmall)
+    ->ArgsProduct({{256, 1024, 4096, 16384}, {0, 50}});
+
 void BM_LzssDecompress(benchmark::State& state) {
   Bytes frame = compress(test_data(262144, 0.5));
   for (auto _ : state) {

@@ -1,6 +1,8 @@
 #include "compress/codec.hpp"
 
 #include <cstring>
+#include <iterator>
+#include <optional>
 
 #include "compress/lzss.hpp"
 #include "util/error.hpp"
@@ -9,6 +11,8 @@ namespace gear {
 namespace {
 
 constexpr char kMagic[4] = {'G', 'Z', 'C', '1'};
+// Magic, method, and the varint of a 64-bit original size.
+constexpr std::size_t kMaxHeaderBytes = sizeof(kMagic) + 1 + 10;
 
 struct FrameHeader {
   CompressionMethod method;
@@ -55,19 +59,21 @@ std::uint64_t get_varint(BytesView data, std::size_t& pos) {
 }
 
 Bytes compress(BytesView input) {
-  Bytes packed = lzss_compress(input);
-  CompressionMethod method = CompressionMethod::kLzss;
-  if (packed.size() >= input.size()) {
-    packed.assign(input.begin(), input.end());
-    method = CompressionMethod::kStored;
-  }
+  // LZSS is kept only when its stream is shorter than the input, so the
+  // encoder gives up as soon as the stream reaches the input's size.
+  const std::optional<BytesView> packed =
+      lzss_compress_bounded(input, input.size());
+  const BytesView payload = packed ? *packed : input;
 
+  // The header, then the payload: one allocation and one copy of the
+  // payload per frame.
   Bytes frame;
-  frame.reserve(packed.size() + 16);
-  frame.insert(frame.end(), kMagic, kMagic + 4);
-  frame.push_back(static_cast<std::uint8_t>(method));
+  frame.reserve(kMaxHeaderBytes + payload.size());
+  frame.assign(std::begin(kMagic), std::end(kMagic));
+  frame.push_back(static_cast<std::uint8_t>(
+      packed ? CompressionMethod::kLzss : CompressionMethod::kStored));
   put_varint(frame, input.size());
-  append(frame, packed);
+  append(frame, payload);
   return frame;
 }
 

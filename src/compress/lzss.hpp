@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "util/bytes.hpp"
 
@@ -16,6 +17,15 @@ namespace gear {
 /// Raw LZSS encode. Output is token stream only (no header); callers that
 /// need framing use the Codec wrapper in codec.hpp.
 Bytes lzss_compress(BytesView input);
+
+/// lzss_compress with an early exit: returns the same token stream when it
+/// is shorter than `limit` bytes, and nullopt as soon as it reaches `limit`
+/// (the stream only grows, so the rest of the input is not encoded). The
+/// view points into a buffer of the calling thread, valid until the
+/// thread's next call. Each compressing thread keeps its match tables
+/// (384 KiB) between calls; the output depends on `input` alone.
+std::optional<BytesView> lzss_compress_bounded(BytesView input,
+                                               std::size_t limit);
 
 /// Decodes a raw LZSS token stream produced by lzss_compress.
 /// `decoded_size` must be the exact original size (carried by the framing).

@@ -1,6 +1,7 @@
 #include "gear/client.hpp"
 
 #include <condition_variable>
+#include <future>
 
 #include "compress/codec.hpp"
 #include "gear/converter.hpp"
@@ -32,66 +33,100 @@ std::size_t push_gear_image(const GearImage& image,
   for (const auto& [fp, content] : image.files) all_fps.push_back(fp);
   std::vector<std::uint8_t> present = file_registry.query_many(all_fps);
 
-  std::vector<std::uint8_t> missing(image.files.size(), 0);
-  std::vector<std::size_t> to_compress;  // plain (non-chunked) absentees
+  std::vector<const Bytes*> plain;  // absent plain files, in file order
+  for (std::size_t i = 0; i < image.files.size(); ++i) {
+    const Bytes& content = image.files[i].second;
+    if (!present[i] && !chunk_policy.applies_to(content.size())) {
+      plain.push_back(&content);
+    }
+  }
+
+  // Compression overlaps the uploads: with workers, one task per plain file
+  // is submitted in file order, while at most `max_inflight_bytes` of
+  // source (an oversized file alone) is compressed or compressing ahead of
+  // the uploader. Without workers, each frame is compressed when its burst
+  // needs it. compress() is deterministic, so the frames, and the bursts
+  // cut from them, are the same either way.
+  const bool ahead = pool != nullptr && pool->worker_count() > 1;
+  std::vector<std::future<Bytes>> pending(ahead ? plain.size() : 0);
+  // Every exit, an exception included, first waits out the submitted
+  // tasks: they read `image`, which the caller may free once this throws.
+  struct WaitForTasks {
+    explicit WaitForTasks(std::vector<std::future<Bytes>>& t) : tasks(t) {}
+    WaitForTasks(const WaitForTasks&) = delete;
+    WaitForTasks& operator=(const WaitForTasks&) = delete;
+    ~WaitForTasks() {
+      for (std::future<Bytes>& task : tasks) {
+        if (task.valid()) task.wait();
+      }
+    }
+    std::vector<std::future<Bytes>>& tasks;
+  } wait_for_tasks(pending);
+  std::size_t submitted = 0;
+  std::uint64_t ahead_bytes = 0;  // source bytes submitted, not yet taken
+  auto submit_ahead = [&] {
+    for (; submitted < plain.size(); ++submitted) {
+      const Bytes& content = *plain[submitted];
+      if (max_inflight_bytes != 0 && ahead_bytes != 0 &&
+          ahead_bytes + content.size() > max_inflight_bytes) {
+        return;
+      }
+      ahead_bytes += content.size();
+      pending[submitted] =
+          pool->submit([&content] { return compress(content); });
+    }
+  };
+  std::size_t taken = 0;
+  auto take_frame = [&] {
+    const Bytes& content = *plain[taken];
+    if (!ahead) {
+      ++taken;
+      return compress(content);
+    }
+    // Frame `taken` is submitted: the call before this one refilled the
+    // budget it freed, and a budget holding nothing admits the next file.
+    Bytes frame = pending[taken++].get();
+    ahead_bytes -= content.size();
+    submit_ahead();
+    return frame;
+  };
+  if (ahead) submit_ahead();
+
+  // Insertion round: serial and ordered. Each run of plain files between
+  // chunked uploads goes out in the bursts batch_slices would cut from its
+  // frame sizes (one upload_precompressed_batch round-trip each when
+  // remote), and a burst leaves as soon as it is full, so the uploader
+  // waits only for the frames the current burst needs. The registry sees
+  // every insert in file order, so stats and storage accounting match the
+  // serial run exactly. The count is what the registry stored, not what was
+  // sent: a file that another client stored after the query is not ours.
+  std::size_t uploaded = 0;
+  std::vector<std::pair<Fingerprint, Bytes>> burst;
+  BatchSlice extent;  // the burst's frame count and bytes
+  auto flush = [&] {
+    if (burst.empty()) return;
+    uploaded += file_registry.upload_precompressed_batch(std::move(burst));
+    burst.clear();
+    extent = {};
+  };
   for (std::size_t i = 0; i < image.files.size(); ++i) {
     if (present[i]) continue;
-    missing[i] = 1;
-    if (!chunk_policy.applies_to(image.files[i].second.size())) {
-      to_compress.push_back(i);
-    }
-  }
-
-  // Compression of absent plain files: pure CPU, fanned out when a pool is
-  // given. compress() is deterministic, so the stored blobs are identical
-  // to the serial path's.
-  std::vector<Bytes> compressed(image.files.size());
-  auto compress_one = [&](std::size_t j) {
-    std::size_t i = to_compress[j];
-    compressed[i] = compress(image.files[i].second);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for_each(
-        to_compress.size(), compress_one, max_inflight_bytes,
-        [&](std::size_t j) { return image.files[to_compress[j]].second.size(); });
-  } else {
-    for (std::size_t j = 0; j < to_compress.size(); ++j) compress_one(j);
-  }
-
-  // Insertion round: serial and ordered — each run of plain files between
-  // chunked uploads goes out in batch_slices bursts sized by the compressed
-  // frames they carry (one upload_precompressed_batch round-trip each when
-  // remote), so the registry sees every insert in file order and
-  // stats/storage accounting match the serial run exactly.
-  std::size_t uploaded = 0;
-  std::vector<std::size_t> run;  // plain absentees since the last flush
-  auto flush_plain = [&]() {
-    std::vector<std::uint64_t> sizes;
-    sizes.reserve(run.size());
-    for (std::size_t i : run) sizes.push_back(compressed[i].size());
-    for (const BatchSlice& slice : batch_slices(sizes, 0)) {
-      std::vector<std::pair<Fingerprint, Bytes>> burst;
-      for (std::size_t k = slice.begin; k < slice.end; ++k) {
-        burst.emplace_back(image.files[run[k]].first,
-                           std::move(compressed[run[k]]));
-      }
-      uploaded += burst.size();
-      file_registry.upload_precompressed_batch(std::move(burst));
-    }
-    run.clear();
-  };
-  for (std::size_t i = 0; i < image.files.size(); ++i) {
-    if (!missing[i]) continue;
     const auto& [fp, content] = image.files[i];
     if (chunk_policy.applies_to(content.size())) {
-      flush_plain();
-      file_registry.upload_chunked(fp, content, chunk_policy);
-      ++uploaded;
-    } else {
-      run.push_back(i);
+      flush();
+      if (file_registry.upload_chunked(fp, content, chunk_policy)) ++uploaded;
+      continue;
     }
+    Bytes frame = take_frame();
+    if (!burst.empty() && !batch_slice_has_room(extent, frame.size(), 0)) {
+      flush();
+    }
+    ++extent.end;
+    extent.bytes += frame.size();
+    burst.emplace_back(fp, std::move(frame));
+    if (!batch_slice_has_room(extent, 0, 0)) flush();
   }
-  flush_plain();
+  flush();
   index_registry.push_image(image.index_image);
   return uploaded;
 }

@@ -44,9 +44,10 @@ namespace gear {
 
 /// Stores a converted Gear image: index image into the Docker registry
 /// (layer-deduplicated like any image), Gear files into the Gear registry
-/// (fingerprint-deduplicated). Returns the number of files actually
-/// uploaded. With a chunking policy, files above the threshold are stored
-/// as chunk objects + a manifest (paper §VII future work).
+/// (fingerprint-deduplicated). Returns the number of files the registry
+/// reports it stored (a file stored by another client after the presence
+/// check is not counted). With a chunking policy, files above the threshold
+/// are stored as chunk objects + a manifest (paper §VII future work).
 ///
 /// The presence check is one query_many and plain absent files move in
 /// upload_precompressed_batch bursts (batch_slices of their compressed
@@ -55,10 +56,12 @@ namespace gear {
 /// In-process the batched entry points are ordered loops: registry contents
 /// and stats are byte-identical to the serial per-file protocol.
 ///
-/// When `pool` is non-null, per-file compression of the absent files fans
-/// out across it (bounded by `max_inflight_bytes` of raw content, 0 =
-/// unbounded); the query round and the registry insertions stay serial and
-/// ordered, so registry contents and stats are identical at any width.
+/// When `pool` has more than one worker, the absent files are compressed on
+/// it while earlier bursts upload, at most `max_inflight_bytes` of raw
+/// content (0 = unbounded) ahead of the uploader; the query round and the
+/// registry insertions stay serial and ordered, so registry contents,
+/// stats and the bursts themselves are identical at any width. No
+/// compression task outlives the call, also when it throws.
 std::size_t push_gear_image(const GearImage& image,
                             docker::DockerRegistry& index_registry,
                             FileRegistryApi& file_registry,

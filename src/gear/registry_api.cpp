@@ -7,15 +7,20 @@
 
 namespace gear {
 
-std::vector<BatchSlice> batch_slices(const std::vector<std::uint64_t>& sizes,
-                                     std::uint64_t max_bytes) {
+bool batch_slice_has_room(const BatchSlice& slice, std::uint64_t size,
+                          std::uint64_t max_bytes) {
   const std::uint64_t bound =
       max_bytes == 0 ? kMaxBatchBytes : std::min(max_bytes, kMaxBatchBytes);
+  return slice.end - slice.begin < kMaxBatchFiles &&
+         slice.bytes + size <= bound;
+}
+
+std::vector<BatchSlice> batch_slices(const std::vector<std::uint64_t>& sizes,
+                                     std::uint64_t max_bytes) {
   std::vector<BatchSlice> slices;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     if (slices.empty() ||
-        slices.back().end - slices.back().begin == kMaxBatchFiles ||
-        slices.back().bytes + sizes[i] > bound) {
+        !batch_slice_has_room(slices.back(), sizes[i], max_bytes)) {
       slices.push_back({i, i, 0});
     }
     slices.back().end = i + 1;

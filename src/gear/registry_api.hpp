@@ -66,6 +66,13 @@ struct BatchSlice {
 std::vector<BatchSlice> batch_slices(const std::vector<std::uint64_t>& sizes,
                                      std::uint64_t max_bytes);
 
+/// The rule batch_slices cuts by: true when an item of `size` bytes may
+/// join the non-empty `slice` under the same `max_bytes`. For a caller that
+/// learns the sizes one at a time, as push_gear_image does while its frames
+/// are still being compressed.
+bool batch_slice_has_room(const BatchSlice& slice, std::uint64_t size,
+                          std::uint64_t max_bytes);
+
 class FileRegistryApi {
  public:
   virtual ~FileRegistryApi() = default;

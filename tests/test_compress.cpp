@@ -1,8 +1,14 @@
 // Unit and property tests for the LZSS codec and frame format.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <thread>
+
 #include "compress/codec.hpp"
 #include "compress/lzss.hpp"
+#include "compress/lzss_testing.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
@@ -106,6 +112,289 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 7, 64, 255, 256, 257, 1000,
                                          65535, 65536, 70000, 200000),
                        ::testing::Values(0.0, 0.3, 0.7, 0.95)));
+
+// ----------------------------------------------------- reference encoder
+
+// The encoder before it kept its tables per thread, verbatim: zeroed tables
+// per call and a byte-by-byte compare of every chain candidate. Stored
+// objects and wire frames are compared byte for byte, so the encoder in
+// src/ must emit exactly these bytes.
+Bytes reference_lzss_compress(BytesView input) {
+  constexpr std::size_t kWindowSize = 1u << 16;
+  constexpr std::size_t kMinMatch = 4;
+  constexpr std::size_t kMaxMatch = kMinMatch + 255;
+  constexpr std::size_t kHashBits = 15;
+  constexpr std::size_t kHashSize = 1u << kHashBits;
+  constexpr int kMaxChainProbes = 32;
+  auto hash4 = [](const std::uint8_t* p) {
+    std::uint32_t v;
+    std::memcpy(&v, p, 4);
+    return (v * 2654435761u) >> (32 - kHashBits);
+  };
+
+  Bytes out;
+  out.reserve(input.size() / 2 + 16);
+
+  // head[h]: most recent position with hash h; prev[i & mask]: previous
+  // position in the same chain. Positions are offset by 1 so 0 means "none".
+  std::vector<std::uint32_t> head(kHashSize, 0);
+  std::vector<std::uint32_t> prev(kWindowSize, 0);
+
+  const std::uint8_t* data = input.data();
+  const std::size_t n = input.size();
+
+  std::size_t pos = 0;
+  std::uint8_t flags = 0;
+  int flag_count = 0;
+  std::size_t flag_pos = 0;
+
+  auto begin_group = [&] {
+    flag_pos = out.size();
+    out.push_back(0);
+    flags = 0;
+    flag_count = 0;
+  };
+  auto end_token = [&](bool is_match) {
+    if (is_match) flags |= static_cast<std::uint8_t>(1u << flag_count);
+    if (++flag_count == 8) {
+      out[flag_pos] = flags;
+      flag_count = 0;
+      if (pos < n) begin_group();
+    }
+  };
+
+  if (n > 0) begin_group();
+
+  while (pos < n) {
+    std::size_t best_len = 0;
+    std::size_t best_dist = 0;
+
+    if (pos + kMinMatch <= n) {
+      std::uint32_t h = hash4(data + pos);
+      std::uint32_t candidate = head[h];
+      int probes = kMaxChainProbes;
+      while (candidate != 0 && probes-- > 0) {
+        std::size_t cand_pos = candidate - 1;
+        if (pos - cand_pos > kWindowSize - 1) break;
+        std::size_t len = 0;
+        std::size_t max_len = std::min(kMaxMatch, n - pos);
+        while (len < max_len && data[cand_pos + len] == data[pos + len]) ++len;
+        if (len > best_len) {
+          best_len = len;
+          best_dist = pos - cand_pos;
+          if (len == max_len) break;
+        }
+        candidate = prev[cand_pos & (kWindowSize - 1)];
+      }
+    }
+
+    if (best_len >= kMinMatch) {
+      // Match token: 2-byte distance (little endian), 1-byte (len - min).
+      out.push_back(static_cast<std::uint8_t>(best_dist));
+      out.push_back(static_cast<std::uint8_t>(best_dist >> 8));
+      out.push_back(static_cast<std::uint8_t>(best_len - kMinMatch));
+      end_token(true);
+      // Insert the covered positions into the hash chains.
+      std::size_t end = pos + best_len;
+      for (; pos < end && pos + kMinMatch <= n; ++pos) {
+        std::uint32_t h = hash4(data + pos);
+        prev[pos & (kWindowSize - 1)] = head[h];
+        head[h] = static_cast<std::uint32_t>(pos + 1);
+      }
+      pos = end;
+    } else {
+      out.push_back(data[pos]);
+      end_token(false);
+      if (pos + kMinMatch <= n) {
+        std::uint32_t h = hash4(data + pos);
+        prev[pos & (kWindowSize - 1)] = head[h];
+        head[h] = static_cast<std::uint32_t>(pos + 1);
+      }
+      ++pos;
+    }
+  }
+  if (n > 0 && flag_count > 0) out[flag_pos] = flags;
+  return out;
+}
+
+// The frame compress() built around the reference stream: LZSS when it is
+// shorter than the input, stored otherwise.
+Bytes reference_frame(BytesView input) {
+  Bytes packed = reference_lzss_compress(input);
+  CompressionMethod method = CompressionMethod::kLzss;
+  if (packed.size() >= input.size()) {
+    packed.assign(input.begin(), input.end());
+    method = CompressionMethod::kStored;
+  }
+  Bytes frame = to_bytes("GZC1");
+  frame.push_back(static_cast<std::uint8_t>(method));
+  put_varint(frame, input.size());
+  append(frame, packed);
+  return frame;
+}
+
+// Text from a small vocabulary: many short matches and long hash chains.
+Bytes text_input(std::size_t n, std::uint64_t seed) {
+  static const char* const kWords[] = {
+      "the ", "gear ", "image ", "layer ", "file ", "index ", "registry ",
+      "container ", "fingerprint ", "compress ", "\n", "0x", "lib/", ".so ",
+      "{\"name\": ", "}, ", "usr/share/", "-", "_", "="};
+  Rng rng(seed);
+  Bytes out;
+  while (out.size() < n) {
+    std::string word = kWords[rng.next_below(std::size(kWords))];
+    if (rng.next_below(4) == 0) word += std::to_string(rng.next_below(1000));
+    out.insert(out.end(), word.begin(), word.end());
+  }
+  out.resize(n);
+  return out;
+}
+
+// A seeded corpus from 0 to 200 KiB, across the 64 KiB window: runs, short
+// periods, random bytes, text, partly compressible data, near-copies (whose
+// candidates differ late, past the cheap test), and a period beyond the
+// window.
+std::vector<Bytes> lzss_corpus() {
+  const std::size_t sizes[] = {0,     1,     2,     3,     4,      5,
+                               7,     8,     9,     16,    63,     64,
+                               65,    255,   256,   257,   1000,   1024,
+                               4095,  4096,  4097,  16384, 65535,  65536,
+                               65537, 70000, 131075, 204800};
+  std::vector<Bytes> corpus;
+  std::uint64_t seed = 9700;
+  for (std::size_t n : sizes) {
+    ++seed;
+    Rng rng(seed);
+    corpus.push_back(Bytes(n, static_cast<std::uint8_t>(seed)));
+    for (std::size_t period : {2, 3, 7}) {
+      Bytes periodic(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        periodic[i] = static_cast<std::uint8_t>("gear:z!"[i % period]);
+      }
+      corpus.push_back(std::move(periodic));
+    }
+    corpus.push_back(rng.next_bytes(n, 0.0));
+    corpus.push_back(rng.next_bytes(n, 0.5));
+    corpus.push_back(rng.next_bytes(n, 0.9));
+    corpus.push_back(text_input(n, seed));
+    Bytes near = rng.next_bytes(std::min<std::size_t>(n, 300), 0.0);
+    while (near.size() < n) {
+      Bytes copy(near.end() - std::min<std::size_t>(near.size(), 300),
+                 near.end());
+      copy[rng.next_below(copy.size())] ^= 0x5a;
+      near.insert(near.end(), copy.begin(), copy.end());
+    }
+    near.resize(n);
+    corpus.push_back(std::move(near));
+    if (n > 70000) {
+      Bytes block = rng.next_bytes(70000, 0.0);
+      Bytes far(n);
+      for (std::size_t i = 0; i < n; ++i) far[i] = block[i % block.size()];
+      corpus.push_back(std::move(far));
+    }
+  }
+  return corpus;
+}
+
+TEST(LzssReference, SeededCorpusMatchesByteForByte) {
+  for (const Bytes& input : lzss_corpus()) {
+    const Bytes expected = reference_lzss_compress(input);
+    ASSERT_EQ(lzss_compress(input), expected) << input.size();
+    ASSERT_EQ(compress(input), reference_frame(input)) << input.size();
+    // The early exit: nothing once the stream reaches the limit, the full
+    // stream while it stays below.
+    for (std::size_t limit :
+         {std::size_t{0}, std::size_t{1}, expected.size(), expected.size() + 1,
+          input.size()}) {
+      const std::optional<BytesView> bounded =
+          lzss_compress_bounded(input, limit);
+      ASSERT_EQ(bounded.has_value(), expected.size() < limit)
+          << input.size() << " " << limit;
+      if (bounded) {
+        EXPECT_EQ(Bytes(bounded->begin(), bounded->end()), expected);
+      }
+    }
+  }
+}
+
+TEST(LzssReference, AlternatingSizesOnOneThreadIgnoreStaleEntries) {
+  // Each call leaves its entries in this thread's tables, and the inputs
+  // share their 4-byte strings, so every call starts with heads that hold
+  // the previous call's positions. Each input goes in twice: the second
+  // time, the stale heads name the input's own positions, some of them the
+  // very position being matched.
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    for (std::size_t n : {std::size_t{204800}, std::size_t{300},
+                          std::size_t{70000}, std::size_t{5},
+                          std::size_t{4096}}) {
+      const Bytes input = text_input(n, 9800 + round * 7 + n);
+      const Bytes expected = reference_lzss_compress(input);
+      ASSERT_EQ(lzss_compress(input), expected) << round << " " << n;
+      ASSERT_EQ(lzss_compress(input), expected) << round << " " << n;
+    }
+  }
+}
+
+TEST(LzssReference, TableBaseResetsBeforeTwoToThe32) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const Bytes first = text_input(100000, 9901);
+  const Bytes second = text_input(100000, 9902);
+
+  // Only 1 byte of room: this call restarts the stamps at 0.
+  lzss_testing::raise_table_base(kMax);
+  const Bytes one = to_bytes("x");
+  EXPECT_EQ(lzss_compress(one), reference_lzss_compress(one));
+  EXPECT_EQ(lzss_testing::table_base(), 1u);
+  EXPECT_EQ(lzss_compress(first), reference_lzss_compress(first));
+  EXPECT_EQ(lzss_testing::table_base(), 1u + first.size());
+
+  // Exactly room for `second`: its stamps reach 2^32 - 1 with no reset.
+  lzss_testing::raise_table_base(kMax - second.size());
+  EXPECT_EQ(lzss_compress(second), reference_lzss_compress(second));
+  EXPECT_EQ(lzss_testing::table_base(), kMax);
+
+  // No room: the heads are cleared and the stamps restart at 0. The heads
+  // `first` left name its positions shifted by one, which is where they
+  // sit in `shifted`; read as live entries, they would change its tokens.
+  Bytes shifted = one;
+  append(shifted, first);
+  EXPECT_EQ(lzss_compress(shifted), reference_lzss_compress(shifted));
+  EXPECT_EQ(lzss_testing::table_base(), shifted.size());
+
+  // A base may only rise: a lower one would revive stale entries.
+  EXPECT_THROW(lzss_testing::raise_table_base(0), Error);
+}
+
+TEST(ConcurrentLzss, TwoThreadsMatchTheReference) {
+  // Two threads compress at once, each through its own tables, alternating
+  // large and small inputs; both must match the reference exactly.
+  std::vector<Bytes> inputs;
+  for (std::size_t i = 0; i < 16; ++i) {
+    const std::size_t n = i % 2 == 0 ? 65537 + i * 4099 : 200 + i * 61;
+    inputs.push_back(i % 3 == 0 ? Rng(9950 + i).next_bytes(n, 0.5)
+                                : text_input(n, 9950 + i));
+  }
+  std::vector<Bytes> expected;
+  for (const Bytes& input : inputs) {
+    expected.push_back(reference_frame(input));
+  }
+
+  std::size_t mismatches[2] = {0, 0};
+  auto worker = [&](std::size_t t) {
+    for (int pass = 0; pass < 3; ++pass) {
+      for (std::size_t k = 0; k < inputs.size(); ++k) {
+        const std::size_t i = (k + t * 5) % inputs.size();
+        if (compress(inputs[i]) != expected[i]) ++mismatches[t];
+      }
+    }
+  };
+  std::thread a(worker, 0);
+  std::thread b(worker, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches[0], 0u);
+  EXPECT_EQ(mismatches[1], 0u);
+}
 
 // ---------------------------------------------------------------- codec
 

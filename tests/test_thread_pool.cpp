@@ -9,6 +9,7 @@
 #include <set>
 #include <thread>
 
+#include "compress/codec.hpp"
 #include "docker/image.hpp"
 #include "docker/registry.hpp"
 #include "gear/client.hpp"
@@ -216,6 +217,234 @@ TEST(ParallelPush, RegistryStateIdenticalToSerial) {
     (void)content;
     EXPECT_EQ(greg_a.download(fp).value(), greg_b.download(fp).value());
   }
+}
+
+// Logs, in order, every upload call a push makes: a burst's fingerprints
+// and frames, or a chunked file's fingerprint alone. Can fail one burst,
+// and can answer the presence query as a stale one would (all absent).
+class RecordingRegistry final : public FileRegistryApi {
+ public:
+  struct Call {
+    std::vector<Fingerprint> fps;
+    std::vector<Bytes> frames;  // empty for a chunked upload
+    bool operator==(const Call&) const = default;
+  };
+
+  explicit RecordingRegistry(FileRegistryApi& inner) : inner_(inner) {}
+
+  std::vector<Call> calls;
+  std::size_t failing_burst = 0;  // 1-based; 0 = none fails
+  bool stale_query = false;
+
+  std::vector<std::uint8_t> query_many(
+      const std::vector<Fingerprint>& fps) const override {
+    if (stale_query) return std::vector<std::uint8_t>(fps.size(), 0);
+    return inner_.query_many(fps);
+  }
+  bool upload_precompressed(const Fingerprint& fp, Bytes compressed) override {
+    return inner_.upload_precompressed(fp, std::move(compressed));
+  }
+  std::size_t upload_precompressed_batch(
+      std::vector<std::pair<Fingerprint, Bytes>> items) override {
+    Call call;
+    for (const auto& [fp, frame] : items) {
+      call.fps.push_back(fp);
+      call.frames.push_back(frame);
+    }
+    calls.push_back(std::move(call));
+    if (++bursts_ == failing_burst) {
+      throw_error(ErrorCode::kInternal, "burst refused");
+    }
+    return inner_.upload_precompressed_batch(std::move(items));
+  }
+  bool upload_chunked(const Fingerprint& fp, BytesView content,
+                      const ChunkPolicy& policy,
+                      const FingerprintHasher& hasher) override {
+    calls.push_back({{fp}, {}});
+    return inner_.upload_chunked(fp, content, policy, hasher);
+  }
+  StatusOr<std::vector<Bytes>> download_batch(
+      const std::vector<Fingerprint>& fps, ThreadPool* pool,
+      std::uint64_t* wire_bytes_out) const override {
+    return inner_.download_batch(fps, pool, wire_bytes_out);
+  }
+  StatusOr<std::uint64_t> stored_size(const Fingerprint& fp) const override {
+    return inner_.stored_size(fp);
+  }
+
+ private:
+  FileRegistryApi& inner_;
+  std::size_t bursts_ = 0;
+};
+
+// A Gear image holding `contents` as its files, in order, behind a small
+// index image.
+GearImage image_of(std::vector<Bytes> contents) {
+  docker::ImageBuilder b;
+  b.add_snapshot(gear::testing::sample_tree());
+  GearImage image = GearConverter().convert(b.build("burst", "v1", {})).image;
+  image.files.clear();
+  for (Bytes& content : contents) {
+    const Fingerprint fp = default_hasher().fingerprint(content);
+    image.files.emplace_back(fp, std::move(content));
+  }
+  return image;
+}
+
+// The calls a push of `image` must make when the files at `present` are
+// stored already: each run of plain files between chunked ones in the
+// bursts batch_slices cuts from the compressed sizes.
+std::vector<RecordingRegistry::Call> expected_calls(
+    const GearImage& image, const std::set<std::size_t>& present,
+    const ChunkPolicy& policy) {
+  std::vector<RecordingRegistry::Call> calls;
+  std::vector<std::pair<Fingerprint, Bytes>> run;
+  auto cut = [&] {
+    std::vector<std::uint64_t> sizes;
+    for (const auto& [fp, frame] : run) sizes.push_back(frame.size());
+    for (const BatchSlice& slice : batch_slices(sizes, 0)) {
+      RecordingRegistry::Call call;
+      for (std::size_t k = slice.begin; k < slice.end; ++k) {
+        call.fps.push_back(run[k].first);
+        call.frames.push_back(run[k].second);
+      }
+      calls.push_back(std::move(call));
+    }
+    run.clear();
+  };
+  for (std::size_t i = 0; i < image.files.size(); ++i) {
+    if (present.count(i) != 0) continue;
+    const auto& [fp, content] = image.files[i];
+    if (policy.applies_to(content.size())) {
+      cut();
+      calls.push_back({{fp}, {}});
+    } else {
+      run.emplace_back(fp, compress(content));
+    }
+  }
+  cut();
+  return calls;
+}
+
+// Pushes `image` with no pool, and with pools of each width in `widths`
+// under each budget in `budgets`; every push must make exactly `expected`.
+void expect_same_calls_at_any_width(
+    const GearImage& image, const std::set<std::size_t>& present,
+    const ChunkPolicy& policy, const std::vector<std::size_t>& widths,
+    const std::vector<std::uint64_t>& budgets) {
+  const std::vector<RecordingRegistry::Call> expected =
+      expected_calls(image, present, policy);
+  auto push_with = [&](ThreadPool* pool, std::uint64_t budget) {
+    docker::DockerRegistry dreg;
+    GearRegistry greg;
+    for (std::size_t i : present) {
+      greg.upload(image.files[i].first, image.files[i].second);
+    }
+    RecordingRegistry recording(greg);
+    EXPECT_EQ(push_gear_image(image, dreg, recording, policy, pool, budget),
+              image.files.size() - present.size());
+    return recording.calls;
+  };
+  EXPECT_TRUE(push_with(nullptr, 0) == expected) << "no pool";
+  for (std::size_t width : widths) {
+    ThreadPool pool(width);
+    for (std::uint64_t budget : budgets) {
+      EXPECT_TRUE(push_with(&pool, budget) == expected)
+          << "width " << width << ", budget " << budget;
+    }
+  }
+}
+
+TEST(ParallelPush, BurstsIdenticalAtAnyWidthAndBudget) {
+  // Runs of 150, 10 and 3 plain files around three chunked files (two of
+  // them adjacent), with two files of the first run stored already.
+  const ChunkPolicy policy{64 * 1024, 16 * 1024};
+  Rng rng(7300);
+  std::vector<Bytes> contents;
+  auto plain = [&](int count) {
+    for (int k = 0; k < count; ++k) {
+      contents.push_back(rng.next_bytes(rng.next_range(100, 5000),
+                                        0.3 * static_cast<double>(k % 4)));
+    }
+  };
+  auto chunked = [&] { contents.push_back(rng.next_bytes(70 * 1024, 0.5)); };
+  plain(150);
+  chunked();
+  plain(10);
+  chunked();
+  chunked();
+  plain(3);
+  const GearImage image = image_of(std::move(contents));
+  const std::set<std::size_t> present = {10, 70};
+  ASSERT_EQ(expected_calls(image, present, policy).size(), 3u + 1 + 1 + 2 + 1);
+  expect_same_calls_at_any_width(image, present, policy, {1, 2, 4},
+                                 {0, 64 * 1024});
+}
+
+TEST(ParallelPush, ByteCapSplitsA64FileRun) {
+  // 64 incompressible files just over 256 KiB: their stored frames pass
+  // the 16 MiB cap of a burst at the 64th, which goes out alone.
+  Rng rng(7301);
+  std::vector<Bytes> contents;
+  for (int k = 0; k < 64; ++k) contents.push_back(rng.next_bytes(262200, 0.0));
+  const GearImage image = image_of(std::move(contents));
+  const std::vector<RecordingRegistry::Call> expected =
+      expected_calls(image, {}, {});
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_EQ(expected[0].fps.size(), 63u);
+  expect_same_calls_at_any_width(image, {}, {}, {4}, {64 * 1024});
+}
+
+TEST(ParallelPush, FailedBurstPropagatesAfterEveryTaskFinished) {
+  // The second burst fails while most files still wait to be compressed.
+  // The error must reach the caller, and only after every compression task
+  // has finished: the image is freed as soon as push returns, so a task
+  // still running would read freed memory (the ASan build catches that).
+  ThreadPool pool(4);
+  docker::DockerRegistry dreg;
+  GearRegistry greg;
+  RecordingRegistry recording(greg);
+  recording.failing_burst = 2;
+  {
+    Rng rng(7302);
+    std::vector<Bytes> contents;
+    for (int k = 0; k < 320; ++k) {
+      contents.push_back(rng.next_bytes(48 * 1024, 0.5));
+    }
+    const GearImage image = image_of(std::move(contents));
+    try {
+      push_gear_image(image, dreg, recording, {}, &pool, 0);
+      FAIL() << "the failed burst did not propagate";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInternal);
+      EXPECT_NE(std::string(e.what()).find("burst refused"), std::string::npos);
+    }
+  }
+  EXPECT_EQ(recording.calls.size(), 2u);
+  EXPECT_EQ(greg.object_count(), 64u);
+}
+
+TEST(ParallelPush, CountsWhatTheRegistryStoredNotWhatWasSent) {
+  // A presence query that went stale (another client stored the files
+  // after it) sends every file again; the registry deduplicates each, and
+  // the push reports that nothing was uploaded.
+  const ChunkPolicy policy{64 * 1024, 16 * 1024};
+  Rng rng(7303);
+  std::vector<Bytes> contents;
+  for (int k = 0; k < 70; ++k) contents.push_back(rng.next_bytes(2000, 0.5));
+  contents.push_back(rng.next_bytes(70 * 1024, 0.5));  // chunked
+  const GearImage image = image_of(std::move(contents));
+
+  docker::DockerRegistry dreg;
+  GearRegistry greg;
+  EXPECT_EQ(push_gear_image(image, dreg, greg, policy), 71u);
+  const std::size_t stored = greg.object_count();
+  RecordingRegistry stale(greg);
+  stale.stale_query = true;
+  ThreadPool pool(2);
+  EXPECT_EQ(push_gear_image(image, dreg, stale, policy, &pool), 0u);
+  EXPECT_EQ(stale.calls.size(), 3u);  // 64 + 6 plain files, then the chunked
+  EXPECT_EQ(greg.object_count(), stored);
 }
 
 TEST(GearRegistryBatch, DownloadBatchMatchesIndividualDownloads) {
