@@ -13,7 +13,7 @@
 #include "gear/converter.hpp"
 #include "net/remote_registry.hpp"
 #include "net/transport.hpp"
-#include "p2p/cluster.hpp"
+#include "p2p/topology.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
 
@@ -84,26 +84,33 @@ struct P2pLeg {
   Bytes content;
 };
 
+/// With `retire_holder`, node0 leaves before the read and node1 reads from
+/// the registry — the no-cooperation baseline.
 P2pLeg run_p2p_leg(docker::DockerRegistry& index_registry,
-                   GearRegistry& file_registry, bool batch_fetch) {
-  p2p::Cluster::Params params;
-  params.nodes = 2;
-  params.batch_peer_fetch = batch_fetch;
-  p2p::Cluster cluster(index_registry, file_registry, params);
+                   GearRegistry& file_registry, bool retire_holder) {
+  p2p::Topology::Params params;
+  params.sites = 1;
+  params.nodes_per_site = 2;
+  params.wan_link = {100.0, /*rtt_seconds=*/0.0005,
+                     /*request_overhead_seconds=*/0.0003};
+  params.lan_link = sim::lan_profile(1000.0);
+  p2p::Topology cluster(index_registry, file_registry, params);
   workload::AccessSet no_access;
 
   std::string c0;
-  cluster.deploy(0, "inference:v1", no_access, &c0);
-  cluster.read_range(0, c0, "models/weights.bin", 0, kModelBytes).value();
+  cluster.deploy(0, 0, "inference:v1", no_access, &c0);
+  cluster.read_range(0, 0, c0, "models/weights.bin", 0, kModelBytes).value();
 
   std::string c1;
-  cluster.deploy(1, "inference:v1", no_access, &c1);
+  cluster.deploy(0, 1, "inference:v1", no_access, &c1);
+  if (retire_holder) cluster.retire_node(0, 0);
   std::uint64_t hits = cluster.peer_hits();
   std::uint64_t bursts = cluster.lan_bursts();
   std::uint64_t wan = cluster.wan_bytes();
   P2pLeg leg;
   leg.content =
-      cluster.read_range(1, c1, "models/weights.bin", 0, kModelBytes).value();
+      cluster.read_range(0, 1, c1, "models/weights.bin", 0, kModelBytes)
+          .value();
   leg.peer_chunks = cluster.peer_hits() - hits;
   leg.lan_bursts = cluster.lan_bursts() - bursts;
   leg.wan_read_bytes = cluster.wan_bytes() - wan;
@@ -225,21 +232,22 @@ int main() {
   std::printf("  frame reduction %.1fx (byte/wire-identical: %s)\n",
               frame_reduction, identical ? "yes" : "NO");
 
-  // --- P2P leg: batched LAN fan-out vs legacy registry reads ---
+  // --- P2P leg: batched LAN fan-out vs registry reads (holder retired) ---
   docker::DockerRegistry p2p_index;
   GearRegistry p2p_files;
   push_gear_image(conv.image, p2p_index, p2p_files, policy);
-  P2pLeg fanout = run_p2p_leg(p2p_index, p2p_files, /*batch_fetch=*/true);
+  P2pLeg fanout = run_p2p_leg(p2p_index, p2p_files, /*retire_holder=*/false);
   docker::DockerRegistry legacy_index;
   GearRegistry legacy_files;
   push_gear_image(conv.image, legacy_index, legacy_files, policy);
   P2pLeg legacy = run_p2p_leg(legacy_index, legacy_files,
-                              /*batch_fetch=*/false);
+                              /*retire_holder=*/true);
   bool p2p_ok = fanout.content == model && legacy.content == model &&
                 fanout.peer_chunks == n_chunks && fanout.lan_bursts == 1 &&
                 legacy.lan_bursts == 0;
   std::printf("\np2p second reader: batched %llu chunks from the peer in "
-              "%llu LAN burst(s), WAN +%s; legacy %s over the WAN\n",
+              "%llu LAN burst(s), WAN +%s; holder retired: %s over the "
+              "WAN\n",
               static_cast<unsigned long long>(fanout.peer_chunks),
               static_cast<unsigned long long>(fanout.lan_bursts),
               format_size(fanout.wan_read_bytes).c_str(),

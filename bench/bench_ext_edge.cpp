@@ -346,13 +346,10 @@ int main() {
     JsonObject o;
     o["sites"] = static_cast<std::int64_t>(leg.sites);
     o["mode"] = leg.lazy ? "lazy" : "eager";
-    JsonArray wan, content;
-    for (std::uint64_t b : leg.wan_per_site) wan.push_back(Json(b));
-    for (std::uint64_t b : leg.content_wan_per_site) {
-      content.push_back(Json(b));
-    }
-    o["wan_bytes_per_site"] = std::move(wan);
-    o["content_wan_bytes_per_site"] = std::move(content);
+    o["wan_bytes_per_site"] =
+        JsonArray(leg.wan_per_site.begin(), leg.wan_per_site.end());
+    o["content_wan_bytes_per_site"] = JsonArray(
+        leg.content_wan_per_site.begin(), leg.content_wan_per_site.end());
     o["lan_bytes"] = leg.lan_bytes;
     o["registry_content_bytes"] = leg.registry_content_bytes;
     o["lan_peer_hits"] = leg.lan_hits;
@@ -360,7 +357,7 @@ int main() {
     o["deploys_per_s"] = leg.deploys_per_s;
     o["ready_p99_s"] = leg.ready_p99;
     o["identity_ok"] = leg.identity_ok;
-    leg_docs.push_back(Json(std::move(o)));
+    leg_docs.emplace_back(std::move(o));
   }
   doc["legs"] = std::move(leg_docs);
   doc["wan_ok"] = wan_ok;

@@ -7,7 +7,7 @@
 
 #include "bench_common.hpp"
 #include "gear/converter.hpp"
-#include "p2p/cluster.hpp"
+#include "p2p/topology.hpp"
 
 using namespace gear;
 
@@ -43,16 +43,18 @@ int main() {
     solo_wan += l.stats().bytes_transferred;
   }
 
-  // Cooperative cluster.
-  p2p::Cluster::Params params;
-  params.nodes = kNodes;
-  params.wan_mbps = 100.0;
-  params.lan_mbps = 1000.0;
+  // Cooperative cluster: one site of kNodes nodes.
+  p2p::Topology::Params params;
+  params.sites = 1;
+  params.nodes_per_site = kNodes;
+  params.wan_link = {100.0, /*rtt_seconds=*/0.0005,
+                     /*request_overhead_seconds=*/0.0003};
+  params.lan_link = sim::lan_profile(1000.0);
   params.byte_scale = e.scale;
-  p2p::Cluster cluster(index_registry, file_registry, params);
+  p2p::Topology cluster(index_registry, file_registry, params);
   double coop_time = 0;
   for (std::size_t i = 0; i < kNodes; ++i) {
-    coop_time += cluster.deploy(i, "node:v0", access).total_seconds();
+    coop_time += cluster.deploy(0, i, "node:v0", access).total_seconds();
   }
 
   std::vector<int> w = {26, 14, 14, 14};
@@ -83,8 +85,9 @@ int main() {
   // Exit-code bars: cooperation must at least halve WAN egress over the
   // burst, every follower node must hit peers, and the saved WAN bytes must
   // actually move over the LAN instead. (This deploy path replays accesses
-  // per file, so bursts stay 0 here — the batched fan-out is exercised and
-  // asserted by the cluster/topology test suites and bench_ext_edge.)
+  // per file, so every peer hit is a LAN burst of one — the multi-object
+  // fan-out is exercised and asserted by the topology test suites and
+  // bench_ext_edge.)
   bool reduction_ok = reduction >= 2.0;
   bool hits_ok = cluster.peer_hits() >= kNodes - 1;
   bool lan_ok = cluster.lan_bytes() > 0;

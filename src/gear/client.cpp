@@ -284,10 +284,12 @@ Bytes GearClient::materialize(const std::string& reference,
       return std::move(cached).value();
     }
   }
-  // Cooperative tiers next (cluster peers, §VI-B) — cheaper than the WAN.
-  // Invoked outside the locks: the callbacks may reach into other clients.
+  // Cooperative tiers next (site peers, §VI-B) — cheaper than the WAN; a
+  // fault is a batch of one. Invoked outside the locks: the callbacks may
+  // reach into other clients.
   if (has_peer_source()) {
-    if (std::optional<Bytes> peer = consult_peer_tiers(fp, size)) {
+    std::optional<Bytes> peer = std::move(consult_peer_tiers({{fp, size}})[0]);
+    if (peer.has_value()) {
       if (peer->size() != size) {
         throw_error(ErrorCode::kCorruptData,
                     "peer served wrong size for " + fp.hex());
@@ -462,15 +464,6 @@ void GearClient::add_peer_source(PeerSource source) {
   peer_tiers_.push_back(std::move(source));
 }
 
-void GearClient::add_batch_peer_source(BatchPeerSource source) {
-  if (!source) return;
-  if (batch_peer_tiers_.size() >= kMaxPeerTiers) {
-    throw_error(ErrorCode::kInvalidArgument,
-                "add_batch_peer_source: tier ladder full");
-  }
-  batch_peer_tiers_.push_back(std::move(source));
-}
-
 std::vector<std::uint64_t> GearClient::peer_tier_hits() const {
   std::vector<std::uint64_t> out(kMaxPeerTiers, 0);
   for (std::size_t t = 0; t < kMaxPeerTiers; ++t) {
@@ -479,32 +472,20 @@ std::vector<std::uint64_t> GearClient::peer_tier_hits() const {
   return out;
 }
 
-std::optional<Bytes> GearClient::consult_peer_tiers(const Fingerprint& fp,
-                                                    std::uint64_t size) {
-  for (std::size_t t = 0; t < peer_tiers_.size(); ++t) {
-    if (std::optional<Bytes> hit = peer_tiers_[t](fp, size)) {
-      peer_hits_.fetch_add(1, std::memory_order_relaxed);
-      peer_tier_hits_[t].fetch_add(1, std::memory_order_relaxed);
-      return hit;
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<std::optional<Bytes>> GearClient::consult_batch_peer_tiers(
+std::vector<std::optional<Bytes>> GearClient::consult_peer_tiers(
     const std::vector<std::pair<Fingerprint, std::uint64_t>>& wanted) {
   std::vector<std::optional<Bytes>> out(wanted.size());
   // Slots every earlier tier missed, as indices into `wanted`.
   std::vector<std::size_t> open(wanted.size());
   for (std::size_t i = 0; i < wanted.size(); ++i) open[i] = i;
-  for (std::size_t t = 0; t < batch_peer_tiers_.size() && !open.empty(); ++t) {
+  for (std::size_t t = 0; t < peer_tiers_.size() && !open.empty(); ++t) {
     std::vector<std::pair<Fingerprint, std::uint64_t>> ask;
     ask.reserve(open.size());
     for (std::size_t i : open) ask.push_back(wanted[i]);
-    std::vector<std::optional<Bytes>> answers = batch_peer_tiers_[t](ask);
+    std::vector<std::optional<Bytes>> answers = peer_tiers_[t](ask);
     if (answers.size() != ask.size()) {
       throw_error(ErrorCode::kInternal,
-                  "batch peer source answered the wrong number of slots");
+                  "peer source answered the wrong number of slots");
     }
     std::vector<std::size_t> still;
     for (std::size_t i = 0; i < open.size(); ++i) {
@@ -556,15 +537,14 @@ std::pair<std::size_t, std::uint64_t> GearClient::warm_batch(
   // stub sizes the index already knows instead.
   const bool remote = file_registry_.transport_accounted();
 
-  // Drop what the cache already holds, then let the batched cooperative
-  // source answer the rest in one burst before anything reaches the wire.
+  // Drop what the cache already holds, then let the cooperative tiers
+  // answer the rest in bursts before anything reaches the wire.
   std::vector<std::pair<Fingerprint, std::uint64_t>> misses;
   for (const auto& [fp, size] : wanted) {
     if (!store_.cache().contains(fp)) misses.emplace_back(fp, size);
   }
-  if (has_batch_peer_source() && !misses.empty()) {
-    std::vector<std::optional<Bytes>> from_peers =
-        consult_batch_peer_tiers(misses);
+  if (has_peer_source() && !misses.empty()) {
+    std::vector<std::optional<Bytes>> from_peers = consult_peer_tiers(misses);
     std::vector<std::pair<Fingerprint, std::uint64_t>> still;
     std::lock_guard<std::mutex> lock(state_mutex_);
     for (std::size_t i = 0; i < misses.size(); ++i) {
@@ -594,19 +574,6 @@ std::pair<std::size_t, std::uint64_t> GearClient::warm_batch(
     batch = PrefetchBatch{};
   };
   for (const auto& [fp, size] : misses) {
-    // Per-file cooperative tiers next, as in the on-demand path (§VI-B).
-    if (has_peer_source()) {
-      if (std::optional<Bytes> peer = consult_peer_tiers(fp, size)) {
-        if (peer->size() != size) {
-          throw_error(ErrorCode::kCorruptData,
-                      "peer served wrong size for " + fp.hex());
-        }
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        disk_.write(peer->size());
-        store_.cache().put(fp, std::move(*peer));
-        continue;
-      }
-    }
     std::uint64_t wire;
     std::uint64_t requests;
     if (remote) {
@@ -1043,7 +1010,7 @@ StatusOr<Bytes> GearClient::read_range(const std::string& container_id,
   // Gather pass 2 — one batched peer probe for every missing chunk. Peers
   // serve chunk fingerprints from their shared caches exactly like whole
   // files; a miss falls through to the registry.
-  if (has_batch_peer_source() && !missing.empty()) {
+  if (has_peer_source() && !missing.empty()) {
     std::vector<std::pair<Fingerprint, std::uint64_t>> ask;
     ask.reserve(missing.size());
     for (std::uint32_t c : missing) {
@@ -1053,8 +1020,7 @@ StatusOr<Bytes> GearClient::read_range(const std::string& container_id,
                        std::min<std::uint64_t>(manifest.chunk_bytes,
                                                manifest.file_size - chunk_off));
     }
-    std::vector<std::optional<Bytes>> from_peers =
-        consult_batch_peer_tiers(ask);
+    std::vector<std::optional<Bytes>> from_peers = consult_peer_tiers(ask);
     std::vector<std::uint32_t> still;
     for (std::size_t i = 0; i < missing.size(); ++i) {
       if (!from_peers[i].has_value()) {

@@ -132,47 +132,23 @@ class GearClient {
     return untracked_downloaded_;
   }
 
-  /// Optional cooperative source consulted on a cache miss BEFORE the Gear
-  /// Registry (paper §VI-B: P2P/cooperative caches are orthogonal
-  /// accelerators for Gear file distribution). The callback itself must
-  /// account its transfer costs (e.g. against a cluster-local link);
-  /// returning nullopt falls through to the next tier / the registry.
-  using PeerSource =
-      std::function<std::optional<Bytes>(const Fingerprint& fp,
-                                         std::uint64_t size)>;
-  /// Installs `source` as the only peer tier (clears any tier list; an
-  /// empty function clears cooperative fetching entirely).
-  void set_peer_source(PeerSource source) {
-    peer_tiers_.clear();
-    if (source) peer_tiers_.push_back(std::move(source));
-  }
-  /// Appends one tier to the cooperative lookup ladder. Tiers are consulted
-  /// in add order on every miss — a multi-site edge node adds its
-  /// site-local (LAN) source first and the cross-site (WAN) source second,
-  /// with the registry always last.
-  void add_peer_source(PeerSource source);
-
-  /// Batched cooperative source: one callback for a whole list of wanted
-  /// (fingerprint, expected size) pairs — a cluster peer group answers them
-  /// in one LAN burst instead of one probe per object. out[i] is the content
-  /// of wanted[i] or nullopt (miss: falls through to the next tier / the
-  /// registry). Chunk fingerprints are asked exactly like whole files —
-  /// peers serve both from the same shared cache. Consulted before the
-  /// registry by the batched paths (warm_batch, read_range chunk
-  /// gathering); the per-file PeerSource remains the on-demand fault path's
-  /// source.
-  using BatchPeerSource = std::function<std::vector<std::optional<Bytes>>(
+  /// Cooperative source consulted on a cache miss BEFORE the Gear Registry
+  /// (paper §VI-B: P2P/cooperative caches are orthogonal accelerators for
+  /// Gear file distribution). One callback answers a whole list of wanted
+  /// (fingerprint, expected size) pairs, so peers serve it in bursts: a
+  /// demand fault asks for a list of one, a bulk warm or backfill for its
+  /// whole miss list, a range read for its missing chunks. out[i] is the
+  /// content of wanted[i] or nullopt (miss: falls through to the next tier
+  /// / the registry). Chunk fingerprints are asked exactly like whole files
+  /// — peers serve both from the same shared cache. The callback itself
+  /// must account its transfer costs (e.g. against a site-local link).
+  using PeerSource = std::function<std::vector<std::optional<Bytes>>(
       const std::vector<std::pair<Fingerprint, std::uint64_t>>& wanted)>;
-  /// Installs `source` as the only batched peer tier (clears the tier
-  /// list; empty clears batched cooperative fetching).
-  void set_batch_peer_source(BatchPeerSource source) {
-    batch_peer_tiers_.clear();
-    if (source) batch_peer_tiers_.push_back(std::move(source));
-  }
-  /// Appends one batched tier; each tier only sees the slots every earlier
-  /// tier missed, so a site-local tier shields the WAN tier which shields
-  /// the registry.
-  void add_batch_peer_source(BatchPeerSource source);
+  /// Appends one tier to the cooperative lookup ladder. Tiers are consulted
+  /// in add order and each only sees the slots every earlier tier missed —
+  /// a multi-site edge node adds its site-local (LAN) source first and the
+  /// cross-site (WAN) source second, with the registry always last.
+  void add_peer_source(PeerSource source);
 
   /// Cooperative tiers a client may register (site-local + cross-site).
   static constexpr std::size_t kMaxPeerTiers = 4;
@@ -406,21 +382,14 @@ class GearClient {
   std::map<std::string, std::size_t> container_touched_;  // id -> inode count
   std::uint64_t untracked_downloaded_ = 0;  // bytes fetched via open_viewer
   std::uint64_t range_downloaded_ = 0;      // bytes fetched via read_range
-  /// Consults every peer tier in order for one object; returns the first
-  /// hit (recording a hit for that tier) or nullopt.
-  std::optional<Bytes> consult_peer_tiers(const Fingerprint& fp,
-                                          std::uint64_t size);
-  /// Consults every batched tier in order; each tier only sees the slots
-  /// all earlier tiers missed. out[i] corresponds to wanted[i].
-  std::vector<std::optional<Bytes>> consult_batch_peer_tiers(
+  /// Consults every peer tier in order; each tier only sees the slots all
+  /// earlier tiers missed, and each hit is recorded for its tier. out[i]
+  /// corresponds to wanted[i].
+  std::vector<std::optional<Bytes>> consult_peer_tiers(
       const std::vector<std::pair<Fingerprint, std::uint64_t>>& wanted);
   bool has_peer_source() const noexcept { return !peer_tiers_.empty(); }
-  bool has_batch_peer_source() const noexcept {
-    return !batch_peer_tiers_.empty();
-  }
 
-  std::vector<PeerSource> peer_tiers_;            // cooperative lookup ladder
-  std::vector<BatchPeerSource> batch_peer_tiers_; // batched ladder
+  std::vector<PeerSource> peer_tiers_;  // cooperative lookup ladder
   std::atomic<std::uint64_t> peer_hits_{0};
   /// Hits per tier (add order); atomic because read_range gather runs its
   /// peer consult outside state_mutex_.

@@ -7,7 +7,7 @@
 // presents the FileRegistryApi surface over N backend registry instances —
 // in-process GearRegistry shards or RemoteGearRegistry stubs — so every
 // existing caller (GearClient, push_gear_image, ConversionService,
-// p2p::Cluster) scales out without changing a deployed byte:
+// p2p::Topology) scales out without changing a deployed byte:
 //
 //  * Routing. Fingerprints map to shards through a consistent-hash ring
 //    (HashRing): `vnodes_per_shard` virtual points per shard over the

@@ -97,17 +97,9 @@ vfs::FileTree LocalRuntime::load_index_tree(
   return vfs::FileTree(store_.load_index(reference).tree());
 }
 
-Bytes LocalRuntime::materialize(const std::string& reference,
-                                const std::string& path, const Fingerprint& fp,
-                                std::uint64_t size) {
-  // Already hard-linked into the image directory by an earlier access?
-  if (StatusOr<Bytes> local = store_.read_materialized(reference, path);
-      local.ok()) {
-    return std::move(local).value();
-  }
-  // A true first touch: feed the persisted access profile (load, merge the
-  // new observation, save) so later prefetches of this series can schedule
-  // hot files first.
+void LocalRuntime::record_first_touches(const std::string& reference,
+                                        const std::vector<std::string>& paths) {
+  if (paths.empty()) return;
   ImageAccessProfile profile;
   if (StatusOr<std::string> text = store_.load_access_profile(reference);
       text.ok()) {
@@ -116,8 +108,22 @@ Bytes LocalRuntime::materialize(const std::string& reference,
       profile = std::move(parsed).value();
     }
   }
-  profile.record(path);
+  for (const std::string& path : paths) profile.record(path);
   store_.save_access_profile(reference, profile.serialize());
+}
+
+Bytes LocalRuntime::materialize(const std::string& reference,
+                                const std::string& path, const Fingerprint& fp,
+                                std::uint64_t size,
+                                std::vector<std::string>& first_touches) {
+  // Already hard-linked into the image directory by an earlier access?
+  if (StatusOr<Bytes> local = store_.read_materialized(reference, path);
+      local.ok()) {
+    return std::move(local).value();
+  }
+  // A true first touch: it feeds the persisted access profile, so later
+  // prefetches of this series can schedule hot files first.
+  first_touches.push_back(path);
 
   // Shared cache, then the registry.
   Bytes content;
@@ -200,19 +206,37 @@ std::pair<std::size_t, std::uint64_t> LocalRuntime::prefetch(
 
 StatusOr<Bytes> LocalRuntime::read(const std::string& container_id,
                                    std::string_view path) {
+  return std::move(
+      read(container_id, std::vector<std::string>{std::string(path)})[0]);
+}
+
+std::vector<StatusOr<Bytes>> LocalRuntime::read(
+    const std::string& container_id, const std::vector<std::string>& paths) {
   if (!store_.has_container(container_id)) {
-    return {ErrorCode::kNotFound, "no container: " + container_id};
+    return std::vector<StatusOr<Bytes>>(
+        paths.size(), {ErrorCode::kNotFound, "no container: " + container_id});
   }
   const std::string reference = store_.container_image(container_id);
   vfs::FileTree index = load_index_tree(reference);
   vfs::FileTree diff = store_.load_diff(container_id);
+  std::vector<std::string> first_touches;
   GearFileViewer viewer(
       index, diff,
-      [this, &reference](const std::string& union_path, const Fingerprint& fp,
-                         std::uint64_t size) {
-        return materialize(reference, union_path, fp, size);
+      [&](const std::string& union_path, const Fingerprint& fp,
+          std::uint64_t size) {
+        return materialize(reference, union_path, fp, size, first_touches);
       });
-  return viewer.read_file(path);
+  // The profile is loaded and saved once per call, also when a fetch throws.
+  std::vector<StatusOr<Bytes>> out;
+  out.reserve(paths.size());
+  try {
+    for (const std::string& path : paths) out.push_back(viewer.read_file(path));
+  } catch (...) {
+    record_first_touches(reference, first_touches);
+    throw;
+  }
+  record_first_touches(reference, first_touches);
+  return out;
 }
 
 StatusOr<std::string> LocalRuntime::read_symlink(

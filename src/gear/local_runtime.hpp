@@ -78,6 +78,11 @@ class LocalRuntime {
   StatusOr<Bytes> read(const std::string& container_id,
                        std::string_view path);
 
+  /// Reads several files through one union view of the container, so the
+  /// index and the diff load once: out[i] is paths[i]'s content or error.
+  std::vector<StatusOr<Bytes>> read(const std::string& container_id,
+                                    const std::vector<std::string>& paths);
+
   /// Resolves a symlink target from the union view.
   StatusOr<std::string> read_symlink(const std::string& container_id,
                                      std::string_view path);
@@ -128,9 +133,16 @@ class LocalRuntime {
 
   /// Materializer callback bound to (reference); fetches through
   /// FsStore-materialized -> cache -> registry, hard-linking on success.
-  /// `size` is the stub's raw size — the demand lane's admission charge.
+  /// `size` is the stub's raw size — the demand lane's admission charge. A
+  /// first touch (not yet materialized) appends `path` to `first_touches`.
   Bytes materialize(const std::string& reference, const std::string& path,
-                    const Fingerprint& fp, std::uint64_t size);
+                    const Fingerprint& fp, std::uint64_t size,
+                    std::vector<std::string>& first_touches);
+
+  /// Records `paths`' first touches in the image's persisted access
+  /// profile: one load, merge and save.
+  void record_first_touches(const std::string& reference,
+                            const std::vector<std::string>& paths);
 
   docker::DockerRegistry& index_registry_;
   FileRegistryApi& file_registry_;

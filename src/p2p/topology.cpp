@@ -6,6 +6,53 @@
 
 namespace gear::p2p {
 
+void PeerTracker::announce_all(const std::string& node_id,
+                               const std::vector<Fingerprint>& fps) {
+  std::lock_guard guard(mutex_);
+  for (const Fingerprint& fp : fps) holders_[fp].insert(node_id);
+}
+
+void PeerTracker::retract_node(const std::string& node_id) {
+  std::lock_guard guard(mutex_);
+  for (auto it = holders_.begin(); it != holders_.end();) {
+    it->second.erase(node_id);
+    if (it->second.empty()) {
+      it = holders_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+std::vector<std::vector<std::string>> PeerTracker::locate_ranked_many(
+    const std::vector<Fingerprint>& fps, const std::string& requester) const {
+  std::lock_guard guard(mutex_);
+  std::vector<std::vector<std::string>> out(fps.size());
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    auto it = holders_.find(fps[i]);
+    if (it == holders_.end()) continue;
+    for (const std::string& node : it->second) {
+      if (node != requester) out[i].push_back(node);
+    }
+  }
+  return out;
+}
+
+std::vector<Fingerprint> PeerTracker::announced() const {
+  std::lock_guard guard(mutex_);
+  std::vector<Fingerprint> out;
+  out.reserve(holders_.size());
+  for (const auto& [fp, nodes] : holders_) {
+    if (!nodes.empty()) out.push_back(fp);
+  }
+  return out;
+}
+
+std::size_t PeerTracker::announced_objects() const {
+  std::lock_guard guard(mutex_);
+  return holders_.size();
+}
+
 Topology::Topology(docker::DockerRegistry& index_registry,
                    FileRegistryApi& file_registry, const Params& params)
     : params_(params),
@@ -37,35 +84,14 @@ Topology::Topology(docker::DockerRegistry& index_registry,
       // over the LAN; tier 1 follows gossiped digests to another site over
       // the WAN; the registry (the client's own fall-through) stays last.
       Node* raw = node.get();
-      node->client->add_peer_source(
-          [this, raw](const Fingerprint& fp,
-                      std::uint64_t size) -> std::optional<Bytes> {
-            (void)size;
-            return fetch_local(*raw, fp);
-          });
+      auto tier = [this, raw](bool cross_site) {
+        return [this, raw, cross_site](const auto& wanted) {
+          return fetch_from_peers(*raw, wanted, cross_site);
+        };
+      };
+      node->client->add_peer_source(tier(/*cross_site=*/false));
       if (params.cross_site_fetch && params.sites > 1) {
-        node->client->add_peer_source(
-            [this, raw](const Fingerprint& fp,
-                        std::uint64_t size) -> std::optional<Bytes> {
-              (void)size;
-              return fetch_cross_site(*raw, fp);
-            });
-      }
-      if (params.batch_peer_fetch) {
-        node->client->add_batch_peer_source(
-            [this,
-             raw](const std::vector<std::pair<Fingerprint, std::uint64_t>>&
-                      wanted) -> std::vector<std::optional<Bytes>> {
-              return fetch_local_batch(*raw, wanted);
-            });
-        if (params.cross_site_fetch && params.sites > 1) {
-          node->client->add_batch_peer_source(
-              [this,
-               raw](const std::vector<std::pair<Fingerprint, std::uint64_t>>&
-                        wanted) -> std::vector<std::optional<Bytes>> {
-                return fetch_cross_site_batch(*raw, wanted);
-              });
-        }
+        node->client->add_peer_source(tier(/*cross_site=*/true));
       }
       site->nodes.push_back(std::move(node));
     }
@@ -143,23 +169,6 @@ std::vector<std::size_t> Topology::advertised_sites(
   return {it->second.begin(), it->second.end()};
 }
 
-std::optional<Bytes> Topology::fetch_local(Node& self, const Fingerprint& fp) {
-  for (const std::string& holder_id :
-       sites_[self.site]->tracker.locate_ranked(fp, self.id)) {
-    Node* peer = find_serving(self.site, holder_id);
-    if (peer == nullptr) continue;  // holder left/crashed: next holder
-    StatusOr<Bytes> content = read_peer_cache(*peer, fp);
-    if (!content.ok()) {
-      if (content.code() == ErrorCode::kNotFound) continue;  // stale advert
-      throw_error(content.code(), content.message());
-    }
-    self.lan->request(content->size());
-    lan_bytes_.fetch_add(content->size(), std::memory_order_relaxed);
-    return unwrap(std::move(content), "local peer fetch of " + fp.hex());
-  }
-  return std::nullopt;
-}
-
 std::uint64_t Topology::wan_wire_cost(const Fingerprint& fp,
                                       std::uint64_t raw_size) const {
   // Transport-backed registries would pay a metadata round trip per query;
@@ -169,64 +178,69 @@ std::uint64_t Topology::wan_wire_cost(const Fingerprint& fp,
   return stored.ok() ? *stored : raw_size;
 }
 
-std::optional<Bytes> Topology::fetch_cross_site(Node& self,
-                                                const Fingerprint& fp) {
-  for (std::size_t remote : advertised_sites(self.site, fp)) {
-    // The digest names a *site*; ask that site's tracker for live holders.
-    for (const std::string& holder_id :
-         sites_[remote]->tracker.locate_ranked(fp, self.id)) {
-      Node* peer = find_serving(remote, holder_id);
-      if (peer == nullptr) continue;
-      StatusOr<Bytes> content = read_peer_cache(*peer, fp);
-      if (!content.ok()) {
-        if (content.code() == ErrorCode::kNotFound) continue;
-        throw_error(content.code(), content.message());
-      }
-      std::uint64_t wire = wan_wire_cost(fp, content->size());
-      self.wan->request(wire);
-      wan_peer_bytes_.fetch_add(wire, std::memory_order_relaxed);
-      return unwrap(std::move(content),
-                    "cross-site peer fetch of " + fp.hex());
+std::vector<std::optional<Bytes>> Topology::fetch_from_peers(
+    Node& self,
+    const std::vector<std::pair<Fingerprint, std::uint64_t>>& wanted,
+    bool cross_site) {
+  // Every slot's ranked (site, holder) candidates, one tracker query per
+  // site: the node's own site for tier 0, each advertised site in digest
+  // (site) order for tier 1.
+  using Candidate = std::pair<std::size_t, std::string>;
+  std::vector<std::vector<Candidate>> candidates(wanted.size());
+  std::map<std::size_t, std::vector<std::size_t>> slots_by_site;
+  for (std::size_t i = 0; i < wanted.size(); ++i) {
+    if (!cross_site) {
+      slots_by_site[self.site].push_back(i);
+      continue;
+    }
+    for (std::size_t remote : advertised_sites(self.site, wanted[i].first)) {
+      slots_by_site[remote].push_back(i);
     }
   }
-  return std::nullopt;  // stale digest everywhere: registry
-}
+  for (const auto& [site, slots] : slots_by_site) {
+    std::vector<Fingerprint> fps;
+    fps.reserve(slots.size());
+    for (std::size_t slot : slots) fps.push_back(wanted[slot].first);
+    std::vector<std::vector<std::string>> ranked =
+        sites_[site]->tracker.locate_ranked_many(fps, self.id);
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      for (std::string& holder : ranked[k]) {
+        candidates[slots[k]].emplace_back(site, std::move(holder));
+      }
+    }
+  }
 
-std::vector<std::optional<Bytes>> Topology::fetch_local_batch(
-    Node& self,
-    const std::vector<std::pair<Fingerprint, std::uint64_t>>& wanted) {
+  // Attempt rounds: each unserved slot targets its next candidate, one
+  // pipelined burst per (site, holder) per round. Round 1 is the whole
+  // fan-out in the steady state; later rounds only fire when a holder left
+  // mid-storm or advertised stale content.
+  sim::NetworkLink& link = cross_site ? *self.wan : *self.lan;
+  std::atomic<std::uint64_t>& tier_bytes =
+      cross_site ? wan_peer_bytes_ : lan_bytes_;
+  std::atomic<std::uint64_t>& tier_bursts =
+      cross_site ? wan_peer_bursts_ : lan_bursts_;
   std::vector<std::optional<Bytes>> out(wanted.size());
-  std::vector<Fingerprint> fps(wanted.size());
-  for (std::size_t i = 0; i < wanted.size(); ++i) fps[i] = wanted[i].first;
-  std::vector<std::vector<std::string>> ranked =
-      sites_[self.site]->tracker.locate_ranked_many(fps, self.id);
-
-  // Attempt rounds: each unserved slot targets its next-ranked holder, one
-  // pipelined burst per holder per round. Round 1 is the whole fan-out in
-  // the steady state; later rounds only fire when a holder left mid-storm
-  // or advertised stale content (degrade to the next holder).
   std::vector<std::size_t> attempt(wanted.size(), 0);
   for (;;) {
-    std::map<std::string, std::vector<std::size_t>> by_holder;
+    std::map<Candidate, std::vector<std::size_t>> bursts;
     for (std::size_t i = 0; i < wanted.size(); ++i) {
-      if (out[i].has_value() || attempt[i] >= ranked[i].size()) continue;
-      by_holder[ranked[i][attempt[i]]].push_back(i);
+      if (out[i].has_value() || attempt[i] >= candidates[i].size()) continue;
+      bursts[candidates[i][attempt[i]]].push_back(i);
     }
-    if (by_holder.empty()) break;
-    for (const auto& [holder_id, slots] : by_holder) {
-      Node* peer = find_serving(self.site, holder_id);
+    if (bursts.empty()) break;
+    for (const auto& [holder, slots] : bursts) {
+      Node* peer = find_serving(holder.first, holder.second);
       std::uint64_t burst_bytes = 0;
       std::uint64_t served = 0;
       for (std::size_t slot : slots) {
+        const Fingerprint& fp = wanted[slot].first;
         if (peer != nullptr) {
-          StatusOr<Bytes> content =
-              read_peer_cache(*peer, wanted[slot].first);
+          StatusOr<Bytes> content = read_peer_cache(*peer, fp);
           if (content.ok()) {
-            burst_bytes += content->size();
+            burst_bytes += cross_site ? wan_wire_cost(fp, content->size())
+                                      : content->size();
             ++served;
-            out[slot] = unwrap(
-                std::move(content),
-                "local peer burst of " + wanted[slot].first.hex());
+            out[slot] = unwrap(std::move(content), "peer burst of " + fp.hex());
             continue;
           }
           if (content.code() != ErrorCode::kNotFound) {
@@ -236,77 +250,9 @@ std::vector<std::optional<Bytes>> Topology::fetch_local_batch(
         ++attempt[slot];  // holder down or stale: try the next one
       }
       if (served > 0) {
-        self.lan->pipelined(burst_bytes, served);
-        lan_bytes_.fetch_add(burst_bytes, std::memory_order_relaxed);
-        lan_bursts_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<std::optional<Bytes>> Topology::fetch_cross_site_batch(
-    Node& self,
-    const std::vector<std::pair<Fingerprint, std::uint64_t>>& wanted) {
-  std::vector<std::optional<Bytes>> out(wanted.size());
-  // Group slots by the first advertising site, then burst per live holder
-  // inside that site; a slot whose site turns out stale retries the next
-  // advertised site in a later round.
-  std::vector<std::vector<std::size_t>> candidate_sites(wanted.size());
-  for (std::size_t i = 0; i < wanted.size(); ++i) {
-    candidate_sites[i] = advertised_sites(self.site, wanted[i].first);
-  }
-  std::vector<std::size_t> attempt(wanted.size(), 0);
-  for (;;) {
-    std::map<std::size_t, std::vector<std::size_t>> by_site;
-    for (std::size_t i = 0; i < wanted.size(); ++i) {
-      if (out[i].has_value() || attempt[i] >= candidate_sites[i].size()) {
-        continue;
-      }
-      by_site[candidate_sites[i][attempt[i]]].push_back(i);
-    }
-    if (by_site.empty()) break;
-    for (const auto& [remote, slots] : by_site) {
-      std::vector<Fingerprint> fps;
-      fps.reserve(slots.size());
-      for (std::size_t slot : slots) fps.push_back(wanted[slot].first);
-      std::vector<std::vector<std::string>> ranked =
-          sites_[remote]->tracker.locate_ranked_many(fps, self.id);
-      std::map<std::string, std::vector<std::size_t>> by_holder;
-      for (std::size_t k = 0; k < slots.size(); ++k) {
-        if (ranked[k].empty()) {
-          ++attempt[slots[k]];  // site digest was stale for this object
-          continue;
-        }
-        by_holder[ranked[k][0]].push_back(slots[k]);
-      }
-      for (const auto& [holder_id, holder_slots] : by_holder) {
-        Node* peer = find_serving(remote, holder_id);
-        std::uint64_t burst_bytes = 0;
-        std::uint64_t served = 0;
-        for (std::size_t slot : holder_slots) {
-          if (peer != nullptr) {
-            StatusOr<Bytes> content =
-                read_peer_cache(*peer, wanted[slot].first);
-            if (content.ok()) {
-              burst_bytes += wan_wire_cost(wanted[slot].first, content->size());
-              ++served;
-              out[slot] = unwrap(
-                  std::move(content),
-                  "cross-site peer burst of " + wanted[slot].first.hex());
-              continue;
-            }
-            if (content.code() != ErrorCode::kNotFound) {
-              throw_error(content.code(), content.message());
-            }
-          }
-          ++attempt[slot];  // holder down or stale: next advertised site
-        }
-        if (served > 0) {
-          self.wan->pipelined(burst_bytes, served);
-          wan_peer_bytes_.fetch_add(burst_bytes, std::memory_order_relaxed);
-          wan_peer_bursts_.fetch_add(1, std::memory_order_relaxed);
-        }
+        link.pipelined(burst_bytes, served);
+        tier_bytes.fetch_add(burst_bytes, std::memory_order_relaxed);
+        tier_bursts.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -421,8 +367,7 @@ std::uint64_t Topology::lan_peer_hits() const {
   for (const auto& site : sites_) {
     for (const auto& node : site->nodes) {
       std::vector<std::uint64_t> hits = node->client->peer_tier_hits();
-      // Tier 0 is the per-file LAN source; tier layout for batched sources
-      // mirrors it, so tier 0 counts every site-local hit.
+      // Tier 0 is the site-local source: it counts every LAN hit.
       total += hits.empty() ? 0 : hits[0];
     }
   }

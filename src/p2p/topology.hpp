@@ -1,19 +1,22 @@
-// Multi-site edge topology: hierarchical P2P Gear-file distribution.
+// Cooperative (P2P) Gear-file distribution over a multi-site edge topology.
 //
-// EdgePier (PAPERS.md) distributes container images peer-to-peer inside and
-// across edge sites, collapsing WAN egress to roughly one copy per site;
-// the paper (§VI-B) names P2P distribution orthogonal to Gear's format.
-// This module composes the two over the file/chunk-granular objects the
-// cluster module already trades:
+// The paper's related work (§VI-B) notes that cooperative caches and P2P
+// distribution — CoMICon, Wharf, Dragonfly, FID — are orthogonal to Gear
+// and "also help speed up the distribution of Gear files". EdgePier
+// (PAPERS.md) distributes container images peer-to-peer inside and across
+// edge sites, collapsing WAN egress to roughly one copy per site. This
+// module composes both with the file/chunk-granular objects Gear trades:
 //
 //   * a Topology is N sites, each with its own fast LAN, its own
-//     PeerTracker, and a shared slow WAN to the registry and other sites;
+//     PeerTracker, and a shared slow WAN to the registry and other sites
+//     (one site is the flat cluster: N nodes cold-starting the same image
+//     pull ~1/N of the registry egress each);
 //   * peer location is two-tier — site-local adverts are always preferred,
 //     cross-site (WAN) peers are used only when no local peer holds the
 //     object, and the registry is the last resort;
 //   * site trackers gossip advert digests, so a node learns which *sites*
 //     hold an object without a global tracker;
-//   * batched fan-out survives at both tiers: a miss list costs one
+//   * every miss list, a demand fault's list of one included, costs one
 //     pipelined burst per holding peer, LAN or WAN;
 //   * churn is first-class: nodes leave (tracker retraction), crash
 //     (stale adverts left behind — fetchers degrade to the next holder),
@@ -39,12 +42,40 @@
 #include "docker/registry.hpp"
 #include "gear/client.hpp"
 #include "gear/registry.hpp"
-#include "p2p/cluster.hpp"
 #include "sim/clock.hpp"
 #include "sim/disk.hpp"
 #include "sim/network.hpp"
 
 namespace gear::p2p {
+
+/// Who has which fingerprint. A plain in-memory tracker, as CoMICon's
+/// master or Dragonfly's supernode would keep. Internally locked: nodes on
+/// different threads may announce and locate concurrently.
+class PeerTracker {
+ public:
+  void announce_all(const std::string& node_id,
+                    const std::vector<Fingerprint>& fps);
+
+  /// Drops every announcement of a node (node left / crashed).
+  void retract_node(const std::string& node_id);
+
+  /// out[i] is every holder of fps[i] in tracker order (excluding
+  /// `requester`). One query answers a whole miss list; a fetcher walks
+  /// each list, so a holder that left or lost the object degrades to the
+  /// next holder instead of failing the pull.
+  std::vector<std::vector<std::string>> locate_ranked_many(
+      const std::vector<Fingerprint>& fps, const std::string& requester) const;
+
+  /// Digest of every advertised fingerprint — the gossip payload one site's
+  /// tracker shares with other sites in a multi-site topology.
+  std::vector<Fingerprint> announced() const;
+
+  std::size_t announced_objects() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<Fingerprint, std::set<std::string>> holders_;
+};
 
 class Topology {
  public:
@@ -58,8 +89,6 @@ class Topology {
     sim::LinkProfile lan_link = sim::lan_profile();
     double byte_scale = 1.0;  // corpus scale (scales both link speeds)
     docker::RuntimeParams runtime = {};
-    /// Batched peer fan-out at both tiers (off = per-object probes only).
-    bool batch_peer_fetch = true;
     /// Cross-site peer tier. Off = sites are P2P islands, every cold site
     /// node pulls from the registry — the no-cross-site baseline the edge
     /// bench compares against.
@@ -137,7 +166,8 @@ class Topology {
   }
   /// LAN bytes moved inside one site.
   std::uint64_t lan_bytes(std::size_t site) const;
-  /// Pipelined bursts issued by batched LAN peer fetches.
+  /// Pipelined bursts issued by LAN peer fetches (a fault is a burst of
+  /// one).
   std::uint64_t lan_bursts() const noexcept {
     return lan_bursts_.load(std::memory_order_relaxed);
   }
@@ -145,7 +175,7 @@ class Topology {
   std::uint64_t wan_peer_bytes() const noexcept {
     return wan_peer_bytes_.load(std::memory_order_relaxed);
   }
-  /// Pipelined bursts issued by batched cross-site peer fetches.
+  /// Pipelined bursts issued by cross-site peer fetches.
   std::uint64_t wan_peer_bursts() const noexcept {
     return wan_peer_bursts_.load(std::memory_order_relaxed);
   }
@@ -207,14 +237,18 @@ class Topology {
   std::vector<std::size_t> advertised_sites(std::size_t site,
                                             const Fingerprint& fp) const;
 
-  std::optional<Bytes> fetch_local(Node& self, const Fingerprint& fp);
-  std::optional<Bytes> fetch_cross_site(Node& self, const Fingerprint& fp);
-  std::vector<std::optional<Bytes>> fetch_local_batch(
+  /// One tier of `self`'s peer ladder for a miss list. Each slot walks its
+  /// ranked (site, holder) candidates: tier 0 (`cross_site` false) asks the
+  /// node's own site tracker; tier 1 asks each advertised site's tracker,
+  /// sites in digest order. Every attempt round sends one pipelined burst
+  /// per (site, holder), and a slot its holder could not serve (down, or
+  /// a stale advert) moves on to its next candidate. LAN bursts are charged
+  /// at raw size, WAN bursts at wan_wire_cost. out[i] is wanted[i]'s
+  /// content or nullopt (no live holder: the next tier / the registry).
+  std::vector<std::optional<Bytes>> fetch_from_peers(
       Node& self,
-      const std::vector<std::pair<Fingerprint, std::uint64_t>>& wanted);
-  std::vector<std::optional<Bytes>> fetch_cross_site_batch(
-      Node& self,
-      const std::vector<std::pair<Fingerprint, std::uint64_t>>& wanted);
+      const std::vector<std::pair<Fingerprint, std::uint64_t>>& wanted,
+      bool cross_site);
 
   Params params_;
   FileRegistryApi& file_registry_;

@@ -360,6 +360,17 @@ ESTORE="$WORK/estore"
 grep -q "cache pressure: capacity" "$WORK/ev.err"
 test "$("$GEARCTL" "$ESTORE" cat ev:v1 app/hello.txt)" = "hello from gearctl"
 
+# run faults its files in through the same governed runtime: its registry
+# downloads acquire admission, and both envelopes are reported.
+RUNSTORE="$WORK/runstore"
+"$GEARCTL" "$RUNSTORE" init
+"$GEARCTL" "$RUNSTORE" import "$SRC" gov:v1 > /dev/null
+"$GEARCTL" --host-budget-bytes 100000 --cache-capacity-bytes 60000 "$RUNSTORE" \
+  run gov:v1 app/blob.bin app/hello.txt > "$WORK/run.out" 2> "$WORK/run.err"
+grep -q "app/blob.bin: .*(registry, nlink=2" "$WORK/run.out"
+grep -q "admission: budget .*, [1-9][0-9]* admitted" "$WORK/run.err"
+grep -q "cache pressure: capacity" "$WORK/run.err"
+
 # Strict flag validation: missing, zero, and non-numeric byte counts and a
 # bogus eviction policy are usage errors (exit 2), not crashes.
 if "$GEARCTL" --host-budget-bytes 2>/dev/null; then exit 1

@@ -144,6 +144,55 @@ TEST_F(LocalRuntimeFixture, CommitProducesDeployableImage) {
   });
 }
 
+TEST_F(LocalRuntimeFixture, ManyPathsReadThroughOneView) {
+  LocalRuntime runtime(index_registry, file_registry, root);
+  runtime.pull("app:v1");
+  std::string container = runtime.launch("app:v1");
+
+  std::vector<std::string> paths;
+  flat.walk([&](const std::string& path, const vfs::FileNode& node) {
+    if (node.is_regular()) paths.push_back(path);
+  });
+  ASSERT_GT(paths.size(), 1u);
+  paths.push_back("no/such/file");
+  std::vector<StatusOr<Bytes>> got = runtime.read(container, paths);
+  ASSERT_EQ(got.size(), paths.size());
+  for (std::size_t i = 0; i + 1 < paths.size(); ++i) {
+    EXPECT_EQ(got[i].value(), flat.lookup(paths[i])->content()) << paths[i];
+  }
+  EXPECT_EQ(got.back().code(), ErrorCode::kNotFound);
+
+  runtime.destroy(container);
+  for (const StatusOr<Bytes>& r : runtime.read(container, paths)) {
+    EXPECT_EQ(r.code(), ErrorCode::kNotFound);
+  }
+}
+
+TEST_F(LocalRuntimeFixture, FirstTouchesFeedThePersistedProfile) {
+  LocalRuntime runtime(index_registry, file_registry, root);
+  runtime.pull("app:v1");
+  std::string container = runtime.launch("app:v1");
+  std::vector<std::string> paths;
+  flat.walk([&](const std::string& path, const vfs::FileNode& node) {
+    if (node.is_regular() && paths.size() < 3) paths.push_back(path);
+  });
+  ASSERT_EQ(paths.size(), 3u);
+
+  // Two first touches in one call, one in another, then a re-read of an
+  // already materialized file, which is no first touch.
+  runtime.read(container, std::vector<std::string>{paths[0], paths[1]});
+  ASSERT_TRUE(runtime.read(container, paths[2]).ok());
+  ASSERT_TRUE(runtime.read(container, paths[0]).ok());
+  ImageAccessProfile profile =
+      ImageAccessProfile::parse(
+          runtime.store().load_access_profile("app:v1").value())
+          .value();
+  EXPECT_EQ(profile.distinct_paths(), 3u);
+  for (const std::string& path : paths) {
+    EXPECT_EQ(profile.touches(path), 1u) << path;
+  }
+}
+
 TEST_F(LocalRuntimeFixture, DestroyKeepsImageLaunchable) {
   LocalRuntime runtime(index_registry, file_registry, root);
   runtime.pull("app:v1");

@@ -1,4 +1,5 @@
-// Tests for cooperative (P2P) Gear-file distribution.
+// Tests for cooperative (P2P) Gear-file distribution inside one site: a flat
+// cluster of nodes behind one tracker and one LAN.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -6,12 +7,24 @@
 
 #include "gear/chunking.hpp"
 #include "gear/converter.hpp"
-#include "p2p/cluster.hpp"
+#include "p2p/topology.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace gear::p2p {
 namespace {
+
+/// A one-site topology of `nodes` nodes on the flat-LAN experiments' links.
+Topology make_site(docker::DockerRegistry& index_registry,
+                   FileRegistryApi& file_registry, std::size_t nodes) {
+  Topology::Params params;
+  params.sites = 1;
+  params.nodes_per_site = nodes;
+  params.wan_link = {100.0, /*rtt_seconds=*/0.0005,
+                     /*request_overhead_seconds=*/0.0003};
+  params.lan_link = sim::lan_profile(1000.0);
+  return Topology(index_registry, file_registry, params);
+}
 
 struct ClusterFixture : ::testing::Test {
   docker::DockerRegistry index_registry;
@@ -31,38 +44,39 @@ struct ClusterFixture : ::testing::Test {
     ASSERT_FALSE(access.files.empty());
   }
 
-  Cluster make_cluster(std::size_t nodes) {
-    Cluster::Params params;
-    params.nodes = nodes;
-    return Cluster(index_registry, file_registry, params);
+  Topology make_cluster(std::size_t nodes) {
+    return make_site(index_registry, file_registry, nodes);
   }
 };
 
 TEST(PeerTracker, AnnounceLocateRetract) {
   PeerTracker tracker;
   Fingerprint fp = default_hasher().fingerprint(to_bytes("x"));
-  EXPECT_FALSE(tracker.locate(fp, "a").ok());
+  auto holders = [&](const std::string& requester) {
+    return tracker.locate_ranked_many({fp}, requester).at(0);
+  };
+  EXPECT_TRUE(holders("a").empty());
 
-  tracker.announce("a", fp);
-  EXPECT_FALSE(tracker.locate(fp, "a").ok());  // only the requester holds it
-  EXPECT_EQ(tracker.locate(fp, "b").value(), "a");
+  tracker.announce_all("a", {fp});
+  EXPECT_TRUE(holders("a").empty());  // only the requester holds it
+  EXPECT_EQ(holders("b"), std::vector<std::string>{"a"});
 
-  tracker.announce("b", fp);
-  EXPECT_EQ(tracker.locate(fp, "a").value(), "b");
+  tracker.announce_all("b", {fp});
+  EXPECT_EQ(holders("a"), std::vector<std::string>{"b"});
 
   tracker.retract_node("a");
   tracker.retract_node("b");
-  EXPECT_FALSE(tracker.locate(fp, "c").ok());
+  EXPECT_TRUE(holders("c").empty());
   EXPECT_EQ(tracker.announced_objects(), 0u);
 }
 
 TEST_F(ClusterFixture, SecondNodeFetchesFromPeer) {
-  Cluster cluster = make_cluster(3);
-  docker::DeployStats first = cluster.deploy(0, "svc:v1", access);
+  Topology cluster = make_cluster(3);
+  docker::DeployStats first = cluster.deploy(0, 0, "svc:v1", access);
   EXPECT_GT(first.run_bytes_downloaded, 0u);  // cold: WAN
   std::uint64_t wan_after_first = cluster.wan_bytes();
 
-  docker::DeployStats second = cluster.deploy(1, "svc:v1", access);
+  docker::DeployStats second = cluster.deploy(0, 1, "svc:v1", access);
   EXPECT_EQ(second.run_bytes_downloaded, 0u);  // all files came from node0
   EXPECT_GT(cluster.peer_hits(), 0u);
   EXPECT_GT(cluster.lan_bytes(), 0u);
@@ -71,12 +85,12 @@ TEST_F(ClusterFixture, SecondNodeFetchesFromPeer) {
 }
 
 TEST_F(ClusterFixture, PeerContentByteExact) {
-  Cluster cluster = make_cluster(2);
-  cluster.deploy(0, "svc:v1", access);
-  cluster.deploy(1, "svc:v1", access);
+  Topology cluster = make_cluster(2);
+  cluster.deploy(0, 0, "svc:v1", access);
+  cluster.deploy(0, 1, "svc:v1", access);
   vfs::FileTree flat = image.flatten();
-  std::string c = cluster.node(1).store().create_container("svc:v1");
-  GearFileViewer viewer = cluster.node(1).open_viewer(c);
+  std::string c = cluster.node(0, 1).store().create_container("svc:v1");
+  GearFileViewer viewer = cluster.node(0, 1).open_viewer(c);
   for (const auto& fa : access.files) {
     EXPECT_EQ(viewer.read_file(fa.path).value(),
               flat.lookup(fa.path)->content())
@@ -85,12 +99,12 @@ TEST_F(ClusterFixture, PeerContentByteExact) {
 }
 
 TEST_F(ClusterFixture, RetiredNodeFallsBackToRegistry) {
-  Cluster cluster = make_cluster(2);
-  cluster.deploy(0, "svc:v1", access);
-  cluster.retire_node(0);
+  Topology cluster = make_cluster(2);
+  cluster.deploy(0, 0, "svc:v1", access);
+  cluster.retire_node(0, 0);
 
   std::uint64_t lan_before = cluster.lan_bytes();
-  docker::DeployStats second = cluster.deploy(1, "svc:v1", access);
+  docker::DeployStats second = cluster.deploy(0, 1, "svc:v1", access);
   EXPECT_EQ(cluster.lan_bytes(), lan_before);   // no peer traffic
   EXPECT_GT(second.run_bytes_downloaded, 0u);   // WAN fallback
 }
@@ -110,9 +124,9 @@ TEST_F(ClusterFixture, ColdStartScalesRegistryEgressSublinearly) {
     }
   }
   // With cooperation: one WAN copy + N-1 LAN copies.
-  Cluster cluster = make_cluster(kNodes);
+  Topology cluster = make_cluster(kNodes);
   for (std::size_t i = 0; i < kNodes; ++i) {
-    cluster.deploy(i, "svc:v1", access);
+    cluster.deploy(0, i, "svc:v1", access);
   }
   EXPECT_LT(cluster.wan_bytes() * (kNodes / 2), solo_wan);
   EXPECT_GT(cluster.peer_hits(), 0u);
@@ -140,74 +154,53 @@ struct ChunkedClusterFixture : ::testing::Test {
                     ChunkPolicy{/*threshold_bytes=*/16 * 1024, kChunk});
   }
 
-  Cluster make_cluster(std::size_t nodes, bool batch) {
-    Cluster::Params params;
-    params.nodes = nodes;
-    params.batch_peer_fetch = batch;
-    return Cluster(index_registry, file_registry, params);
+  Topology make_cluster(std::size_t nodes) {
+    return make_site(index_registry, file_registry, nodes);
   }
 };
 
 TEST_F(ChunkedClusterFixture, RangeChunksFanOutFromPeerInOneBurst) {
-  Cluster cluster = make_cluster(2, /*batch=*/true);
+  Topology cluster = make_cluster(2);
   std::string c0;
-  cluster.deploy(0, "ai:v1", no_access, &c0);
-  ASSERT_EQ(
-      cluster.read_range(0, c0, "models/weights.bin", 0, model.size()).value(),
-      model);
+  cluster.deploy(0, 0, "ai:v1", no_access, &c0);
+  ASSERT_EQ(cluster.read_range(0, 0, c0, "models/weights.bin", 0, model.size())
+                .value(),
+            model);
 
   // Node0's chunk objects are announced; node1's identical read pulls every
   // chunk from node0's cache as ONE pipelined LAN burst, and the WAN moves
   // only the manifest.
   std::string c1;
-  cluster.deploy(1, "ai:v1", no_access, &c1);
+  cluster.deploy(0, 1, "ai:v1", no_access, &c1);
   std::uint64_t hits_before = cluster.peer_hits();
   std::uint64_t bursts_before = cluster.lan_bursts();
   std::uint64_t wan_before = cluster.wan_bytes();
-  EXPECT_EQ(
-      cluster.read_range(1, c1, "models/weights.bin", 0, model.size()).value(),
-      model);
+  EXPECT_EQ(cluster.read_range(0, 1, c1, "models/weights.bin", 0, model.size())
+                .value(),
+            model);
   EXPECT_EQ(cluster.peer_hits() - hits_before, 24u);
   EXPECT_EQ(cluster.lan_bursts() - bursts_before, 1u);
   EXPECT_LT(cluster.wan_bytes() - wan_before, kChunk);  // manifest only
 }
 
-TEST_F(ChunkedClusterFixture, LegacyModeReadsFromRegistryWithoutBursts) {
-  Cluster cluster = make_cluster(2, /*batch=*/false);
-  std::string c0;
-  cluster.deploy(0, "ai:v1", no_access, &c0);
-  ASSERT_EQ(
-      cluster.read_range(0, c0, "models/weights.bin", 0, model.size()).value(),
-      model);
-
-  std::string c1;
-  cluster.deploy(1, "ai:v1", no_access, &c1);
-  std::uint64_t wan_before = cluster.wan_bytes();
-  EXPECT_EQ(
-      cluster.read_range(1, c1, "models/weights.bin", 0, model.size()).value(),
-      model);
-  EXPECT_EQ(cluster.lan_bursts(), 0u);
-  EXPECT_GT(cluster.wan_bytes() - wan_before, kChunk);  // chunks over the WAN
-}
-
 TEST_F(ChunkedClusterFixture, StaleChunkAdvertsFallThroughToRegistry) {
-  Cluster cluster = make_cluster(2, /*batch=*/true);
+  Topology cluster = make_cluster(2);
   std::string c0;
-  cluster.deploy(0, "ai:v1", no_access, &c0);
-  ASSERT_EQ(
-      cluster.read_range(0, c0, "models/weights.bin", 0, model.size()).value(),
-      model);
+  cluster.deploy(0, 0, "ai:v1", no_access, &c0);
+  ASSERT_EQ(cluster.read_range(0, 0, c0, "models/weights.bin", 0, model.size())
+                .value(),
+            model);
   std::string c1;
-  cluster.deploy(1, "ai:v1", no_access, &c1);
-  cluster.retire_node(0);
+  cluster.deploy(0, 1, "ai:v1", no_access, &c1);
+  cluster.retire_node(0, 0);
 
   // The holder left: the batched probe finds nothing and every chunk falls
   // through to the registry. The read is still byte-exact.
   std::uint64_t bursts_before = cluster.lan_bursts();
   std::uint64_t wan_before = cluster.wan_bytes();
-  EXPECT_EQ(
-      cluster.read_range(1, c1, "models/weights.bin", 0, model.size()).value(),
-      model);
+  EXPECT_EQ(cluster.read_range(0, 1, c1, "models/weights.bin", 0, model.size())
+                .value(),
+            model);
   EXPECT_EQ(cluster.lan_bursts(), bursts_before);
   EXPECT_GT(cluster.wan_bytes() - wan_before, kChunk);
 }
@@ -230,11 +223,11 @@ TEST(ConcurrentPeerBatch, TrackerSurvivesParallelAnnounceLocateRetract) {
         tracker.announce_all(id, fps);
         // Between our announce and this locate, other threads only retract
         // their own ids — every slot must still name some holder.
-        std::vector<std::optional<std::string>> found =
-            tracker.locate_many(fps, "reader");
+        std::vector<std::vector<std::string>> found =
+            tracker.locate_ranked_many(fps, "reader");
         if (found.size() != fps.size()) ++errors;
-        for (const auto& holder : found) {
-          if (!holder.has_value()) ++errors;
+        for (const auto& holders : found) {
+          if (holders.empty()) ++errors;
         }
         tracker.retract_node(id);
       }
@@ -246,13 +239,11 @@ TEST(ConcurrentPeerBatch, TrackerSurvivesParallelAnnounceLocateRetract) {
 }
 
 TEST_F(ClusterFixture, ClusterValidation) {
-  Cluster::Params bad;
-  bad.nodes = 0;
-  EXPECT_THROW(Cluster(index_registry, file_registry, bad), Error);
-  Cluster cluster = make_cluster(1);
-  EXPECT_THROW(cluster.deploy(5, "svc:v1", access), Error);
-  EXPECT_THROW(cluster.retire_node(5), Error);
-  EXPECT_THROW(cluster.node(5), Error);
+  EXPECT_THROW(make_cluster(0), Error);
+  Topology cluster = make_cluster(1);
+  EXPECT_THROW(cluster.deploy(0, 5, "svc:v1", access), Error);
+  EXPECT_THROW(cluster.retire_node(0, 5), Error);
+  EXPECT_THROW(cluster.node(0, 5), Error);
 }
 
 }  // namespace

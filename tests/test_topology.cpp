@@ -158,6 +158,28 @@ TEST_F(TopologyFixture, BatchedPrefetchFansOutInBursts) {
   EXPECT_TRUE(complete);
 }
 
+TEST_F(TopologyFixture, PeerServedFaultIsALanBurstOfOne) {
+  Topology topo = make_topology(1, 2);
+  topo.deploy(0, 0, "svc:v1", access);
+
+  // The neighbor's access set is one file node 0 holds: its fault asks the
+  // ladder for a list of one and moves exactly that file in one LAN burst.
+  workload::AccessSet one;
+  for (const workload::FileAccess& fa : access.files) {
+    if (fa.size > 0) {
+      one.files.push_back(fa);
+      break;
+    }
+  }
+  ASSERT_EQ(one.files.size(), 1u);
+  std::uint64_t lan_before = topo.lan_bytes();
+  std::uint64_t bursts_before = topo.lan_bursts();
+  docker::DeployStats stats = topo.deploy(0, 1, "svc:v1", one);
+  EXPECT_EQ(stats.run_bytes_downloaded, 0u);
+  EXPECT_EQ(topo.lan_bytes() - lan_before, one.files[0].size);
+  EXPECT_EQ(topo.lan_bursts() - bursts_before, 1u);
+}
+
 // ------------------------------------------------------------- gossip
 
 TEST_F(TopologyFixture, LazyGossipServesCrossSiteOnlyAfterRound) {
@@ -222,6 +244,30 @@ TEST_F(TopologyFixture, CrashDegradesToNextRankedHolder) {
   EXPECT_EQ(third.run_bytes_downloaded, 0u);
   // WAN grew only by node 2's own index pull, not by content.
   EXPECT_EQ(topo.wan_bytes() - wan_before, third.pull.bytes_downloaded);
+}
+
+TEST_F(TopologyFixture, CrossSitePrefetchWalksPastCrashedHolder) {
+  Topology topo = make_topology(2, 2);
+  for (std::size_t n = 0; n < 2; ++n) {
+    topo.deploy(0, n, "svc:v1", access);
+    topo.prefetch(0, n, "svc:v1");
+  }
+  // Node 0 ranks first in site 0's tracker and its adverts stay after the
+  // crash; site 1's prefetch must walk past it to node 1 inside site 0,
+  // not fall through to the registry or to one request per file.
+  topo.crash_node(0, 0);
+  topo.deploy(1, 0, "svc:v1", access);
+  std::uint64_t bursts_before = topo.wan_peer_bursts();
+  std::uint64_t hits_before = topo.wan_peer_hits();
+  std::uint64_t wan_before = topo.wan_bytes();
+  std::uint64_t peer_bytes_before = topo.wan_peer_bytes();
+  topo.prefetch(1, 0, "svc:v1");
+  EXPECT_EQ(topo.wan_peer_bursts() - bursts_before, 1u);
+  EXPECT_GT(topo.wan_peer_hits(), hits_before);
+  // Every WAN byte of the prefetch is the peer burst: no registry content.
+  EXPECT_EQ(topo.wan_bytes() - wan_before,
+            topo.wan_peer_bytes() - peer_bytes_before);
+  expect_byte_exact(topo, 1, 0);
 }
 
 TEST_F(TopologyFixture, CrashedSoleHolderFallsThroughToRegistry) {
@@ -295,6 +341,41 @@ TEST_F(ChunkedTopologyFixture, CrossSiteChunksFanOutInOneWanBurst) {
   EXPECT_EQ(topo.wan_peer_bursts(), 1u);
   EXPECT_EQ(topo.lan_bursts(), 0u);
   EXPECT_EQ(topo.lan_bytes(), 0u);
+}
+
+TEST_F(ChunkedTopologyFixture, CrossSiteRangeReadWalksPastCrashedHolder) {
+  Topology::Params p;
+  p.sites = 2;
+  p.nodes_per_site = 2;
+  Topology topo(index_registry, file_registry, p);
+
+  // Both site-0 nodes hold every chunk; then s0.n0, first in its tracker's
+  // ranking, crashes with its adverts left behind.
+  for (std::size_t n = 0; n < 2; ++n) {
+    std::string c;
+    topo.deploy(0, n, "ai:v1", no_access, &c);
+    ASSERT_EQ(topo.read_range(0, n, c, "models/weights.bin", 0, model.size())
+                  .value(),
+              model);
+  }
+  topo.crash_node(0, 0);
+
+  // s1.n0's read walks past the crashed holder to s0.n1: all 24 chunks in
+  // one WAN burst, and besides the manifest nothing from the registry.
+  std::string c1;
+  topo.deploy(1, 0, "ai:v1", no_access, &c1);
+  std::uint64_t hits_before = topo.peer_hits();
+  std::uint64_t bursts_before = topo.wan_peer_bursts();
+  std::uint64_t wan_before = topo.wan_bytes();
+  std::uint64_t peer_bytes_before = topo.wan_peer_bytes();
+  ASSERT_EQ(
+      topo.read_range(1, 0, c1, "models/weights.bin", 0, model.size()).value(),
+      model);
+  EXPECT_EQ(topo.peer_hits() - hits_before, 24u);
+  EXPECT_EQ(topo.wan_peer_bursts() - bursts_before, 1u);
+  std::uint64_t registry_bytes = (topo.wan_bytes() - wan_before) -
+                                 (topo.wan_peer_bytes() - peer_bytes_before);
+  EXPECT_LT(registry_bytes, kChunk);  // the manifest only
 }
 
 // -------------------------------------------------------- validation
@@ -410,10 +491,6 @@ TEST(ConcurrentEdgeTracker, RetractRacesRankedLocates) {
           for (const std::string& h : holders) {
             if (h == self) ++errors;  // requester must be excluded
           }
-        }
-        std::vector<std::string> one = tracker.locate_ranked(fps[0], self);
-        for (const std::string& h : one) {
-          if (h == self) ++errors;
         }
       }
     });

@@ -468,53 +468,6 @@ int cmd_export(Store& store, const std::string& ref, const std::string& dir) {
   return 0;
 }
 
-int cmd_run(Store& store, const std::string& ref,
-            const std::vector<std::string>& paths) {
-  // Launch = the client-side deployment path on the real filesystem:
-  // install the index (level 2), create a container (level 3), then
-  // materialize each requested file — shared cache first, registry on a
-  // miss — and hard-link it into the image's files/ directory.
-  FsStore local(store.root / "local");
-  GearIndex index = load_index_of(store, ref);
-  if (!local.has_index(ref)) {
-    local.install_index(ref, index);
-  }
-  std::string container = local.create_container(ref);
-  std::printf("launched %s from %s\n", container.c_str(), ref.c_str());
-
-  for (const std::string& path : paths) {
-    const vfs::FileNode* node = index.tree().lookup(path);
-    if (node == nullptr) {
-      std::fprintf(stderr, "  %s: not in image\n", path.c_str());
-      continue;
-    }
-    if (node->is_symlink()) {
-      std::printf("  %s -> %s\n", path.c_str(), node->link_target().c_str());
-      continue;
-    }
-    if (!node->is_fingerprint()) {
-      std::printf("  %s: directory\n", path.c_str());
-      continue;
-    }
-    Fingerprint fp = node->fingerprint();
-    const std::string context = "run of " + path + " (" + fp.hex() + ")";
-    const char* source = "cache";
-    if (!local.cache_contains(fp)) {
-      local.cache_put(fp, unwrap(store.files().download(fp), context));
-      source = "registry";
-    }
-    local.link_file(ref, path, fp);
-    Bytes content = unwrap(local.read_materialized(ref, path), context);
-    std::printf("  %s: %s (%s, nlink=%llu, %s)\n", path.c_str(),
-                format_size(content.size()).c_str(), source,
-                static_cast<unsigned long long>(local.link_count(fp)),
-                fp.hex().substr(0, 12).c_str());
-  }
-  std::printf("local cache: %zu files, %s\n", local.cache_entries(),
-              format_size(local.cache_bytes()).c_str());
-  return 0;
-}
-
 /// Builds the container runtime with this invocation's governance applied:
 /// --cache-capacity-bytes/--eviction bound the on-disk cache,
 /// --host-budget-bytes meters every download through the shared admission
@@ -553,6 +506,65 @@ void report_governance(const FsStore& fs) {
                  static_cast<unsigned long long>(c.evictions),
                  static_cast<unsigned long long>(c.rejected));
   }
+}
+
+int cmd_run(Store& store, const std::string& ref,
+            const std::vector<std::string>& paths) {
+  // Launch = the client-side deployment path on the real filesystem:
+  // install the index (level 2), create a container (level 3), then read
+  // the requested files through it. The runtime materializes each stub from
+  // the shared cache, or from the registry on the host budget's demand
+  // lane, and hard-links it into the image's files/ directory.
+  LocalRuntime runtime = make_runtime(store);
+  runtime.pull(ref);
+  std::string container = runtime.launch(ref);
+  std::printf("launched %s from %s\n", container.c_str(), ref.c_str());
+
+  // The regular files are read in one pass, through one union view; where
+  // each comes from is decided first, in path order.
+  const FsStore& local = runtime.store();
+  GearIndex index = local.load_index(ref);
+  std::vector<std::string> files;
+  std::vector<const char*> sources;
+  std::unordered_set<Fingerprint, FingerprintHash> fetched;
+  for (const std::string& path : paths) {
+    const vfs::FileNode* node = index.tree().lookup(path);
+    if (node == nullptr || !node->is_fingerprint()) continue;
+    files.push_back(path);
+    bool cached = local.cache_contains(node->fingerprint()) ||
+                  !fetched.insert(node->fingerprint()).second;
+    sources.push_back(cached ? "cache" : "registry");
+  }
+  std::vector<StatusOr<Bytes>> contents = runtime.read(container, files);
+
+  std::size_t next = 0;
+  for (const std::string& path : paths) {
+    const vfs::FileNode* node = index.tree().lookup(path);
+    if (node == nullptr) {
+      std::fprintf(stderr, "  %s: not in image\n", path.c_str());
+      continue;
+    }
+    if (node->is_symlink()) {
+      std::printf("  %s -> %s\n", path.c_str(), node->link_target().c_str());
+      continue;
+    }
+    if (!node->is_fingerprint()) {
+      std::printf("  %s: directory\n", path.c_str());
+      continue;
+    }
+    const Fingerprint& fp = node->fingerprint();
+    Bytes content = unwrap(std::move(contents[next]),
+                           "run of " + path + " (" + fp.hex() + ")");
+    std::printf("  %s: %s (%s, nlink=%llu, %s)\n", path.c_str(),
+                format_size(content.size()).c_str(), sources[next],
+                static_cast<unsigned long long>(local.link_count(fp)),
+                fp.hex().substr(0, 12).c_str());
+    ++next;
+  }
+  std::printf("local cache: %zu files, %s\n", local.cache_entries(),
+              format_size(local.cache_bytes()).c_str());
+  report_governance(local);
+  return 0;
 }
 
 int cmd_launch(Store& store, const std::string& ref, bool lazy) {
