@@ -1,12 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the primitives every experiment
 // rests on: hashing, compression, tar, tree diff/union, index round-trips.
+// The index-layer decode is timed against the old composition, which lives
+// with the tests as their oracle (tests/reference_index.hpp).
 #include <benchmark/benchmark.h>
 
 #include "compress/codec.hpp"
 #include "docker/layer.hpp"
 #include "docker/overlay.hpp"
 #include "gear/index.hpp"
+#include "reference_index.hpp"
 #include "tar/tar.hpp"
+#include "test_helpers.hpp"
 #include "util/md5.hpp"
 #include "util/rng.hpp"
 #include "util/sha256.hpp"
@@ -140,6 +144,7 @@ void BM_IndexSerializeParse(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexSerializeParse)->Arg(128)->Arg(1024);
 
+// Index -> wire tree -> index layer (tar, compress, digest) -> index.
 void BM_IndexWireRoundTrip(benchmark::State& state) {
   vfs::FileTree t = bench_tree(256);
   GearIndex index = GearIndex::from_root_fs(
@@ -147,11 +152,46 @@ void BM_IndexWireRoundTrip(benchmark::State& state) {
         return default_hasher().fingerprint(content);
       });
   for (auto _ : state) {
-    vfs::FileTree wire = index.to_wire_tree();
-    benchmark::DoNotOptimize(GearIndex::from_wire_tree(wire));
+    docker::Layer layer = docker::Layer::from_tree(index.to_wire_tree());
+    benchmark::DoNotOptimize(GearIndex::from_layer(layer));
   }
 }
 BENCHMARK(BM_IndexWireRoundTrip);
+
+// The index layer of a 5,000-file image: each stub is a 512 B header plus
+// its ~50 B content padded to 512 B, so the tar is ~16x its blob.
+const docker::Layer& index_layer_5000() {
+  static const docker::Layer layer = docker::Layer::from_tree(
+      GearIndex(gear::testing::stub_index_tree(5000, 21)).to_wire_tree());
+  return layer;
+}
+
+// Decoding that layer: range 0 is the reference composition (decompress,
+// extract the wire tree, rebuild it as the index tree), range 1 is
+// GearIndex::from_layer.
+void BM_IndexLayerDecode(benchmark::State& state) {
+  const docker::Layer& layer = index_layer_5000();
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      benchmark::DoNotOptimize(gear::testing::reference_index_tree(layer));
+    } else {
+      benchmark::DoNotOptimize(GearIndex::from_layer(layer));
+    }
+  }
+  state.SetLabel(state.range(0) == 0 ? "reference" : "from_layer");
+}
+BENCHMARK(BM_IndexLayerDecode)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// LZSS decode of that index tar: zero padding heavy in overlapping matches.
+void BM_LzssDecompressIndexTar(benchmark::State& state) {
+  const docker::Layer& layer = index_layer_5000();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(decompress(layer.blob()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(layer.uncompressed_size()));
+}
+BENCHMARK(BM_LzssDecompressIndexTar)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -220,11 +220,54 @@ void raise_table_base(std::uint32_t base) {
 
 }  // namespace lzss_testing
 
+namespace {
+
+// A flag byte and eight 3-byte match tokens: the most input one flag group
+// reads.
+constexpr std::size_t kGroupBytes = 1 + 8 * 3;
+// The wide copies below write up to this many bytes past a match's end.
+constexpr std::size_t kCopySlack = 16;
+
+// Writes the `len` bytes of a match at `dst`, read from `dist` bytes back
+// (1 <= dist, and dist bytes before `dst` are decoded). May also write up
+// to kCopySlack - 1 bytes past `dst + len`; the caller guarantees room, and
+// the tokens after this one overwrite them before anything reads them.
+void copy_match(std::uint8_t* dst, std::size_t dist, std::size_t len) {
+  const std::uint8_t* src = dst - dist;
+  std::uint8_t* const end = dst + len;
+  if (dist >= 16) {
+    // Each 16-byte step reads only bytes written before it.
+    do {
+      std::memcpy(dst, src, 16);
+      dst += 16;
+      src += 16;
+    } while (dst < end);
+    return;
+  }
+  if (dist == 1) {
+    std::memset(dst, *src, len);
+    return;
+  }
+  // A period of 2..15: copy the period once and double it until it spans
+  // 8 bytes. The bytes written so far repeat with that period, so copying
+  // from a multiple of it back yields the same run.
+  std::size_t period = dist;
+  while (period < 8) {
+    std::memcpy(dst, dst - period, period);
+    dst += period;
+    period *= 2;
+  }
+  while (dst < end) {
+    std::memcpy(dst, dst - period, 8);
+    dst += 8;
+  }
+}
+
+}  // namespace
+
 Bytes lzss_decompress(BytesView input, std::size_t decoded_size) {
-  // The densest stream is a flag byte and eight 3-byte match tokens: 25
-  // payload bytes decode to at most 8 * kMaxMatch bytes. A larger claim is
-  // corrupt, and is refused before the output buffer is allocated.
-  constexpr std::size_t kGroupBytes = 1 + 8 * 3;
+  // 25 payload bytes decode to at most 8 * kMaxMatch bytes. A larger claim
+  // is corrupt, and is refused before the output buffer is allocated.
   const std::uint64_t max_decoded =
       (static_cast<std::uint64_t>(input.size()) + kGroupBytes - 1) /
       kGroupBytes * (8 * kMaxMatch);
@@ -234,9 +277,39 @@ Bytes lzss_decompress(BytesView input, std::size_t decoded_size) {
   }
   Bytes out(decoded_size);
   std::uint8_t* dst = out.data();
+  const std::uint8_t* const in = input.data();
   std::size_t used = 0;
-
   std::size_t pos = 0;
+
+  // Whole flag groups, while the group's input and its largest output plus
+  // the copy slack both fit: no token can be truncated or overrun the
+  // output, so only the distance is checked (DESIGN §6o).
+  while (pos + kGroupBytes <= input.size() &&
+         used + 8 * kMaxMatch + kCopySlack <= decoded_size) {
+    const unsigned flags = in[pos++];
+    if (flags == 0) {
+      std::memcpy(dst + used, in + pos, 8);
+      used += 8;
+      pos += 8;
+      continue;
+    }
+    for (unsigned bit = 1; bit < 0x100; bit <<= 1) {
+      if (flags & bit) {
+        const std::size_t dist = in[pos] | (std::size_t{in[pos + 1]} << 8);
+        const std::size_t len = kMinMatch + in[pos + 2];
+        pos += 3;
+        if (dist == 0 || dist > used) {
+          throw_error(ErrorCode::kCorruptData, "lzss: bad match distance");
+        }
+        copy_match(dst + used, dist, len);
+        used += len;
+      } else {
+        dst[used++] = in[pos++];
+      }
+    }
+  }
+
+  // The tail, token by token with every check.
   while (used < decoded_size) {
     if (pos >= input.size()) {
       throw_error(ErrorCode::kCorruptData, "lzss: truncated stream");

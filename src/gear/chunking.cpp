@@ -23,8 +23,7 @@ std::pair<std::size_t, std::size_t> ChunkManifest::chunk_range(
 }
 
 Bytes ChunkManifest::serialize() const {
-  Bytes out;
-  out.insert(out.end(), kMagic, kMagic + 4);
+  Bytes out(std::begin(kMagic), std::end(kMagic));
   put_varint(out, file_size);
   put_varint(out, chunk_bytes);
   put_varint(out, chunks.size());

@@ -187,7 +187,7 @@ docker::PullStats GearClient::pull(const std::string& reference) {
   disk_.write(blob.size());
 
   docker::Layer layer = docker::Layer::from_blob(std::move(blob), desc.digest);
-  GearIndex index = GearIndex::from_wire_tree(layer.to_tree());
+  GearIndex index = GearIndex::from_layer(layer);
   disk_.write(layer.uncompressed_size());  // set up the level-2 index dir
   store_.add_index(reference, std::move(index));
 

@@ -74,7 +74,9 @@ CommitResult GearCommitter::commit(const vfs::FileTree& index_tree,
 
   // Package as a single-layer Docker image (same as the converter).
   docker::ImageConfig cfg = config;
-  cfg.labels[kGearIndexLabel] = "1";
+  // Assigned as a std::string: GCC 12 misreads a literal's assign here as
+  // an overlapping copy (-Wrestrict).
+  cfg.labels[kGearIndexLabel] = std::string("1");
   docker::ImageBuilder builder;
   builder.add_snapshot(new_index.to_wire_tree());
   result.image.index_image = builder.build(std::move(name), std::move(tag),

@@ -19,8 +19,9 @@ std::unordered_set<Fingerprint, FingerprintHash> GearRegistryGc::mark() const {
     if (manifest.layers.size() != 1) continue;
     StatusOr<Bytes> blob = index_registry_.get_blob(manifest.layers[0].digest);
     if (!blob.ok()) continue;  // dangling manifest: nothing to mark
-    docker::Layer layer = docker::Layer::from_blob(std::move(blob).value());
-    GearIndex index = GearIndex::from_wire_tree(layer.to_tree());
+    docker::Layer layer = docker::Layer::from_blob(std::move(blob).value(),
+                                                   manifest.layers[0].digest);
+    GearIndex index = GearIndex::from_layer(layer);
     for (const Fingerprint& fp : index.distinct_fingerprints()) {
       live.insert(fp);
       // A chunked file keeps its manifest AND every chunk alive.

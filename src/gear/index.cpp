@@ -1,7 +1,12 @@
 #include "gear/index.hpp"
 
 #include <charconv>
+#include <memory>
+#include <string_view>
+#include <unordered_map>
 
+#include "compress/codec.hpp"
+#include "tar/tar.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
 
@@ -10,20 +15,27 @@ namespace {
 
 constexpr std::string_view kStubPrefix = "GEARFP1:";
 
-void check_index_tree(const vfs::FileTree& tree) {
-  tree.walk([](const std::string& path, const vfs::FileNode& node) {
+void check_index_tree(const vfs::FileTree& tree, ErrorCode code) {
+  tree.walk([code](const std::string& path, const vfs::FileNode& node) {
     if (node.is_regular() || node.is_whiteout()) {
-      throw_error(ErrorCode::kInvalidArgument,
+      throw_error(code,
                   "gear index may not contain regular files or whiteouts: " +
                       path);
     }
   });
 }
 
+struct PathHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view path) const noexcept {
+    return std::hash<std::string_view>{}(path);
+  }
+};
+
 }  // namespace
 
 GearIndex::GearIndex(vfs::FileTree tree) : tree_(std::move(tree)) {
-  check_index_tree(tree_);
+  check_index_tree(tree_, ErrorCode::kInvalidArgument);
 }
 
 GearIndex GearIndex::from_root_fs(
@@ -141,32 +153,101 @@ vfs::FileTree GearIndex::to_wire_tree() const {
   return wire;
 }
 
-GearIndex GearIndex::from_wire_tree(const vfs::FileTree& wire) {
+GearIndex GearIndex::from_layer(const docker::Layer& layer) {
+  const Bytes archive = decompress(layer.blob());
   vfs::FileTree out;
-  out.root().metadata() = wire.root().metadata();
-  wire.walk([&](const std::string& path, const vfs::FileNode& node) {
-    switch (node.type()) {
-      case vfs::NodeType::kDirectory:
-        out.add_directory(path, node.metadata());
-        break;
-      case vfs::NodeType::kSymlink:
-        out.add_symlink(path, node.link_target(), node.metadata());
-        break;
-      case vfs::NodeType::kRegular: {
+  // The directories this decoder added, keyed by their path as the archive
+  // spells it ("" is the root). A stub whose parent path is here and whose
+  // name is a plain segment is added to that directory directly; every
+  // other entry goes through the generic FileTree::add_*. Replacing a node
+  // frees a directory with its subtree, so a replacement that may have
+  // freed one clears the map (DESIGN §6o).
+  std::unordered_map<std::string, vfs::FileNode*, PathHash, std::equal_to<>>
+      dirs;
+  auto reset_dirs = [&] {
+    dirs.clear();
+    dirs.emplace("", &out.root());
+  };
+  reset_dirs();
+  // A generic add of a non-directory replaces whatever is at `path`.
+  auto before_generic_add = [&](std::string_view path) {
+    if (dirs.size() == 1) return;  // the root cannot be replaced
+    const vfs::FileNode* existing = out.lookup(path);
+    if (existing != nullptr && existing->is_directory()) reset_dirs();
+  };
+  // The mapped parent of `path`, or nullptr; sets `name` to its last
+  // segment. A mapped key names the directory that FileTree's path rules
+  // resolve it to, so `name` in it is where the generic add would put it
+  // whenever `name` is a segment those rules keep as it is.
+  auto mapped_parent = [&](std::string_view path,
+                           std::string_view* name) -> vfs::FileNode* {
+    const std::size_t slash = path.rfind('/');
+    *name = slash == std::string_view::npos ? path : path.substr(slash + 1);
+    if (name->empty() || *name == "." || *name == "..") return nullptr;
+    auto it = dirs.find(slash == std::string_view::npos
+                            ? std::string_view()
+                            : path.substr(0, slash));
+    return it == dirs.end() ? nullptr : it->second;
+  };
+
+  // A regular file that is not a stub, or a whiteout, fails the index
+  // unless a later entry replaces it, as extracting the whole tree first
+  // would.
+  bool has_non_stub = false;
+  tar::EntryWalker walker(archive);
+  tar::Entry entry;
+  while (walker.next(entry)) {
+    std::string_view name;
+    switch (entry.type) {
+      case tar::EntryType::kFile: {
         Fingerprint fp;
         std::uint64_t size = 0;
-        if (!decode_stub(node.content(), &fp, &size)) {
-          throw_error(ErrorCode::kCorruptData,
-                      "index wire tree has a non-stub regular file: " + path);
+        if (!decode_stub(entry.content, &fp, &size)) {
+          before_generic_add(entry.path);
+          out.add_file(entry.path,
+                       Bytes(entry.content.begin(), entry.content.end()),
+                       entry.metadata);
+          has_non_stub = true;
+        } else if (vfs::FileNode* parent = mapped_parent(entry.path, &name)) {
+          auto node = std::make_unique<vfs::FileNode>(
+              vfs::NodeType::kFingerprint);
+          node->metadata() = entry.metadata;
+          node->set_fingerprint(fp, size);
+          const std::size_t children = parent->children().size();
+          parent->add_child(std::string(name), std::move(node));
+          if (parent->children().size() == children) reset_dirs();  // replaced
+        } else {
+          before_generic_add(entry.path);
+          out.add_fingerprint_stub(entry.path, fp, size, entry.metadata);
         }
-        out.add_fingerprint_stub(path, fp, size, node.metadata());
         break;
       }
-      default:
-        throw_error(ErrorCode::kCorruptData,
-                    "unexpected node in index wire tree: " + path);
+      case tar::EntryType::kSymlink:
+        before_generic_add(entry.path);
+        out.add_symlink(entry.path, std::string(entry.link_target),
+                        entry.metadata);
+        break;
+      case tar::EntryType::kDirectory:
+        dirs.insert_or_assign(std::string(entry.path),
+                              &out.add_directory(entry.path, entry.metadata));
+        break;
+      case tar::EntryType::kWhiteout:
+        before_generic_add(entry.path);
+        out.add_whiteout(entry.path);
+        has_non_stub = true;
+        break;
+      case tar::EntryType::kOpaque: {
+        // Checked as extraction checks it; the index keeps no opaque flag.
+        const vfs::FileNode* dir = out.lookup(entry.path);
+        if (dir == nullptr || !dir->is_directory()) {
+          throw_error(ErrorCode::kCorruptData,
+                      "index layer: opaque marker without directory");
+        }
+        break;
+      }
     }
-  });
+  }
+  if (has_non_stub) check_index_tree(out, ErrorCode::kCorruptData);
   GearIndex index;
   index.tree_ = std::move(out);
   return index;

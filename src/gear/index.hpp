@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "docker/image.hpp"
+#include "docker/layer.hpp"
 #include "util/fingerprint.hpp"
 #include "vfs/file_tree.hpp"
 
@@ -58,8 +59,13 @@ class GearIndex {
   /// "GEARFP1:..." content, suitable for tar/Layer/Docker-registry transport.
   vfs::FileTree to_wire_tree() const;
 
-  /// Parses the wire form back (inverse of to_wire_tree).
-  static GearIndex from_wire_tree(const vfs::FileTree& wire);
+  /// Decodes an index layer (inverse of Layer::from_tree(to_wire_tree())):
+  /// decompresses the blob and turns each stub file of the tar straight
+  /// into a fingerprint node, building no intermediate tree. Accepts exactly
+  /// the layers whose extracted tree holds only directories, symlinks and
+  /// stub files; throws Error otherwise. The layer's digest is not
+  /// re-checked: Layer::from_blob(blob, digest) does that.
+  static GearIndex from_layer(const docker::Layer& layer);
 
   /// Serialized stub-file content for one fingerprint (exposed for tests and
   /// for the viewer's stub detection).

@@ -81,7 +81,7 @@ void LocalRuntime::pull(const std::string& reference) {
   }
   docker::Layer layer = docker::Layer::from_blob(std::move(blob).value(),
                                                  manifest.layers[0].digest);
-  store_.install_index(reference, GearIndex::from_wire_tree(layer.to_tree()));
+  store_.install_index(reference, GearIndex::from_layer(layer));
 }
 
 bool LocalRuntime::has_image(const std::string& reference) const {

@@ -1,5 +1,6 @@
 #include "tar/tar.hpp"
 
+#include <cstddef>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -69,16 +70,11 @@ void set_path(Header& h, const std::string& path) {
   std::memcpy(h.name, path.data() + split + 1, path.size() - split - 1);
 }
 
-std::string get_path(const Header& h) {
-  auto field_str = [](const char* f, std::size_t n) {
-    std::size_t len = 0;
-    while (len < n && f[len] != '\0') ++len;
-    return std::string(f, len);
-  };
-  std::string name = field_str(h.name, sizeof(h.name));
-  std::string prefix = field_str(h.prefix, sizeof(h.prefix));
-  if (prefix.empty()) return name;
-  return prefix + "/" + name;
+// A NUL-terminated header field, or all of it when it has no NUL.
+std::string_view field_str(const char* field, std::size_t len) {
+  const void* nul = std::memchr(field, '\0', len);
+  return std::string_view(
+      field, nul == nullptr ? len : static_cast<const char*>(nul) - field);
 }
 
 void finalize_checksum(Header& h) {
@@ -93,15 +89,6 @@ void finalize_checksum(Header& h) {
   }
   h.chksum[6] = '\0';
   h.chksum[7] = ' ';
-}
-
-bool verify_checksum(const Header& h) {
-  Header copy = h;
-  std::memset(copy.chksum, ' ', sizeof(copy.chksum));
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&copy);
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; i < kBlockSize; ++i) sum += bytes[i];
-  return read_octal(h.chksum, sizeof(h.chksum)) == sum;
 }
 
 void emit_entry(Bytes& out, const std::string& path, char typeflag,
@@ -183,92 +170,140 @@ Bytes archive_tree(const vfs::FileTree& tree) {
   return out;
 }
 
-vfs::FileTree extract_tree(BytesView archive) {
+EntryWalker::EntryWalker(BytesView archive) : archive_(archive) {
   if (archive.size() % kBlockSize != 0) {
     throw_error(ErrorCode::kCorruptData, "tar: size not block-aligned");
   }
+}
+
+bool EntryWalker::next(Entry& entry) {
+  if (pos_ + kBlockSize > archive_.size()) return false;
+  const std::uint8_t* const block = archive_.data() + pos_;
+  pos_ += kBlockSize;
+  // Header fields are read in place, as characters at their offsets.
+  const char* const raw = reinterpret_cast<const char*>(block);
+  auto octal = [raw](std::size_t offset, std::size_t len) {
+    return read_octal(raw + offset, len);
+  };
+  auto text = [raw](std::size_t offset, std::size_t len) {
+    return field_str(raw + offset, len);
+  };
+
+  // The checksum is the byte sum with the checksum field read as spaces;
+  // an all-zero block, the end of the archive, is the one summing to 0.
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < kBlockSize; ++i) sum += block[i];
+  if (sum == 0) {
+    pos_ = archive_.size();
+    return false;
+  }
+  if (std::memcmp(raw + offsetof(Header, magic), "ustar", 5) != 0) {
+    throw_error(ErrorCode::kCorruptData, "tar: bad magic");
+  }
+  constexpr std::size_t kChksum = offsetof(Header, chksum);
+  constexpr std::size_t kChksumLen = sizeof(Header::chksum);
+  for (std::size_t i = 0; i < kChksumLen; ++i) sum -= block[kChksum + i];
+  sum += ' ' * kChksumLen;
+  if (octal(kChksum, kChksumLen) != sum) {
+    throw_error(ErrorCode::kCorruptData, "tar: header checksum mismatch");
+  }
+
+  const std::string_view prefix =
+      text(offsetof(Header, prefix), sizeof(Header::prefix));
+  path_.assign(prefix);
+  if (!prefix.empty()) path_ += '/';
+  path_ += text(offsetof(Header, name), sizeof(Header::name));
+  while (!path_.empty() && path_.back() == '/') path_.pop_back();
+  const std::uint64_t size =
+      octal(offsetof(Header, size), sizeof(Header::size));
+  entry.metadata.mode = static_cast<std::uint32_t>(
+      octal(offsetof(Header, mode), sizeof(Header::mode)));
+  entry.metadata.uid = static_cast<std::uint32_t>(
+      octal(offsetof(Header, uid), sizeof(Header::uid)));
+  entry.metadata.gid = static_cast<std::uint32_t>(
+      octal(offsetof(Header, gid), sizeof(Header::gid)));
+  entry.metadata.mtime = octal(offsetof(Header, mtime), sizeof(Header::mtime));
+
+  const char typeflag = raw[offsetof(Header, typeflag)];
+  entry.content = {};
+  entry.link_target = {};
+  if (typeflag == '0' || typeflag == '\0') {
+    if (pos_ + size > archive_.size()) {
+      throw_error(ErrorCode::kCorruptData, "tar: truncated file payload");
+    }
+    entry.content = archive_.subspan(pos_, size);
+    pos_ += (size + kBlockSize - 1) / kBlockSize * kBlockSize;
+  }
+
+  // Decode the whiteout / opaque conventions back into entry types; they
+  // apply whatever the typeflag.
+  const std::size_t slash = path_.rfind('/');
+  const std::size_t base = slash == std::string::npos ? 0 : slash + 1;
+  const std::string_view basename = std::string_view(path_).substr(base);
+  if (basename == kOpaqueMarker) {
+    entry.type = EntryType::kOpaque;
+    entry.path = std::string_view(path_).substr(0, slash);
+    return true;
+  }
+  if (basename.starts_with(kWhiteoutPrefix)) {
+    path_.erase(base, std::strlen(kWhiteoutPrefix));
+    entry.type = EntryType::kWhiteout;
+    entry.path = path_;
+    return true;
+  }
+
+  entry.path = path_;
+  switch (typeflag) {
+    case '0':
+    case '\0':
+      entry.type = EntryType::kFile;
+      break;
+    case '5':
+      entry.type = EntryType::kDirectory;
+      break;
+    case '2':
+      entry.type = EntryType::kSymlink;
+      entry.link_target =
+          text(offsetof(Header, linkname), sizeof(Header::linkname));
+      break;
+    default:
+      throw_error(ErrorCode::kUnsupported,
+                  std::string("tar: unsupported entry type '") + typeflag +
+                      "'");
+  }
+  return true;
+}
+
+vfs::FileTree extract_tree(BytesView archive) {
   vfs::FileTree tree;
-  std::size_t pos = 0;
-  while (pos + kBlockSize <= archive.size()) {
-    Header h;
-    std::memcpy(&h, archive.data() + pos, kBlockSize);
-    pos += kBlockSize;
-
-    // End-of-archive: an all-zero block.
-    bool all_zero = true;
-    const auto* raw = reinterpret_cast<const std::uint8_t*>(&h);
-    for (std::size_t i = 0; i < kBlockSize && all_zero; ++i) {
-      all_zero = raw[i] == 0;
-    }
-    if (all_zero) break;
-
-    if (std::memcmp(h.magic, "ustar", 5) != 0) {
-      throw_error(ErrorCode::kCorruptData, "tar: bad magic");
-    }
-    if (!verify_checksum(h)) {
-      throw_error(ErrorCode::kCorruptData, "tar: header checksum mismatch");
-    }
-
-    std::string path = get_path(h);
-    while (!path.empty() && path.back() == '/') path.pop_back();
-    std::uint64_t size = read_octal(h.size, sizeof(h.size));
-    vfs::Metadata meta;
-    meta.mode = static_cast<std::uint32_t>(read_octal(h.mode, sizeof(h.mode)));
-    meta.uid = static_cast<std::uint32_t>(read_octal(h.uid, sizeof(h.uid)));
-    meta.gid = static_cast<std::uint32_t>(read_octal(h.gid, sizeof(h.gid)));
-    meta.mtime = read_octal(h.mtime, sizeof(h.mtime));
-
-    Bytes content;
-    if (h.typeflag == '0' || h.typeflag == '\0') {
-      if (pos + size > archive.size()) {
-        throw_error(ErrorCode::kCorruptData, "tar: truncated file payload");
-      }
-      content.assign(archive.begin() + pos, archive.begin() + pos + size);
-      pos += (size + kBlockSize - 1) / kBlockSize * kBlockSize;
-    }
-
-    // Decode whiteout / opaque conventions back into node types.
-    std::size_t slash = path.rfind('/');
-    std::string basename =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-
-    if (basename == kOpaqueMarker) {
-      std::string dir = path.substr(0, slash);
-      vfs::FileNode* node = tree.lookup(dir);
-      if (node == nullptr || !node->is_directory()) {
-        throw_error(ErrorCode::kCorruptData,
-                    "tar: opaque marker without directory");
-      }
-      node->set_opaque(true);
-      continue;
-    }
-    if (basename.rfind(kWhiteoutPrefix, 0) == 0) {
-      std::string target_name = basename.substr(std::strlen(kWhiteoutPrefix));
-      std::string target = slash == std::string::npos
-                               ? target_name
-                               : path.substr(0, slash + 1) + target_name;
-      tree.add_whiteout(target);
-      continue;
-    }
-
-    switch (h.typeflag) {
-      case '0':
-      case '\0':
-        tree.add_file(path, std::move(content), meta);
+  EntryWalker walker(archive);
+  Entry entry;
+  while (walker.next(entry)) {
+    switch (entry.type) {
+      case EntryType::kFile:
+        tree.add_file(entry.path,
+                      Bytes(entry.content.begin(), entry.content.end()),
+                      entry.metadata);
         break;
-      case '5':
-        tree.add_directory(path, meta);
+      case EntryType::kDirectory:
+        tree.add_directory(entry.path, entry.metadata);
         break;
-      case '2': {
-        std::size_t len = 0;
-        while (len < sizeof(h.linkname) && h.linkname[len] != '\0') ++len;
-        tree.add_symlink(path, std::string(h.linkname, len), meta);
+      case EntryType::kSymlink:
+        tree.add_symlink(entry.path, std::string(entry.link_target),
+                         entry.metadata);
+        break;
+      case EntryType::kWhiteout:
+        tree.add_whiteout(entry.path);
+        break;
+      case EntryType::kOpaque: {
+        vfs::FileNode* node = tree.lookup(entry.path);
+        if (node == nullptr || !node->is_directory()) {
+          throw_error(ErrorCode::kCorruptData,
+                      "tar: opaque marker without directory");
+        }
+        node->set_opaque(true);
         break;
       }
-      default:
-        throw_error(ErrorCode::kUnsupported,
-                    std::string("tar: unsupported entry type '") +
-                        h.typeflag + "'");
     }
   }
   return tree;

@@ -8,6 +8,9 @@
 //  * opaque directories carry a ".wh..wh..opq" marker entry inside them.
 #pragma once
 
+#include <string>
+#include <string_view>
+
 #include "util/bytes.hpp"
 #include "vfs/file_tree.hpp"
 
@@ -18,6 +21,47 @@ namespace gear::tar {
 /// (depth-first, name-ordered), so equal trees produce byte-equal archives —
 /// the property layer digests rely on.
 Bytes archive_tree(const vfs::FileTree& tree);
+
+/// What an archive entry adds to a layer tree, with the Docker naming
+/// conventions already decoded.
+enum class EntryType {
+  kFile,       // typeflag '0' or NUL
+  kDirectory,  // '5'
+  kSymlink,    // '2'
+  kWhiteout,   // ".wh.<name>": `path` is the deleted path
+  kOpaque,     // ".wh..wh..opq": `path` is the opaque directory
+};
+
+/// One decoded entry. The views point into the archive or into the walker
+/// and stay valid until the walker's next call.
+struct Entry {
+  EntryType type = EntryType::kFile;
+  /// Prefix and name joined by '/', trailing '/' removed. Segments are as
+  /// stored: "", "." and ".." reach the tree's path rules unchanged.
+  std::string_view path;
+  vfs::Metadata metadata;
+  BytesView content;             // kFile only
+  std::string_view link_target;  // kSymlink only
+};
+
+/// Walks a ustar archive entry by entry, without building a tree. It checks
+/// block alignment, magic, header checksum, octal fields and truncated
+/// payloads, and throws Error(kCorruptData) on the first violation, or
+/// Error(kUnsupported) on an entry type other than file, directory and
+/// symlink. The walk ends at the first all-zero block or at the end of the
+/// bytes.
+class EntryWalker {
+ public:
+  explicit EntryWalker(BytesView archive);
+
+  /// Decodes the next entry into `entry`; false at the end of the archive.
+  bool next(Entry& entry);
+
+ private:
+  BytesView archive_;
+  std::size_t pos_ = 0;
+  std::string path_;
+};
 
 /// Parses a ustar archive produced by archive_tree (or any compatible ustar
 /// stream limited to files/dirs/symlinks) back into a layer tree.

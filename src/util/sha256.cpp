@@ -2,7 +2,12 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "util/error.hpp"
+#include "util/sha256_testing.hpp"
 #include "util/hex.hpp"
 
 namespace gear {
@@ -41,17 +46,9 @@ void store_be32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v);
 }
 
-}  // namespace
-
-void Sha256::reset() {
-  state_ = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
-            0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
-  total_len_ = 0;
-  buffer_len_ = 0;
-  finished_ = false;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+// FIPS 180-4 §6.2.2 on one block, word by word. The only path on CPUs
+// without the SHA extensions, and the oracle for the one that uses them.
+void process_block(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) w[i] = load_be32(block + i * 4);
   for (int i = 16; i < 64; ++i) {
@@ -60,8 +57,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -80,14 +77,108 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+void portable_blocks(std::uint32_t* state, const std::uint8_t* blocks,
+                     std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) process_block(state, blocks + i * 64);
+}
+
+#if defined(__x86_64__)
+
+// The same compression on the SHA extensions (Intel's SHA-NI layout): the
+// state lives in two registers, ABEF and CDGH; each sha256rnds2 runs two
+// rounds, and sha256msg1/sha256msg2 extend the message schedule four words
+// at a time.
+__attribute__((target("sha,sse4.1"))) void native_blocks(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t count) {
+  // Byte-swaps each 32-bit word: the message is big-endian.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // the last 16 schedule words, four per register
+#pragma GCC unroll 16
+    for (int j = 0; j < 16; ++j) {
+      if (j < 4) {
+        w[j] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * j)),
+            kByteSwap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16].
+        const __m128i& w1 = w[(j + 3) & 3];  // words 4j-4 .. 4j-1
+        const __m128i& w2 = w[(j + 2) & 3];  // words 4j-8 .. 4j-5
+        __m128i next = _mm_sha256msg1_epu32(w[j & 3], w[(j + 1) & 3]);
+        next = _mm_add_epi32(next, _mm_alignr_epi8(w1, w2, 4));
+        w[j & 3] = _mm_sha256msg2_epu32(next, w1);
+      }
+      const __m128i k =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * j));
+      __m128i wk = _mm_add_epi32(w[j & 3], k);
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+
+#endif
+
+using BlockFunction = void (*)(std::uint32_t*, const std::uint8_t*,
+                               std::size_t);
+
+// The SHA-extension block function when this CPU has it, else nullptr.
+BlockFunction native_block_function() {
+#if defined(__x86_64__)
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  }();
+  if (supported) return native_blocks;
+#endif
+  return nullptr;
+}
+
+BlockFunction block_function() {
+  const BlockFunction native = native_block_function();
+  return native != nullptr ? native : portable_blocks;
+}
+
+}  // namespace
+
+Sha256::Sha256() : Sha256(block_function()) {}
+
+void Sha256::reset() {
+  state_ = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+            0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+  total_len_ = 0;
+  buffer_len_ = 0;
+  finished_ = false;
 }
 
 void Sha256::update(BytesView data) {
@@ -102,13 +193,14 @@ void Sha256::update(BytesView data) {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      blocks_(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t whole = (data.size() - offset) / 64;
+  if (whole > 0) {
+    blocks_(state_.data(), data.data() + offset, whole);
+    offset += whole * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -150,5 +242,32 @@ std::string Sha256::hex(BytesView data) {
   Sha256Digest d = hash(data);
   return hex_encode(BytesView(d.data(), d.size()));
 }
+
+namespace sha256_testing {
+
+struct Access {
+  static Sha256Digest hash(Sha256::BlockFunction blocks, BytesView data) {
+    Sha256 h(blocks);
+    h.update(data);
+    return h.finish();
+  }
+};
+
+bool native_available() { return native_block_function() != nullptr; }
+
+Sha256Digest portable_hash(BytesView data) {
+  return Access::hash(portable_blocks, data);
+}
+
+Sha256Digest native_hash(BytesView data) {
+  const BlockFunction native = native_block_function();
+  if (native == nullptr) {
+    throw_error(ErrorCode::kUnsupported,
+                "sha256: this CPU lacks the SHA extensions");
+  }
+  return Access::hash(native, data);
+}
+
+}  // namespace sha256_testing
 
 }  // namespace gear

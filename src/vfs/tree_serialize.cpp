@@ -130,8 +130,7 @@ std::unique_ptr<FileNode> decode_node(BytesView data, std::size_t& pos,
 }  // namespace
 
 Bytes serialize_tree(const FileTree& tree) {
-  Bytes out;
-  out.insert(out.end(), kMagic, kMagic + 4);
+  Bytes out(std::begin(kMagic), std::end(kMagic));
   encode_node(out, tree.root());
   return out;
 }

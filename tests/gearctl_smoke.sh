@@ -37,6 +37,9 @@ test "$("$GEARCTL" "$STORE" cat demo:v1 app/hello.txt)" = "hello from gearctl"
 # run twice: second hit must come from the local cache.
 "$GEARCTL" "$STORE" run demo:v1 app/blob.bin | grep -q "registry"
 "$GEARCTL" "$STORE" run demo:v1 app/blob.bin | grep -q "cache"
+# Each run removes the container it launched when it ends.
+test -d "$STORE/local/containers"
+test -z "$(ls -A "$STORE/local/containers")"
 
 "$GEARCTL" "$STORE" export demo:v1 "$OUT"
 diff -r "$SRC" "$OUT"

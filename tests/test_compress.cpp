@@ -9,6 +9,7 @@
 #include "compress/codec.hpp"
 #include "compress/lzss.hpp"
 #include "compress/lzss_testing.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
@@ -396,6 +397,226 @@ TEST(ConcurrentLzss, TwoThreadsMatchTheReference) {
   EXPECT_EQ(mismatches[1], 0u);
 }
 
+// ----------------------------------------------------- reference decoder
+
+// The decoder before its fast path, verbatim: one bounds check per token
+// and a byte loop for every overlapping match. lzss_decompress must return
+// the same bytes and throw exactly when this throws.
+Bytes reference_lzss_decompress(BytesView input, std::size_t decoded_size) {
+  constexpr std::size_t kMinMatch = 4;
+  constexpr std::size_t kMaxMatch = kMinMatch + 255;
+  // The densest stream is a flag byte and eight 3-byte match tokens: 25
+  // payload bytes decode to at most 8 * kMaxMatch bytes. A larger claim is
+  // corrupt, and is refused before the output buffer is allocated.
+  constexpr std::size_t kGroupBytes = 1 + 8 * 3;
+  const std::uint64_t max_decoded =
+      (static_cast<std::uint64_t>(input.size()) + kGroupBytes - 1) /
+      kGroupBytes * (8 * kMaxMatch);
+  if (decoded_size > max_decoded) {
+    throw_error(ErrorCode::kCorruptData,
+                "lzss: claimed size exceeds what the stream can encode");
+  }
+  Bytes out(decoded_size);
+  std::uint8_t* dst = out.data();
+  std::size_t used = 0;
+
+  std::size_t pos = 0;
+  while (used < decoded_size) {
+    if (pos >= input.size()) {
+      throw_error(ErrorCode::kCorruptData, "lzss: truncated stream");
+    }
+    std::uint8_t flags = input[pos++];
+    for (int bit = 0; bit < 8 && used < decoded_size; ++bit) {
+      if (flags & (1u << bit)) {
+        if (pos + 3 > input.size()) {
+          throw_error(ErrorCode::kCorruptData, "lzss: truncated match token");
+        }
+        std::size_t dist = input[pos] | (static_cast<std::size_t>(input[pos + 1]) << 8);
+        std::size_t len = kMinMatch + input[pos + 2];
+        pos += 3;
+        if (dist == 0 || dist > used) {
+          throw_error(ErrorCode::kCorruptData, "lzss: bad match distance");
+        }
+        if (used + len > decoded_size) {
+          throw_error(ErrorCode::kCorruptData, "lzss: match overruns output");
+        }
+        const std::uint8_t* src = dst + used - dist;
+        if (dist >= len) {
+          std::memcpy(dst + used, src, len);
+        } else {
+          // Overlapping match (dist < len): byte by byte replicates the run.
+          for (std::size_t i = 0; i < len; ++i) dst[used + i] = src[i];
+        }
+        used += len;
+      } else {
+        if (pos >= input.size()) {
+          throw_error(ErrorCode::kCorruptData, "lzss: truncated literal");
+        }
+        dst[used++] = input[pos++];
+      }
+    }
+  }
+  return out;
+}
+
+// Decodes `stream` with both decoders: the same bytes, or the same error.
+void expect_same_decode(BytesView stream, std::size_t claimed) {
+  std::optional<Bytes> want;
+  std::optional<ErrorCode> want_error;
+  try {
+    want = reference_lzss_decompress(stream, claimed);
+  } catch (const Error& e) {
+    want_error = e.code();
+  }
+  std::optional<Bytes> got;
+  std::optional<ErrorCode> got_error;
+  try {
+    got = lzss_decompress(stream, claimed);
+  } catch (const Error& e) {
+    got_error = e.code();
+  }
+  ASSERT_EQ(got_error, want_error) << stream.size() << " " << claimed;
+  if (want) {
+    ASSERT_EQ(*got, *want) << stream.size() << " " << claimed;
+  }
+}
+
+// Writes raw token streams, one token at a time.
+struct TokenWriter {
+  Bytes stream;
+  std::size_t decoded = 0;
+  std::size_t flag_pos = 0;
+  int tokens_in_group = 8;
+
+  void open_token(bool match) {
+    if (tokens_in_group == 8) {
+      flag_pos = stream.size();
+      stream.push_back(0);
+      tokens_in_group = 0;
+    }
+    if (match) {
+      stream[flag_pos] |= static_cast<std::uint8_t>(1u << tokens_in_group);
+    }
+    ++tokens_in_group;
+  }
+  void literal(std::uint8_t byte) {
+    open_token(false);
+    stream.push_back(byte);
+    ++decoded;
+  }
+  void literals(BytesView bytes) {
+    for (std::uint8_t b : bytes) literal(b);
+  }
+  void match(std::size_t dist, std::size_t len) {
+    open_token(true);
+    stream.push_back(static_cast<std::uint8_t>(dist));
+    stream.push_back(static_cast<std::uint8_t>(dist >> 8));
+    stream.push_back(static_cast<std::uint8_t>(len - 4));
+    decoded += len;
+  }
+  bool at_group_boundary() const { return tokens_in_group == 8; }
+};
+
+TEST(LzssDecoder, EveryShortDistanceAndLengthMatchesTheReference) {
+  // Each match is decoded at a group boundary and in mid-group with at
+  // least a full group of output after it (the fast path), and as the last
+  // token of the stream (the checked tail). The claims one byte short and
+  // one byte long must fail as the reference fails.
+  Rng rng(9990);
+  const Bytes prefix = rng.next_bytes(24, 0.0);  // three literal groups
+  const Bytes after = rng.next_bytes(2600, 0.5);
+  for (std::size_t dist = 1; dist <= 20; ++dist) {
+    for (std::size_t len : {4, 5, 15, 16, 17, 259}) {
+      for (std::size_t lead : {0, 3}) {  // literals before the match
+        TokenWriter body;
+        body.literals(prefix);
+        body.literals(BytesView(after).first(lead));
+        ASSERT_EQ(body.at_group_boundary(), lead == 0);
+        body.match(dist, len);
+        TokenWriter tail = body;
+        // A match reading the end of the first one: its bytes must be final.
+        body.match(len, std::min<std::size_t>(len, 259));
+        body.literals(after);
+        for (const TokenWriter* w : {&body, &tail}) {
+          expect_same_decode(w->stream, w->decoded);
+          expect_same_decode(w->stream, w->decoded - 1);
+          expect_same_decode(w->stream, w->decoded + 1);
+        }
+        // The same token sequence cut short by one byte.
+        Bytes cut = tail.stream;
+        cut.pop_back();
+        expect_same_decode(cut, tail.decoded);
+      }
+    }
+  }
+}
+
+TEST(LzssDecoder, BadDistancesInTheFastPathAreRejected) {
+  // A distance of 0, or one reaching before the start, fails on the fast
+  // path too, wherever it sits in its group.
+  Rng rng(9991);
+  const Bytes prefix = rng.next_bytes(40, 0.0);
+  for (std::size_t dist : {0, 41, 42, 65535}) {
+    for (std::size_t lead = 0; lead < 8; ++lead) {
+      TokenWriter w;
+      w.literals(BytesView(prefix).first(32 + lead));
+      w.match(dist, 100);
+      w.literals(rng.next_bytes(3000, 0.0));
+      try {
+        lzss_decompress(w.stream, w.decoded);
+        FAIL() << dist << " " << lead;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kCorruptData);
+      }
+      expect_same_decode(w.stream, w.decoded);
+    }
+  }
+}
+
+TEST(LzssDecoder, RandomInputsMatchTheReference) {
+  Rng sizes(9992);
+  std::vector<std::size_t> lengths = {0,    1,    3,    4,     7,     8,
+                                      9,    24,   25,   26,    100,   2087,
+                                      2088, 2089, 2104, 2105,  4096,  65536,
+                                      70000};
+  for (int i = 0; i < 24; ++i) lengths.push_back(sizes.next_range(0, 70000));
+  std::uint64_t seed = 9993;
+  for (std::size_t n : lengths) {
+    for (double compressibility : {0.0, 0.5, 0.9}) {
+      const Bytes input = Rng(++seed).next_bytes(n, compressibility);
+      const Bytes packed = lzss_compress(input);
+      ASSERT_EQ(lzss_decompress(packed, n), input) << n;
+      expect_same_decode(packed, n);
+    }
+  }
+  // Inputs heavy in overlapping matches: short periods and zero runs.
+  for (std::size_t period : {1, 2, 3, 5, 7, 9, 15, 16, 17}) {
+    Bytes input(30000);
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      input[i] = i % 1024 < 700 ? static_cast<std::uint8_t>(i % period)
+                                : static_cast<std::uint8_t>(i * 31);
+    }
+    const Bytes packed = lzss_compress(input);
+    ASSERT_EQ(lzss_decompress(packed, input.size()), input) << period;
+    expect_same_decode(packed, input.size());
+  }
+}
+
+TEST(LzssDecoder, CompressedFrameMutationsMatchTheReference) {
+  // The mutants of FuzzRobustness.CompressedFrame, decoded both ways.
+  Rng rng(1102);
+  gear::testing::fuzz_mutations(
+      1103, compress(rng.next_bytes(1500, 0.5)), 400, [](const Bytes& frame) {
+        if (frame.size() < 5 ||
+            compressed_frame_method(frame) != CompressionMethod::kLzss) {
+          return;
+        }
+        std::size_t pos = 5;
+        const std::uint64_t claimed = get_varint(frame, pos);
+        expect_same_decode(BytesView(frame).subspan(pos), claimed);
+      });
+}
+
 // ---------------------------------------------------------------- codec
 
 TEST(Codec, FrameRoundTrip) {
@@ -481,16 +702,17 @@ TEST(Codec, SizeClaimBeyondThePayloadIsCorruptData) {
   }
 }
 
-TEST(Codec, GoldenFramesPinTheEncoder) {
-  // compress() output for fixed inputs. Stored objects and wire frames are
-  // compared byte for byte, so a compressor change must keep these bytes.
-  struct Golden {
-    std::string input;
-    std::string frame_hex;
-  };
+// compress() output for fixed inputs. Stored objects and wire frames are
+// compared byte for byte, so a compressor change must keep these bytes.
+struct Golden {
+  std::string input;
+  std::string frame_hex;
+};
+
+std::vector<Golden> golden_frames() {
   std::string gear6;
   for (int i = 0; i < 6; ++i) gear6 += "gear:";
-  const Golden goldens[] = {
+  return {
       // Empty, and too short to shrink: both stored.
       {"", "475a43310000"},
       {"abc", "475a43310003616263"},
@@ -506,10 +728,25 @@ TEST(Codec, GoldenFramesPinTheEncoder) {
        "475a43310145007468652071756963006b2062726f776e2000666f78206a756d7080"
        "73206f766572201f0000006c617a7920646f67063b0e00012d000c6e617073"},
   };
-  for (const Golden& g : goldens) {
+}
+
+TEST(Codec, GoldenFramesPinTheEncoder) {
+  for (const Golden& g : golden_frames()) {
     const Bytes input = to_bytes(g.input);
     EXPECT_EQ(hex_encode(compress(input)), g.frame_hex) << g.input;
     EXPECT_EQ(decompress(hex_decode(g.frame_hex)), input) << g.input;
+  }
+}
+
+TEST(LzssDecoder, GoldenFramesMatchTheReference) {
+  for (const Golden& g : golden_frames()) {
+    const Bytes frame = hex_decode(g.frame_hex);
+    std::size_t pos = 5;
+    const std::uint64_t claimed = get_varint(frame, pos);
+    if (compressed_frame_method(frame) != CompressionMethod::kLzss) continue;
+    for (std::uint64_t claim : {claimed, claimed - 1, claimed + 1}) {
+      expect_same_decode(BytesView(frame).subspan(pos), claim);
+    }
   }
 }
 

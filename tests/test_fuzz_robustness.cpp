@@ -10,6 +10,7 @@
 #include "gear/chunking.hpp"
 #include "gear/index.hpp"
 #include "net/wire.hpp"
+#include "reference_index.hpp"
 #include "tar/tar.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -35,34 +36,7 @@ void fuzz_random(std::uint64_t seed, int iterations, Fn&& decode) {
   }
 }
 
-/// Mutates a valid encoding `valid` and decodes each mutant.
-template <typename Fn>
-void fuzz_mutations(std::uint64_t seed, const Bytes& valid, int iterations,
-                    Fn&& decode) {
-  Rng rng(seed);
-  for (int i = 0; i < iterations; ++i) {
-    Bytes mutant = valid;
-    int edits = static_cast<int>(rng.next_range(1, 8));
-    for (int k = 0; k < edits && !mutant.empty(); ++k) {
-      switch (rng.next_below(3)) {
-        case 0:  // flip
-          mutant[rng.next_below(mutant.size())] ^=
-              static_cast<std::uint8_t>(rng.next_range(1, 255));
-          break;
-        case 1:  // truncate
-          mutant.resize(rng.next_below(mutant.size() + 1));
-          break;
-        case 2:  // append garbage
-          append(mutant, rng.next_bytes(rng.next_range(1, 32)));
-          break;
-      }
-    }
-    try {
-      decode(mutant);
-    } catch (const Error&) {
-    }
-  }
-}
+using gear::testing::fuzz_mutations;
 
 TEST(FuzzRobustness, JsonParser) {
   auto decode = [](const Bytes& b) { (void)Json::parse(to_string(b)); };
@@ -136,6 +110,25 @@ TEST(FuzzRobustness, LayerFromBlob) {
   fuzz_random(1701, 200, decode);
   docker::Layer valid = docker::Layer::from_tree(gear::testing::sample_tree());
   fuzz_mutations(1702, valid.blob(), 300, decode);
+}
+
+TEST(FuzzRobustness, IndexLayerMutationsDecodeAsTheReferenceDoes) {
+  // Mutants of a real 5,000-stub index layer: GearIndex::from_layer accepts
+  // exactly those the reference composition accepts, with equal trees.
+  const GearIndex index(gear::testing::stub_index_tree(5000, 22));
+  const Bytes blob = docker::Layer::from_tree(index.to_wire_tree()).blob();
+  int accepted = 0;
+  int rejected = 0;
+  fuzz_mutations(1901, blob, 400, [&](const Bytes& b) {
+    const gear::testing::IndexDecodes d =
+        gear::testing::decode_index_both_ways(docker::Layer::from_blob(b));
+    EXPECT_EQ(d.accepted, d.reference_accepted);
+    EXPECT_TRUE(d.equal_trees);
+    ++(d.reference_accepted ? accepted : rejected);
+  });
+  // Both outcomes occur, so both sides of the contract are exercised.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(FuzzRobustness, ManifestJson) {

@@ -1,8 +1,11 @@
 // Unit tests for the Gear index: stub encoding, wire form, Docker transport.
 #include <gtest/gtest.h>
 
+#include "compress/codec.hpp"
+
 #include "docker/layer.hpp"
 #include "gear/index.hpp"
+#include "reference_index.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/md5.hpp"
@@ -116,8 +119,11 @@ TEST(GearIndexWire, RoundTrip) {
   wire.walk([](const std::string&, const vfs::FileNode& node) {
     EXPECT_TRUE(node.is_regular() || node.is_directory() || node.is_symlink());
   });
-  GearIndex back = GearIndex::from_wire_tree(wire);
+  docker::Layer layer = docker::Layer::from_tree(wire);
+  GearIndex back = GearIndex::from_layer(layer);
   EXPECT_TRUE(back.tree().equals(index.tree()));
+  EXPECT_TRUE(
+      gear::testing::reference_from_wire_tree(wire).equals(index.tree()));
 }
 
 TEST(GearIndexWire, SurvivesDockerLayerTransport) {
@@ -125,7 +131,7 @@ TEST(GearIndexWire, SurvivesDockerLayerTransport) {
   // Docker-compatible journey of §III-C.
   GearIndex index = index_of(gear::testing::sample_tree());
   docker::Layer layer = docker::Layer::from_tree(index.to_wire_tree());
-  GearIndex back = GearIndex::from_wire_tree(layer.to_tree());
+  GearIndex back = GearIndex::from_layer(layer);
   EXPECT_TRUE(back.tree().equals(index.tree()));
 }
 
@@ -140,7 +146,209 @@ TEST(GearIndexWire, WireIsSmallComparedToImage) {
 TEST(GearIndexWire, NonStubRegularFileRejected) {
   vfs::FileTree wire;
   wire.add_file("normal.txt", to_bytes("not a stub"));
-  EXPECT_THROW(GearIndex::from_wire_tree(wire), Error);
+  docker::Layer layer = docker::Layer::from_tree(wire);
+  EXPECT_THROW(GearIndex::from_layer(layer), Error);
+  EXPECT_THROW(gear::testing::reference_from_wire_tree(wire), Error);
+}
+
+// ------------------------------------------- from_layer vs the reference
+
+// One ustar entry written field by field, so a test can put any path,
+// type and order into an archive. `name` and `prefix` go in as given.
+Bytes raw_entry(std::string_view name, char type, std::string_view content = {},
+                std::string_view link = {}, std::string_view prefix = {},
+                std::uint32_t mode = 0644, std::uint64_t mtime = 7) {
+  Bytes block(512, 0);
+  auto put = [&block](std::size_t offset, std::string_view text) {
+    std::copy(text.begin(), text.end(), block.begin() + offset);
+  };
+  auto octal = [&put](std::size_t offset, std::size_t width,
+                      std::uint64_t value) {
+    std::string digits(width - 1, '0');
+    for (std::size_t i = width - 1; i-- > 0; value >>= 3) {
+      digits[i] = static_cast<char>('0' + (value & 7));
+    }
+    put(offset, digits);
+  };
+  put(0, name);
+  octal(100, 8, mode);
+  octal(108, 8, 0);
+  octal(116, 8, 0);
+  octal(124, 12, content.size());
+  octal(136, 12, mtime);
+  block[156] = static_cast<std::uint8_t>(type);
+  put(157, link);
+  put(257, std::string_view("ustar\0" "00", 8));
+  put(345, prefix);
+  put(148, "        ");
+  std::uint32_t sum = 0;
+  for (std::uint8_t b : block) sum += b;
+  octal(148, 7, sum);
+  Bytes out = block;
+  append(out, to_bytes(std::string(content)));
+  out.resize((out.size() + 511) / 512 * 512, 0);
+  return out;
+}
+
+std::string stub_of(int i) {
+  return GearIndex::encode_stub(
+      default_hasher().fingerprint(to_bytes(std::to_string(i))), 100 + i);
+}
+
+Bytes archive_of(std::initializer_list<Bytes> entries, bool trailer = true) {
+  Bytes out;
+  for (const Bytes& e : entries) append(out, e);
+  if (trailer) out.resize(out.size() + 1024, 0);
+  return out;
+}
+
+// Decodes the index layer of `archive` with from_layer and the reference
+// composition: both accept it and build equal trees, or both reject it.
+// Returns whether it was accepted.
+bool expect_same_index(const Bytes& archive) {
+  const gear::testing::IndexDecodes d = gear::testing::decode_index_both_ways(
+      docker::Layer::from_blob(compress(archive)));
+  EXPECT_EQ(d.accepted, d.reference_accepted);
+  EXPECT_TRUE(d.equal_trees);
+  return d.reference_accepted;
+}
+
+TEST(GearIndexLayer, CraftedArchivesDecodeAsTheReferenceDoes) {
+  const std::string long_dir =
+      std::string(90, 'p') + "/" + std::string(40, 'q');
+  struct Case {
+    const char* what;
+    Bytes archive;
+    bool accepted;
+  };
+  const Case cases[] = {
+      {"empty archive", Bytes{}, true},
+      {"only the trailer", archive_of({}), true},
+      {"no trailer",
+       archive_of({raw_entry("a/", '5'), raw_entry("a/f", '0', stub_of(1))},
+                  false),
+       true},
+      {"entries out of order",
+       archive_of({raw_entry("b/x", '0', stub_of(1)), raw_entry("a/", '5'),
+                   raw_entry("b/", '5', {}, {}, {}, 0700),
+                   raw_entry("a/y", '0', stub_of(2))}),
+       true},
+      {"missing parent directories",
+       archive_of({raw_entry("deep/er/f", '0', stub_of(1)),
+                   raw_entry("deep/g", '0', stub_of(2))}),
+       true},
+      {"a duplicate stub: the later one wins",
+       archive_of({raw_entry("a/", '5'), raw_entry("a/f", '0', stub_of(1)),
+                   raw_entry("a/f", '0', stub_of(2))}),
+       true},
+      {"a duplicate directory keeps its first metadata",
+       archive_of({raw_entry("a/", '5', {}, {}, {}, 0700),
+                   raw_entry("a/", '5', {}, {}, {}, 0755),
+                   raw_entry("a/f", '0', stub_of(1))}),
+       true},
+      {"a directory over a stub",
+       archive_of({raw_entry("a", '0', stub_of(1)), raw_entry("a/", '5')}),
+       false},
+      {"a stub replaces a directory, then a child of it",
+       archive_of({raw_entry("d/", '5'), raw_entry("d/e/", '5'),
+                   raw_entry("d/e/f", '0', stub_of(1)),
+                   raw_entry("d", '0', stub_of(2)),
+                   raw_entry("d/e/g", '0', stub_of(3))}),
+       false},
+      {"a stub replaces a directory, then a sibling",
+       archive_of({raw_entry("d/", '5'), raw_entry("d/e/", '5'),
+                   raw_entry("d/e/f", '0', stub_of(1)),
+                   raw_entry("d/e", '0', stub_of(2)),
+                   raw_entry("d/g", '0', stub_of(3))}),
+       true},
+      {"a symlink replaces a directory, then a child of it",
+       archive_of({raw_entry("d/", '5'), raw_entry("d/e/", '5'),
+                   raw_entry("d/e", '2', {}, "elsewhere"),
+                   raw_entry("d/e/f", '0', stub_of(1))}),
+       false},
+      {"a './' path replaces a directory, then a child of it",
+       archive_of({raw_entry("d/", '5'), raw_entry("d/e/", '5'),
+                   raw_entry("./d/e", '0', stub_of(1)),
+                   raw_entry("d/e/f", '0', stub_of(2))}),
+       false},
+      {"a stub at 'd/.' replaces d",
+       archive_of({raw_entry("d/", '5'), raw_entry("d/e/", '5'),
+                   raw_entry("d/.", '0', stub_of(1)),
+                   raw_entry("x", '0', stub_of(2))}),
+       true},
+      {"'./' and '//' segments and a leading '/'",
+       archive_of({raw_entry("./a/", '5'), raw_entry("a//f", '0', stub_of(1)),
+                   raw_entry("./a/./g", '0', stub_of(2)),
+                   raw_entry("/b/h", '0', stub_of(3)),
+                   raw_entry("a//sub/", '5'),
+                   raw_entry("a/sub/i", '0', stub_of(4))}),
+       true},
+      {"a '..' segment",
+       archive_of({raw_entry("a/../f", '0', stub_of(1))}), false},
+      {"'.' alone", archive_of({raw_entry("./", '5')}), false},
+      {"names split into the ustar prefix",
+       archive_of({raw_entry(std::string(40, 'q') + "/", '5', {}, {},
+                             std::string(90, 'p')),
+                   raw_entry("f", '0', stub_of(1), {}, long_dir),
+                   raw_entry("g", '2', {}, "f", long_dir)}),
+       true},
+      {"a whiteout survives",
+       archive_of({raw_entry("a/", '5'), raw_entry("a/.wh.f", '0')}), false},
+      {"a whiteout replaced by a stub",
+       archive_of({raw_entry("a/", '5'), raw_entry("a/.wh.f", '0'),
+                   raw_entry("a/f", '0', stub_of(1))}),
+       true},
+      {"a whiteout replaces a directory, then a child of it",
+       archive_of({raw_entry("a/", '5'), raw_entry("a/b/", '5'),
+                   raw_entry("a/.wh.b", '0'), raw_entry("a/b", '0', stub_of(1)),
+                   raw_entry("a/b/c", '0', stub_of(2))}),
+       false},
+      {"an opaque marker in a directory",
+       archive_of({raw_entry("o/", '5'), raw_entry("o/.wh..wh..opq", '0'),
+                   raw_entry("o/f", '0', stub_of(1))}),
+       true},
+      {"an opaque marker without its directory",
+       archive_of({raw_entry("o/.wh..wh..opq", '0')}), false},
+      {"symlinks",
+       archive_of({raw_entry("a/", '5'), raw_entry("a/l", '2', {}, "f"),
+                   raw_entry("m", '2', {}, "/abs/target"),
+                   raw_entry("a/l", '2', {}, "g")}),
+       true},
+      {"a directory over a symlink",
+       archive_of({raw_entry("l", '2', {}, "t"), raw_entry("l/", '5')}), false},
+      {"a non-stub file survives",
+       archive_of({raw_entry("a/", '5'), raw_entry("a/f", '0', "plain text")}),
+       false},
+      {"a non-stub file replaced by a stub",
+       archive_of({raw_entry("a/", '5'), raw_entry("a/f", '0', "plain text"),
+                   raw_entry("a/f", '0', stub_of(1))}),
+       true},
+      {"a non-stub file inside a directory a stub replaces",
+       archive_of({raw_entry("a/", '5'), raw_entry("a/f", '0', "plain text"),
+                   raw_entry("a", '0', stub_of(1))}),
+       true},
+      {"a path through a stub",
+       archive_of({raw_entry("a", '0', stub_of(1)),
+                   raw_entry("a/b", '0', stub_of(2))}),
+       false},
+      {"a NUL typeflag is a file",
+       archive_of({raw_entry("a", '\0', stub_of(1))}), true},
+      {"an unsupported entry type",
+       archive_of({raw_entry("a", 'x', stub_of(1))}), false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    EXPECT_EQ(expect_same_index(c.archive), c.accepted);
+  }
+}
+
+TEST(GearIndexLayer, FromLayerOfAConvertedIndexMatchesTheReference) {
+  const GearIndex index(gear::testing::stub_index_tree(5000, 21));
+  const docker::Layer layer = docker::Layer::from_tree(index.to_wire_tree());
+  const GearIndex back = GearIndex::from_layer(layer);
+  EXPECT_TRUE(back.tree().equals(index.tree()));
+  EXPECT_TRUE(gear::testing::reference_index_tree(layer).equals(index.tree()));
+  EXPECT_EQ(back.stubs().size(), 5000u);
 }
 
 TEST(GearIndexWire, ReindexingIndexIsIdentity) {

@@ -1,11 +1,15 @@
-// Shared helpers for the test suite: quick tree builders and a seeded
-// random-tree generator for property tests.
+// Shared helpers for the test suite: small fixed trees, a seeded
+// random-tree generator for property tests, and a mutation fuzzer.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "util/bytes.hpp"
+#include "util/error.hpp"
+#include "util/fingerprint.hpp"
 #include "util/rng.hpp"
 #include "vfs/file_tree.hpp"
 
@@ -83,6 +87,62 @@ inline vfs::FileTree mutate_tree(const vfs::FileTree& base, std::uint64_t seed,
       std::size_t idx = rng.next_below(files.size());
       t.remove(files[idx]);
       files.erase(files.begin() + static_cast<std::ptrdiff_t>(idx));
+    }
+  }
+  return t;
+}
+
+/// Decodes `iterations` mutants of the valid encoding `valid`: each takes
+/// 1..7 random edits (a byte flip, a truncation or appended garbage). A
+/// decode may succeed or throw Error; anything else fails the test.
+/// Deterministic per seed.
+template <typename Fn>
+void fuzz_mutations(std::uint64_t seed, const Bytes& valid, int iterations,
+                    Fn&& decode) {
+  Rng rng(seed);
+  for (int i = 0; i < iterations; ++i) {
+    Bytes mutant = valid;
+    int edits = static_cast<int>(rng.next_range(1, 8));
+    for (int k = 0; k < edits && !mutant.empty(); ++k) {
+      switch (rng.next_below(3)) {
+        case 0:  // flip
+          mutant[rng.next_below(mutant.size())] ^=
+              static_cast<std::uint8_t>(rng.next_range(1, 255));
+          break;
+        case 1:  // truncate
+          mutant.resize(rng.next_below(mutant.size() + 1));
+          break;
+        case 2:  // append garbage
+          append(mutant, rng.next_bytes(rng.next_range(1, 32)));
+          break;
+      }
+    }
+    try {
+      decode(mutant);
+    } catch (const Error&) {
+    }
+  }
+}
+
+/// The semantic tree of a Gear index with `n_stubs` fingerprint stubs
+/// spread over 40 directories two levels deep, plus a symlink per 64 stubs,
+/// shaped like a converted small-files image. Deterministic per seed.
+inline vfs::FileTree stub_index_tree(int n_stubs, std::uint64_t seed) {
+  Rng rng(seed);
+  vfs::FileTree t;
+  for (int i = 0; i < n_stubs; ++i) {
+    const std::string dir = "srv/d" + std::to_string(i % 8) + "/s" +
+                            std::to_string(i % 40);
+    if (i < 40) t.add_directory(dir, vfs::Metadata{0755, 0, 0, 1700000000});
+    std::array<std::uint8_t, Fingerprint::kSize> raw{};
+    for (std::uint8_t& b : raw) b = static_cast<std::uint8_t>(rng.next_u64());
+    const vfs::Metadata meta{0644, 0, 0,
+                             1700000000u + static_cast<std::uint64_t>(i)};
+    t.add_fingerprint_stub(dir + "/f" + std::to_string(100000 + i) + ".dat",
+                           Fingerprint(raw), rng.next_range(256, 16384), meta);
+    if (i % 64 == 0) {
+      t.add_symlink(dir + "/link" + std::to_string(i),
+                    "f" + std::to_string(100000 + i) + ".dat");
     }
   }
   return t;

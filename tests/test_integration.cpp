@@ -58,7 +58,7 @@ TEST_F(IntegrationFixture, IndexesAreTinyFractionOfImages) {
     ASSERT_EQ(m.layers.size(), 1u);
     docker::Layer layer = docker::Layer::from_blob(
         index_registry.get_blob(m.layers[0].digest).value());
-    GearIndex index = GearIndex::from_wire_tree(layer.to_tree());
+    GearIndex index = GearIndex::from_layer(layer);
     // Tiny scaled images (alpine at 1/2000 scale is ~3 KB) have nothing to
     // amortize the per-entry cost against; the ratio only means something
     // once the image has some data.

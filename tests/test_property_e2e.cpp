@@ -322,7 +322,7 @@ TEST(FailureInjection, TruncatedIndexLayerRejected) {
   EXPECT_THROW(
       {
         docker::Layer layer = docker::Layer::from_blob(std::move(blob));
-        GearIndex::from_wire_tree(layer.to_tree());
+        GearIndex::from_layer(layer);
       },
       Error);
 }

@@ -3,7 +3,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <iostream>
 #include <set>
 
 #include "util/error.hpp"
@@ -14,6 +16,7 @@
 #include "util/md5.hpp"
 #include "util/rng.hpp"
 #include "util/sha256.hpp"
+#include "util/sha256_testing.hpp"
 
 namespace gear {
 namespace {
@@ -150,6 +153,59 @@ TEST(Sha256, IncrementalMatchesOneShot) {
 
 TEST(Sha256, DistinctInputsDistinctDigests) {
   EXPECT_NE(Sha256::hash(to_bytes("a")), Sha256::hash(to_bytes("b")));
+}
+
+// Both block functions: the SHA-extension one where this CPU has it, and
+// the portable one, which is the oracle and the only path elsewhere.
+TEST(Sha256, BothBlockFunctionsGiveTheSameDigests) {
+  const bool native = sha256_testing::native_available();
+  std::cout << "[ INFO     ] SHA-256 native path (SHA extensions): "
+            << (native ? "yes" : "no, portable only") << "\n";
+  if (!native) {
+    EXPECT_THROW(sha256_testing::native_hash(to_bytes("abc")), Error);
+  }
+  auto check = [native](const Bytes& data, const Sha256Digest& want) {
+    EXPECT_EQ(sha256_testing::portable_hash(data), want) << data.size();
+    if (native) {
+      EXPECT_EQ(sha256_testing::native_hash(data), want) << data.size();
+    }
+    EXPECT_EQ(Sha256::hash(data), want) << data.size();
+  };
+  // FIPS 180-4 vectors.
+  auto digest = [](std::string_view hex) {
+    Sha256Digest d{};
+    const Bytes raw = hex_decode(hex);
+    std::copy(raw.begin(), raw.end(), d.begin());
+    return d;
+  };
+  check(to_bytes("abc"),
+        digest("ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"));
+  check(to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+        digest("248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"));
+  check(Bytes(1000000, 'a'),
+        digest("cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"));
+  // Every length 0..1000 (each padding case, one to sixteen blocks) and an
+  // index blob's size, against the portable path.
+  Rng rng(15);
+  for (std::size_t n = 0; n <= 1000; ++n) {
+    const Bytes data = rng.next_bytes(n, 0.5);
+    check(data, sha256_testing::portable_hash(data));
+  }
+  const Bytes blob = rng.next_bytes(331143, 0.3);
+  check(blob, sha256_testing::portable_hash(blob));
+}
+
+TEST(Sha256, IncrementalUpdatesOfEverySplitMatchThePortablePath) {
+  // Buffered partial blocks and runs of whole blocks through the dispatched
+  // block function, split at every offset of a 3-block message.
+  const Bytes data = Rng(16).next_bytes(200, 0.0);
+  const Sha256Digest want = sha256_testing::portable_hash(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Sha256 h;
+    h.update(BytesView(data).first(split));
+    h.update(BytesView(data).subspan(split));
+    EXPECT_EQ(h.finish(), want) << split;
+  }
 }
 
 // ---------------------------------------------------------------- rng

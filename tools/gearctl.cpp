@@ -233,15 +233,18 @@ GearRegistry* require_single(Store& store, const char* cmd) {
 }
 
 GearIndex load_index_of(Store& store, const std::string& ref) {
-  docker::Manifest manifest = store.docker.get_manifest(ref).value();
+  docker::Manifest manifest =
+      unwrap(store.docker.get_manifest(ref), "manifest of " + ref);
   if (manifest.config.labels.count(kGearIndexLabel) == 0 ||
       manifest.layers.size() != 1) {
     throw Error(ErrorCode::kInvalidArgument, ref + " is not a Gear image");
   }
+  const docker::Digest& digest = manifest.layers[0].digest;
   docker::Layer layer = docker::Layer::from_blob(
-      store.docker.get_blob(manifest.layers[0].digest).value(),
-      manifest.layers[0].digest);
-  return GearIndex::from_wire_tree(layer.to_tree());
+      unwrap(store.docker.get_blob(digest),
+             "index layer " + digest.to_string() + " of " + ref),
+      digest);
+  return GearIndex::from_layer(layer);
 }
 
 /// A pool of --workers threads for batch compression and decompression;
@@ -508,18 +511,10 @@ void report_governance(const FsStore& fs) {
   }
 }
 
-int cmd_run(Store& store, const std::string& ref,
-            const std::vector<std::string>& paths) {
-  // Launch = the client-side deployment path on the real filesystem:
-  // install the index (level 2), create a container (level 3), then read
-  // the requested files through it. The runtime materializes each stub from
-  // the shared cache, or from the registry on the host budget's demand
-  // lane, and hard-links it into the image's files/ directory.
-  LocalRuntime runtime = make_runtime(store);
-  runtime.pull(ref);
-  std::string container = runtime.launch(ref);
-  std::printf("launched %s from %s\n", container.c_str(), ref.c_str());
-
+/// run's reads through `container`, an instance of `ref`.
+void read_for_run(LocalRuntime& runtime, const std::string& container,
+                  const std::string& ref,
+                  const std::vector<std::string>& paths) {
   // The regular files are read in one pass, through one union view; where
   // each comes from is decided first, in path order.
   const FsStore& local = runtime.store();
@@ -564,6 +559,28 @@ int cmd_run(Store& store, const std::string& ref,
   std::printf("local cache: %zu files, %s\n", local.cache_entries(),
               format_size(local.cache_bytes()).c_str());
   report_governance(local);
+}
+
+int cmd_run(Store& store, const std::string& ref,
+            const std::vector<std::string>& paths) {
+  // Launch = the client-side deployment path on the real filesystem:
+  // install the index (level 2), create a container (level 3), then read
+  // the requested files through it. The runtime materializes each stub from
+  // the shared cache, or from the registry on the host budget's demand
+  // lane, and hard-links it into the image's files/ directory.
+  LocalRuntime runtime = make_runtime(store);
+  runtime.pull(ref);
+  std::string container = runtime.launch(ref);
+  std::printf("launched %s from %s\n", container.c_str(), ref.c_str());
+  // The container only serves these reads, so it is removed however they
+  // end; `launch` keeps its container for read, write and commit.
+  try {
+    read_for_run(runtime, container, ref, paths);
+  } catch (...) {
+    runtime.destroy(container);
+    throw;
+  }
+  runtime.destroy(container);
   return 0;
 }
 
