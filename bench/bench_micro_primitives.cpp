@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the primitives every experiment
-// rests on: hashing, compression, tar, tree diff/union, index round-trips.
-// The index-layer decode is timed against the old composition, which lives
-// with the tests as their oracle (tests/reference_index.hpp).
+// rests on: hashing, compression, tar, tree diff/union, index round-trips,
+// the pool's per-item cost. The index-layer encode and decode are timed
+// against the old compositions, which live with the tests as their oracle
+// (tests/reference_index.hpp).
 #include <benchmark/benchmark.h>
 
 #include "compress/codec.hpp"
@@ -14,6 +15,7 @@
 #include "util/md5.hpp"
 #include "util/rng.hpp"
 #include "util/sha256.hpp"
+#include "util/thread_pool.hpp"
 #include "vfs/tree_diff.hpp"
 #include "vfs/tree_serialize.hpp"
 
@@ -144,7 +146,7 @@ void BM_IndexSerializeParse(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexSerializeParse)->Arg(128)->Arg(1024);
 
-// Index -> wire tree -> index layer (tar, compress, digest) -> index.
+// Index -> index layer (tar, compress, digest) -> index.
 void BM_IndexWireRoundTrip(benchmark::State& state) {
   vfs::FileTree t = bench_tree(256);
   GearIndex index = GearIndex::from_root_fs(
@@ -152,19 +154,40 @@ void BM_IndexWireRoundTrip(benchmark::State& state) {
         return default_hasher().fingerprint(content);
       });
   for (auto _ : state) {
-    docker::Layer layer = docker::Layer::from_tree(index.to_wire_tree());
+    docker::Layer layer = index.to_layer();
     benchmark::DoNotOptimize(GearIndex::from_layer(layer));
   }
 }
 BENCHMARK(BM_IndexWireRoundTrip);
 
-// The index layer of a 5,000-file image: each stub is a 512 B header plus
-// its ~50 B content padded to 512 B, so the tar is ~16x its blob.
+// The index of a 5,000-file image, and its layer: each stub is a 512 B
+// header plus its ~50 B content padded to 512 B, so the tar is ~16x its
+// blob.
+const GearIndex& index_5000() {
+  static const GearIndex index(gear::testing::stub_index_tree(5000, 21));
+  return index;
+}
+
 const docker::Layer& index_layer_5000() {
-  static const docker::Layer layer = docker::Layer::from_tree(
-      GearIndex(gear::testing::stub_index_tree(5000, 21)).to_wire_tree());
+  static const docker::Layer layer = index_5000().to_layer();
   return layer;
 }
+
+// Encoding that layer: range 0 is the reference composition (wire tree,
+// diff against an empty tree, tar, compress, digest), range 1 is
+// GearIndex::to_layer.
+void BM_IndexLayerEncode(benchmark::State& state) {
+  const GearIndex& index = index_5000();
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      benchmark::DoNotOptimize(gear::testing::reference_index_layer(index));
+    } else {
+      benchmark::DoNotOptimize(index.to_layer());
+    }
+  }
+  state.SetLabel(state.range(0) == 0 ? "reference" : "to_layer");
+}
+BENCHMARK(BM_IndexLayerEncode)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Decoding that layer: range 0 is the reference composition (decompress,
 // extract the wire tree, rebuild it as the index tree), range 1 is
@@ -192,6 +215,21 @@ void BM_LzssDecompressIndexTar(benchmark::State& state) {
                           static_cast<std::int64_t>(layer.uncompressed_size()));
 }
 BENCHMARK(BM_LzssDecompressIndexTar)->Unit(benchmark::kMillisecond);
+
+// One parallel_for_each of N near-empty items on a width-2 pool: what the
+// pool costs per item (claim, hand-off, wake-up) when the work is nothing.
+void BM_ParallelForEach(benchmark::State& state) {
+  util::ThreadPool pool(2);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint64_t> out(n);
+  for (auto _ : state) {
+    pool.parallel_for_each(n, [&out](std::size_t i) { out[i] += i; });
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ParallelForEach)->Arg(64)->Arg(4096);
 
 }  // namespace
 

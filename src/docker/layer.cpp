@@ -28,11 +28,13 @@ std::string Digest::hex() const {
 std::string Digest::to_string() const { return "sha256:" + hex(); }
 
 Layer Layer::from_tree(const vfs::FileTree& diff_tree) {
-  Bytes tarball = tar::archive_tree(diff_tree);
-  std::uint64_t uncompressed = tarball.size();
-  Bytes blob = compress(tarball);
+  return from_archive(tar::archive_tree(diff_tree));
+}
+
+Layer Layer::from_archive(BytesView archive) {
+  Bytes blob = compress(archive);
   Digest digest = Digest::of(blob);
-  return Layer(std::move(blob), digest, uncompressed);
+  return Layer(std::move(blob), digest, archive.size());
 }
 
 Layer Layer::from_blob(Bytes compressed_blob) {

@@ -54,6 +54,9 @@ class Layer {
   /// Builds a layer from a diff tree: tar -> compress -> digest.
   static Layer from_tree(const vfs::FileTree& diff_tree);
 
+  /// Builds a layer from an uncompressed tar archive: compress -> digest.
+  static Layer from_archive(BytesView archive);
+
   /// Wraps an existing blob (e.g. fetched from a registry). Verifies the
   /// expected digest when provided; throws kCorruptData on mismatch.
   static Layer from_blob(Bytes compressed_blob);

@@ -1,7 +1,6 @@
 #include "gear/committer.hpp"
 
-#include "docker/image.hpp"
-#include "gear/converter.hpp"
+#include "gear/index.hpp"
 #include "vfs/tree_diff.hpp"
 
 namespace gear {
@@ -73,14 +72,8 @@ CommitResult GearCommitter::commit(const vfs::FileTree& index_tree,
   GearIndex new_index{std::move(merged)};
 
   // Package as a single-layer Docker image (same as the converter).
-  docker::ImageConfig cfg = config;
-  // Assigned as a std::string: GCC 12 misreads a literal's assign here as
-  // an overlapping copy (-Wrestrict).
-  cfg.labels[kGearIndexLabel] = std::string("1");
-  docker::ImageBuilder builder;
-  builder.add_snapshot(new_index.to_wire_tree());
-  result.image.index_image = builder.build(std::move(name), std::move(tag),
-                                           std::move(cfg));
+  result.image.index_image =
+      new_index.to_image(std::move(name), std::move(tag), config);
   result.image.index = std::move(new_index);
 
   // Deduplicate extracted contents by fingerprint.

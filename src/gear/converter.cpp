@@ -140,8 +140,8 @@ ConversionResult GearConverter::convert(const docker::Image& image) const {
                  image.manifest.config);
 }
 
-ConversionResult GearConverter::convert(const vfs::FileTree& root,
-                                        std::string name, std::string tag,
+ConversionResult GearConverter::convert(vfs::FileTree root, std::string name,
+                                        std::string tag,
                                         docker::ImageConfig config) const {
   ConversionResult result;
   ConversionStats& stats = result.stats;
@@ -177,14 +177,17 @@ ConversionResult GearConverter::convert(const vfs::FileTree& root,
 
   // Ordered serial reduce: collision resolution and salted-ID assignment
   // walk the files in the same order as the serial implementation, so stats
-  // and the unique-file set are identical at any worker count.
+  // and the unique-file set are identical at any worker count. The index
+  // consumes the tree: a unique file's bytes move into `files`, reserved up
+  // front so that `assigned` can point at them there for the comparisons
+  // that follow.
   Assigned assigned;
   std::vector<std::pair<Fingerprint, Bytes>> files;
+  files.reserve(contents.size());
   std::size_t next_file = 0;
 
   GearIndex index = GearIndex::from_root_fs(
-      root, [&](const std::string& path, const Bytes& content) {
-        (void)path;
+      std::move(root), [&](const std::string&, Bytes& content) {
         ++stats.files_seen;
         stats.bytes_seen += content.size();
         bool collided = false;
@@ -193,23 +196,17 @@ ConversionResult GearConverter::convert(const vfs::FileTree& root,
                                              &collided);
         ++next_file;
         if (collided) ++stats.collisions;
-        if (assigned.emplace(fp, &content).second) {
-          files.emplace_back(fp, content);
+        if (!assigned.contains(fp)) {
+          files.emplace_back(fp, std::move(content));
+          assigned.emplace(fp, &files.back().second);
         }
         return fp;
       });
   stats.files_unique = files.size();
 
-  // Package the index as a single-layer Docker image with the image config
-  // (env/entrypoint copied so the application still runs, §III-C).
-  config.labels[kGearIndexLabel] = "1";
-  docker::ImageBuilder builder;
-  builder.add_snapshot(index.to_wire_tree());
-  docker::Image index_image =
-      builder.build(std::move(name), std::move(tag), std::move(config));
-  stats.index_wire_bytes = index_image.compressed_size();
-
-  result.image.index_image = std::move(index_image);
+  result.image.index_image =
+      index.to_image(std::move(name), std::move(tag), std::move(config));
+  stats.index_wire_bytes = result.image.index_image.compressed_size();
   result.image.index = std::move(index);
   result.image.files = std::move(files);
   return result;

@@ -67,8 +67,10 @@ class GearConverter {
   /// from a classic image by the "gear.index" label. Throws
   /// kInvalidArgument, before any registry traffic, when a node's name
   /// starts with ".wh." (reserved for layer whiteouts, which a Gear index
-  /// cannot carry).
-  ConversionResult convert(const vfs::FileTree& root, std::string name,
+  /// cannot carry). `root` is consumed: each unique file's bytes move into
+  /// the result's `files` rather than being copied, so a caller that keeps
+  /// its tree passes a copy.
+  ConversionResult convert(vfs::FileTree root, std::string name,
                            std::string tag, docker::ImageConfig config) const;
 
   /// Converts while charging the work to a disk model: reading the
@@ -124,8 +126,5 @@ class GearConverter {
   util::Concurrency concurrency_;
   mutable std::unique_ptr<util::ThreadPool> pool_;  // lazily built
 };
-
-/// Marker label the converter writes into index-image manifests.
-inline constexpr const char* kGearIndexLabel = "gear.index";
 
 }  // namespace gear

@@ -25,6 +25,88 @@ void check_index_tree(const vfs::FileTree& tree, ErrorCode code) {
   });
 }
 
+// Adds the index of each entry below `src` to `dst`, in FileTree::walk's
+// order (pre-order, by name); `path` is src's path and is restored on return.
+void index_entries(vfs::FileNode& src, vfs::FileNode& dst, std::string& path,
+                   const GearIndex::FingerprintOf& fingerprint_of) {
+  for (const auto& [name, child] : src.children()) {
+    const std::size_t parent = path.size();
+    if (parent != 0) path += '/';
+    path += name;
+    std::unique_ptr<vfs::FileNode> node;
+    switch (child->type()) {
+      case vfs::NodeType::kDirectory:
+        node = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
+        index_entries(*child, *node, path, fingerprint_of);
+        break;
+      case vfs::NodeType::kSymlink:
+        node = std::make_unique<vfs::FileNode>(vfs::NodeType::kSymlink);
+        node->set_link_target(child->link_target());
+        break;
+      case vfs::NodeType::kRegular: {
+        // Sized before the callback, which may take the content.
+        const std::uint64_t size = child->content().size();
+        node = std::make_unique<vfs::FileNode>(vfs::NodeType::kFingerprint);
+        node->set_fingerprint(fingerprint_of(path, child->content()), size);
+        break;
+      }
+      case vfs::NodeType::kWhiteout:
+        throw_error(ErrorCode::kInvalidArgument,
+                    "root filesystem contains a whiteout: " + path);
+      case vfs::NodeType::kFingerprint:
+        // Already a stub (re-indexing an index is the identity).
+        node = std::make_unique<vfs::FileNode>(vfs::NodeType::kFingerprint);
+        node->set_fingerprint(child->fingerprint(), child->stub_size());
+        break;
+    }
+    node->metadata() = child->metadata();
+    dst.add_child(name, std::move(node));
+    path.resize(parent);
+  }
+}
+
+// The index layer's tar blocks, trailer excluded: a header per node and
+// one payload block per stub (a stub file is under 64 bytes).
+std::size_t archive_blocks(const vfs::FileNode& dir) {
+  std::size_t blocks = 0;
+  for (const auto& [name, child] : dir.children()) {
+    blocks += child->is_fingerprint() ? 2 : 1;
+    if (child->is_directory()) blocks += archive_blocks(*child);
+  }
+  return blocks;
+}
+
+// Writes the entries below `dir` in FileTree::walk's order (pre-order, by
+// name); `path` is dir's path and is restored on return.
+void write_entries(tar::EntryWriter& writer, std::string& path,
+                   const vfs::FileNode& dir) {
+  for (const auto& [name, child] : dir.children()) {
+    const std::size_t parent = path.size();
+    if (parent != 0) path += '/';
+    path += name;
+    switch (child->type()) {
+      case vfs::NodeType::kDirectory:
+        writer.directory(path, child->metadata());
+        write_entries(writer, path, *child);
+        break;
+      case vfs::NodeType::kSymlink:
+        writer.symlink(path, child->metadata(), child->link_target());
+        break;
+      case vfs::NodeType::kFingerprint: {
+        const std::string stub =
+            GearIndex::encode_stub(child->fingerprint(), child->stub_size());
+        writer.file(path, child->metadata(),
+                    BytesView(reinterpret_cast<const std::uint8_t*>(stub.data()),
+                              stub.size()));
+        break;
+      }
+      default:
+        throw_error(ErrorCode::kInternal, "invalid node in gear index: " + path);
+    }
+    path.resize(parent);
+  }
+}
+
 struct PathHash {
   using is_transparent = void;
   std::size_t operator()(std::string_view path) const noexcept {
@@ -38,38 +120,12 @@ GearIndex::GearIndex(vfs::FileTree tree) : tree_(std::move(tree)) {
   check_index_tree(tree_, ErrorCode::kInvalidArgument);
 }
 
-GearIndex GearIndex::from_root_fs(
-    const vfs::FileTree& root,
-    const std::function<Fingerprint(const std::string& path,
-                                    const Bytes& content)>& fingerprint_of) {
-  vfs::FileTree out;
-  out.root().metadata() = root.root().metadata();
-  root.walk([&](const std::string& path, const vfs::FileNode& node) {
-    switch (node.type()) {
-      case vfs::NodeType::kDirectory:
-        out.add_directory(path, node.metadata());
-        break;
-      case vfs::NodeType::kSymlink:
-        out.add_symlink(path, node.link_target(), node.metadata());
-        break;
-      case vfs::NodeType::kRegular: {
-        Fingerprint fp = fingerprint_of(path, node.content());
-        out.add_fingerprint_stub(path, fp, node.content().size(),
-                                 node.metadata());
-        break;
-      }
-      case vfs::NodeType::kWhiteout:
-        throw_error(ErrorCode::kInvalidArgument,
-                    "root filesystem contains a whiteout: " + path);
-      case vfs::NodeType::kFingerprint:
-        // Already a stub (re-indexing an index is the identity).
-        out.add_fingerprint_stub(path, node.fingerprint(), node.stub_size(),
-                                 node.metadata());
-        break;
-    }
-  });
+GearIndex GearIndex::from_root_fs(vfs::FileTree root,
+                                  const FingerprintOf& fingerprint_of) {
   GearIndex index;
-  index.tree_ = std::move(out);
+  index.tree_.root().metadata() = root.root().metadata();
+  std::string path;
+  index_entries(root.root(), index.tree_.root(), path, fingerprint_of);
   return index;
 }
 
@@ -130,27 +186,29 @@ bool GearIndex::decode_stub(BytesView content, Fingerprint* fp,
   return true;
 }
 
-vfs::FileTree GearIndex::to_wire_tree() const {
-  vfs::FileTree wire;
-  wire.root().metadata() = tree_.root().metadata();
-  tree_.walk([&](const std::string& path, const vfs::FileNode& node) {
-    switch (node.type()) {
-      case vfs::NodeType::kDirectory:
-        wire.add_directory(path, node.metadata());
-        break;
-      case vfs::NodeType::kSymlink:
-        wire.add_symlink(path, node.link_target(), node.metadata());
-        break;
-      case vfs::NodeType::kFingerprint:
-        wire.add_file(path,
-                      to_bytes(encode_stub(node.fingerprint(), node.stub_size())),
-                      node.metadata());
-        break;
-      default:
-        throw_error(ErrorCode::kInternal, "invalid node in gear index: " + path);
-    }
-  });
-  return wire;
+docker::Layer GearIndex::to_layer() const {
+  Bytes archive;
+  archive.reserve(tar::kBlockSize * (archive_blocks(tree_.root()) + 2));
+  tar::EntryWriter writer(archive);
+  std::string path;
+  write_entries(writer, path, tree_.root());
+  writer.finish();
+  return docker::Layer::from_archive(archive);
+}
+
+docker::Image GearIndex::to_image(std::string name, std::string tag,
+                                  docker::ImageConfig config) const {
+  // Assigned as a std::string: GCC 12 misreads a literal's assign here as
+  // an overlapping copy (-Wrestrict).
+  config.labels[kGearIndexLabel] = std::string("1");
+  docker::Image image;
+  image.manifest.name = std::move(name);
+  image.manifest.tag = std::move(tag);
+  image.manifest.config = std::move(config);
+  image.layers.push_back(to_layer());
+  const docker::Layer& layer = image.layers.back();
+  image.manifest.layers.push_back({layer.digest(), layer.compressed_size()});
+  return image;
 }
 
 GearIndex GearIndex::from_layer(const docker::Layer& layer) {

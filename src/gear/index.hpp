@@ -8,8 +8,8 @@
 // Docker image*. In that on-the-wire form each stub is an ordinary small
 // regular file whose content is "GEARFP1:<fingerprint-hex>:<size>", so the
 // index image round-trips through the unmodified Docker registry, layer
-// tarball, digest and manifest machinery. This module converts between the
-// semantic form (vfs kFingerprint nodes) and the wire form.
+// tarball, digest and manifest machinery. This module writes the semantic
+// form (vfs kFingerprint nodes) straight into that layer and reads it back.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +31,14 @@ class GearIndex {
 
   /// Builds the index of a root filesystem: every regular file becomes a
   /// fingerprint stub; everything else is kept as-is. `fingerprint_of`
-  /// supplies the fingerprint for each file — the converter routes this
-  /// through its collision-detecting resolver (converter.hpp).
-  static GearIndex from_root_fs(
-      const vfs::FileTree& root,
-      const std::function<Fingerprint(const std::string& path,
-                                      const Bytes& content)>& fingerprint_of);
+  /// supplies the fingerprint for each file, in walk order — the converter
+  /// routes this through its collision-detecting resolver (converter.hpp).
+  /// `root` is consumed: the callback may move a file's content out (the
+  /// stub's size is taken before it runs), so pass a copy to keep a tree.
+  using FingerprintOf =
+      std::function<Fingerprint(const std::string& path, Bytes& content)>;
+  static GearIndex from_root_fs(vfs::FileTree root,
+                                const FingerprintOf& fingerprint_of);
 
   const vfs::FileTree& tree() const noexcept { return tree_; }
   vfs::FileTree& tree() noexcept { return tree_; }
@@ -55,16 +57,27 @@ class GearIndex {
   /// Total bytes of the files the index points to (the image's logical size).
   std::uint64_t referenced_bytes() const;
 
-  /// Wire form: a plain file tree where stubs are small regular files with
-  /// "GEARFP1:..." content, suitable for tar/Layer/Docker-registry transport.
-  vfs::FileTree to_wire_tree() const;
+  /// The index layer: one tar entry per node, in walk order, with each stub
+  /// written as a small regular file holding encode_stub(), into a buffer
+  /// sized up front; then compressed and digested. It equals the layer of
+  /// the index tree's wire form (stubs as files) diffed against an empty
+  /// tree, without building either tree. An empty index is the tar trailer
+  /// alone. Throws Error(kInternal) naming the path of a node an index may
+  /// not hold, and tar's errors (such as "tar: path too long") unchanged.
+  docker::Layer to_layer() const;
 
-  /// Decodes an index layer (inverse of Layer::from_tree(to_wire_tree())):
-  /// decompresses the blob and turns each stub file of the tar straight
-  /// into a fingerprint node, building no intermediate tree. Accepts exactly
-  /// the layers whose extracted tree holds only directories, symlinks and
-  /// stub files; throws Error otherwise. The layer's digest is not
-  /// re-checked: Layer::from_blob(blob, digest) does that.
+  /// The index packaged as a single-layer Docker image "<name>:<tag>"
+  /// (paper §III-C): to_layer(), and `config` (env/entrypoint, so the
+  /// application still runs) with kGearIndexLabel set.
+  docker::Image to_image(std::string name, std::string tag,
+                         docker::ImageConfig config) const;
+
+  /// Decodes an index layer (inverse of to_layer()): decompresses the blob
+  /// and turns each stub file of the tar straight into a fingerprint node,
+  /// building no intermediate tree. Accepts exactly the layers whose
+  /// extracted tree holds only directories, symlinks and stub files; throws
+  /// Error otherwise. The layer's digest is not re-checked:
+  /// Layer::from_blob(blob, digest) does that.
   static GearIndex from_layer(const docker::Layer& layer);
 
   /// Serialized stub-file content for one fingerprint (exposed for tests and
@@ -78,6 +91,9 @@ class GearIndex {
  private:
   vfs::FileTree tree_;
 };
+
+/// Marker label an index image's manifest carries.
+inline constexpr const char* kGearIndexLabel = "gear.index";
 
 /// A Gear image ready for distribution: the index packaged as a single-layer
 /// Docker image plus the unique Gear files it references.

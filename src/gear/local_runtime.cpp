@@ -1,7 +1,7 @@
 #include "gear/local_runtime.hpp"
 
 #include "docker/layer.hpp"
-#include "gear/converter.hpp"  // kGearIndexLabel
+#include "gear/index.hpp"      // kGearIndexLabel
 #include "gear/client.hpp"     // push_gear_image
 #include "gear/viewer.hpp"
 

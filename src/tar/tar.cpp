@@ -8,7 +8,6 @@
 namespace gear::tar {
 namespace {
 
-constexpr std::size_t kBlockSize = 512;
 constexpr char kWhiteoutPrefix[] = ".wh.";
 constexpr char kOpaqueMarker[] = ".wh..wh..opq";
 
@@ -56,15 +55,17 @@ std::uint64_t read_octal(const char* field, std::size_t len) {
   return v;
 }
 
-void set_path(Header& h, const std::string& path) {
+void set_path(Header& h, std::string_view path) {
   if (path.size() <= sizeof(h.name)) {
     std::memcpy(h.name, path.data(), path.size());
     return;
   }
   // Split into prefix/name at a '/' so that prefix <= 155 and name <= 100.
   std::size_t split = path.rfind('/', sizeof(h.prefix));
-  if (split == std::string::npos || path.size() - split - 1 > sizeof(h.name)) {
-    throw_error(ErrorCode::kInvalidArgument, "tar: path too long: " + path);
+  if (split == std::string_view::npos ||
+      path.size() - split - 1 > sizeof(h.name)) {
+    throw_error(ErrorCode::kInvalidArgument,
+                "tar: path too long: " + std::string(path));
   }
   std::memcpy(h.prefix, path.data(), split);
   std::memcpy(h.name, path.data() + split + 1, path.size() - split - 1);
@@ -91,15 +92,54 @@ void finalize_checksum(Header& h) {
   h.chksum[7] = ' ';
 }
 
-void emit_entry(Bytes& out, const std::string& path, char typeflag,
-                const vfs::Metadata& meta, BytesView content,
-                const std::string& linkname) {
+void emit_node(EntryWriter& writer, const std::string& path,
+               const vfs::FileNode& node) {
+  switch (node.type()) {
+    case vfs::NodeType::kWhiteout: {
+      // ".wh.<name>" zero-length file in the parent directory.
+      std::size_t slash = path.rfind('/');
+      std::string wh = slash == std::string::npos
+                           ? std::string(kWhiteoutPrefix) + path
+                           : path.substr(0, slash + 1) + kWhiteoutPrefix +
+                                 path.substr(slash + 1);
+      writer.file(wh, vfs::Metadata{}, {});
+      return;
+    }
+    case vfs::NodeType::kDirectory: {
+      writer.directory(path, node.metadata());
+      if (node.opaque()) {
+        writer.file(path + "/" + kOpaqueMarker, vfs::Metadata{}, {});
+      }
+      for (const auto& [name, child] : node.children()) {
+        emit_node(writer, path + "/" + name, *child);
+      }
+      return;
+    }
+    case vfs::NodeType::kRegular:
+      writer.file(path, node.metadata(), node.content());
+      return;
+    case vfs::NodeType::kSymlink:
+      writer.symlink(path, node.metadata(), node.link_target());
+      return;
+    case vfs::NodeType::kFingerprint:
+      // Index stubs never travel inside layer tarballs; the Gear index
+      // writes its stub files itself (GearIndex::to_layer).
+      throw_error(ErrorCode::kUnsupported,
+                  "tar: fingerprint stubs cannot be archived");
+  }
+}
+
+}  // namespace
+
+void EntryWriter::entry(std::string_view path, char typeflag,
+                        const vfs::Metadata& meta, BytesView content,
+                        std::string_view linkname) {
   Header h{};
   set_path(h, path);
   write_octal(h.mode, sizeof(h.mode), meta.mode);
   write_octal(h.uid, sizeof(h.uid), meta.uid);
   write_octal(h.gid, sizeof(h.gid), meta.gid);
-  write_octal(h.size, sizeof(h.size), typeflag == '0' ? content.size() : 0);
+  write_octal(h.size, sizeof(h.size), content.size());
   write_octal(h.mtime, sizeof(h.mtime), meta.mtime);
   h.typeflag = typeflag;
   if (!linkname.empty()) {
@@ -113,60 +153,37 @@ void emit_entry(Bytes& out, const std::string& path, char typeflag,
   finalize_checksum(h);
 
   const auto* hbytes = reinterpret_cast<const std::uint8_t*>(&h);
-  out.insert(out.end(), hbytes, hbytes + kBlockSize);
-  if (typeflag == '0' && !content.empty()) {
-    append(out, content);
+  out_.insert(out_.end(), hbytes, hbytes + kBlockSize);
+  if (!content.empty()) {
+    append(out_, content);
     std::size_t rem = content.size() % kBlockSize;
-    if (rem != 0) out.insert(out.end(), kBlockSize - rem, 0);
+    if (rem != 0) out_.insert(out_.end(), kBlockSize - rem, 0);
   }
 }
 
-void emit_node(Bytes& out, const std::string& path, const vfs::FileNode& node) {
-  switch (node.type()) {
-    case vfs::NodeType::kWhiteout: {
-      // ".wh.<name>" zero-length file in the parent directory.
-      std::size_t slash = path.rfind('/');
-      std::string wh = slash == std::string::npos
-                           ? std::string(kWhiteoutPrefix) + path
-                           : path.substr(0, slash + 1) + kWhiteoutPrefix +
-                                 path.substr(slash + 1);
-      emit_entry(out, wh, '0', vfs::Metadata{}, {}, "");
-      return;
-    }
-    case vfs::NodeType::kDirectory: {
-      emit_entry(out, path + "/", '5', node.metadata(), {}, "");
-      if (node.opaque()) {
-        emit_entry(out, path + "/" + kOpaqueMarker, '0', vfs::Metadata{}, {},
-                   "");
-      }
-      for (const auto& [name, child] : node.children()) {
-        emit_node(out, path + "/" + name, *child);
-      }
-      return;
-    }
-    case vfs::NodeType::kRegular:
-      emit_entry(out, path, '0', node.metadata(), node.content(), "");
-      return;
-    case vfs::NodeType::kSymlink:
-      emit_entry(out, path, '2', node.metadata(), {}, node.link_target());
-      return;
-    case vfs::NodeType::kFingerprint:
-      // Index stubs never travel inside layer tarballs; the Gear index uses
-      // the tree serializer instead.
-      throw_error(ErrorCode::kUnsupported,
-                  "tar: fingerprint stubs cannot be archived");
-  }
+void EntryWriter::directory(std::string_view path, const vfs::Metadata& meta) {
+  entry(std::string(path) + "/", '5', meta, {}, {});
 }
 
-}  // namespace
+void EntryWriter::file(std::string_view path, const vfs::Metadata& meta,
+                       BytesView content) {
+  entry(path, '0', meta, content, {});
+}
+
+void EntryWriter::symlink(std::string_view path, const vfs::Metadata& meta,
+                          std::string_view target) {
+  entry(path, '2', meta, {}, target);
+}
+
+void EntryWriter::finish() { out_.insert(out_.end(), 2 * kBlockSize, 0); }
 
 Bytes archive_tree(const vfs::FileTree& tree) {
   Bytes out;
+  EntryWriter writer(out);
   for (const auto& [name, child] : tree.root().children()) {
-    emit_node(out, name, *child);
+    emit_node(writer, name, *child);
   }
-  // Trailer: two zero blocks.
-  out.insert(out.end(), 2 * kBlockSize, 0);
+  writer.finish();
   return out;
 }
 

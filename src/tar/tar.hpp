@@ -16,6 +16,37 @@
 
 namespace gear::tar {
 
+/// A header, and the unit a payload is padded to.
+inline constexpr std::size_t kBlockSize = 512;
+
+/// Appends ustar entries to an archive: the writing counterpart of
+/// EntryWalker. Every header goes through it, so it holds the format's
+/// limits: a path that does not split into a name of at most 100 bytes and
+/// a prefix of at most 155 throws Error(kInvalidArgument) "tar: path too
+/// long: <path>", as do a link target over 100 bytes and a number that
+/// overflows its octal field.
+class EntryWriter {
+ public:
+  /// Appends to `out`, which must outlive the writer.
+  explicit EntryWriter(Bytes& out) : out_(out) {}
+
+  /// A directory entry, stored as "<path>/".
+  void directory(std::string_view path, const vfs::Metadata& meta);
+  /// A regular file: its header, then `content` padded to whole blocks.
+  void file(std::string_view path, const vfs::Metadata& meta,
+            BytesView content);
+  void symlink(std::string_view path, const vfs::Metadata& meta,
+               std::string_view target);
+  /// The two zero blocks that end an archive.
+  void finish();
+
+ private:
+  void entry(std::string_view path, char typeflag, const vfs::Metadata& meta,
+             BytesView content, std::string_view linkname);
+
+  Bytes& out_;
+};
+
 /// Serializes a layer tree into a ustar archive. Whiteout/opaque markers are
 /// encoded with the Docker naming convention. Entry order is deterministic
 /// (depth-first, name-ordered), so equal trees produce byte-equal archives —

@@ -50,26 +50,19 @@ void write_all(int fd, BytesView content, const std::filesystem::path& path) {
   }
 }
 
-Bytes read_file_bytes(const std::filesystem::path& path) {
-  UniqueFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
-  if (!fd) {
-    throw_error(ErrorCode::kInternal, "cannot open " + path.string());
-  }
-  // One buffer sized by fstat, filled by read(). st_size is only a hint —
-  // 0 for procfs files, stale for a file still growing — so reading goes on
-  // to EOF: once the buffer is full, further bytes arrive through a probe
-  // buffer and are appended.
-  Bytes out;
-  struct stat st {};
-  if (::fstat(fd.get(), &st) == 0 && st.st_size > 0) {
-    out.resize(static_cast<std::size_t>(st.st_size));
-  }
+Bytes read_all(int fd, std::size_t size_hint,
+               const std::filesystem::path& path) {
+  // One buffer of the hinted size, filled by read(). The hint is only a
+  // hint (0 for procfs files, stale for a file still growing), so reading
+  // goes on to EOF: once the buffer is full, further bytes arrive through a
+  // probe buffer and are appended.
+  Bytes out(size_hint);
   std::size_t got = 0;
   std::uint8_t probe[4096];
   for (;;) {
     const bool full = got == out.size();
-    ssize_t n = full ? ::read(fd.get(), probe, sizeof probe)
-                     : ::read(fd.get(), out.data() + got, out.size() - got);
+    ssize_t n = full ? ::read(fd, probe, sizeof probe)
+                     : ::read(fd, out.data() + got, out.size() - got);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("read failed for", path);
@@ -78,8 +71,19 @@ Bytes read_file_bytes(const std::filesystem::path& path) {
     if (full) out.insert(out.end(), probe, probe + n);
     got += static_cast<std::size_t>(n);
   }
-  out.resize(got);  // the file shrank since fstat
+  out.resize(got);  // the file shrank since it was sized
   return out;
+}
+
+Bytes read_file_bytes(const std::filesystem::path& path) {
+  UniqueFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!fd) {
+    throw_error(ErrorCode::kInternal, "cannot open " + path.string());
+  }
+  struct stat st {};
+  const bool sized = ::fstat(fd.get(), &st) == 0 && st.st_size > 0;
+  return read_all(fd.get(), sized ? static_cast<std::size_t>(st.st_size) : 0,
+                  path);
 }
 
 void write_file_bytes(const std::filesystem::path& path, BytesView content) {

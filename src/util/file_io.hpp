@@ -47,6 +47,12 @@ UniqueFd open_directory(const std::filesystem::path& path);
 /// Error(kInternal) naming `path` on failure; the caller still owns `fd`.
 void write_all(int fd, BytesView content, const std::filesystem::path& path);
 
+/// Reads `fd` to EOF into one buffer of `size_hint` bytes (an fstat
+/// size), grown or shrunk to what the reads return. Throws Error(kInternal)
+/// naming `path` on a read error; the caller still owns `fd`.
+Bytes read_all(int fd, std::size_t size_hint,
+               const std::filesystem::path& path);
+
 /// Reads a whole file. Throws Error(kInternal) when unreadable.
 Bytes read_file_bytes(const std::filesystem::path& path);
 

@@ -76,10 +76,14 @@ class ThreadPool {
   }
 
   /// Runs fn(0..n-1) across the workers and blocks until all complete.
-  /// The first exception thrown by any invocation is rethrown here (the
-  /// remaining tasks still run to completion). `size_of(i)`, when provided,
-  /// reports task i's payload for the `max_inflight_bytes` bound. A single
-  /// task (n == 1) runs inline on the calling thread.
+  /// At most worker_count() helpers are queued; they and the calling thread
+  /// claim indices from one shared counter, and the caller sleeps at most
+  /// once, until the last item finishes. The first exception thrown by any
+  /// invocation is rethrown here (the remaining tasks still run to
+  /// completion). `size_of(i)`, when provided, reports task i's payload for
+  /// the `max_inflight_bytes` bound: a claim waits for room, and an
+  /// oversized item is admitted alone. A single task (n == 1) runs inline
+  /// on the calling thread.
   void parallel_for_each(std::size_t n,
                          const std::function<void(std::size_t)>& fn,
                          std::uint64_t max_inflight_bytes = 0,
@@ -101,6 +105,8 @@ class ThreadPool {
   }
 
  private:
+  struct ForEach;  // one parallel_for_each call's shared claim state
+
   void enqueue(std::function<void()> task);
   void worker_loop();
 

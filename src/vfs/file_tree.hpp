@@ -63,6 +63,7 @@ class FileNode {
 
   /// Regular-file content. Valid only for kRegular.
   const Bytes& content() const { return content_; }
+  Bytes& content() { return content_; }
   void set_content(Bytes content);
 
   /// Symlink target. Valid only for kSymlink.

@@ -9,6 +9,10 @@
 
 #include "vfs/file_tree.hpp"
 
+namespace gear::util {
+class ThreadPool;
+}
+
 namespace gear::vfs {
 
 struct LoadOptions {
@@ -21,10 +25,18 @@ struct LoadOptions {
 };
 
 /// Reads the directory at `root` into a FileTree. Symbolic links are kept
-/// as links (not followed); permissions and mtimes are preserved.
-/// Throws Error(kInvalidArgument/kOutOfSpace) on bad input or budget breach.
+/// as links (not followed); permission bits and mtimes (whole seconds,
+/// pre-1970 clamped to 0) come from one lstat per entry, a link's from the
+/// link itself. The walk is serial; the regular files' contents are then
+/// read as one task per file on `pool` when given (inline otherwise), with
+/// the same result at any width. Throws Error(kInvalidArgument) when `root`
+/// is not a directory, Error(kOutOfSpace) naming the path where the byte
+/// budget is breached, Error(kUnsupported) for a special file when
+/// `skip_special` is false, and Error(kInternal) naming any path it cannot
+/// read.
 FileTree load_tree(const std::filesystem::path& root,
-                   const LoadOptions& options = {});
+                   const LoadOptions& options = {},
+                   util::ThreadPool* pool = nullptr);
 
 /// Writes `tree` under the directory `root` (created if needed). Existing
 /// contents are left in place; colliding paths are overwritten. Whiteouts

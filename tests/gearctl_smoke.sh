@@ -73,6 +73,18 @@ if "$GEARCTL" "$GSTORE" images > /dev/null 2> "$WORK/retired.err"
 then exit 1; else test $? -eq 1; fi
 grep -q "$GSTORE/gear" "$WORK/retired.err"
 
+# An empty source directory imports as an empty image: its index layer is
+# the tar trailer alone, and a launch or an export of it holds 0 files.
+ESTORE="$WORK/estore"
+mkdir -p "$WORK/empty-src"
+"$GEARCTL" "$ESTORE" init > /dev/null
+"$GEARCTL" "$ESTORE" import "$WORK/empty-src" void:v1 | grep -q "0 files"
+"$GEARCTL" "$ESTORE" images | grep -q "void:v1"
+"$GEARCTL" "$ESTORE" launch --lazy void:v1 2>&1 | grep -q "0 files"
+"$GEARCTL" "$ESTORE" export void:v1 "$WORK/empty-out" | grep -q "(0 B)"
+test -d "$WORK/empty-out"
+test -z "$(ls -A "$WORK/empty-out")"
+
 # --- durable on-disk backend (--store-dir) -------------------------------
 # Push into a DiskObjectStore-backed registry, then "restart" (every gearctl
 # invocation is a new process) and deploy WITHOUT re-pushing: the reopened

@@ -16,6 +16,7 @@
 #include "gear/registry.hpp"
 #include "net/remote_registry.hpp"
 #include "net/transport.hpp"
+#include "reference_index.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -312,6 +313,76 @@ TEST(Converter, DirectTreeMatchesLayeredImage) {
         EXPECT_GT(direct.stats.collisions, 0u);
       }
     }
+  }
+}
+
+TEST(Converter, ConvertLeavesACallersTreeAlone) {
+  // convert takes its tree by value: an lvalue goes in as a copy, so the
+  // caller's bytes stay where they were.
+  vfs::FileTree tree = varied_tree(610);
+  const vfs::FileTree before = tree;
+  ConversionResult result = GearConverter().convert(tree, "keep", "v1", {});
+  EXPECT_GT(result.image.files.size(), 0u);
+  EXPECT_TRUE(tree.equals(before));
+}
+
+TEST(Converter, EveryStubKeepsItsFilesSize) {
+  // A unique file's bytes move out of the consumed tree while its stub is
+  // built; the stub's size is the file's, and the index layer is the one
+  // the reference composition writes for an index built without moving.
+  TruncatedFingerprintHasher weak(8);
+  for (const FingerprintHasher* hasher :
+       {&default_hasher(), static_cast<const FingerprintHasher*>(&weak)}) {
+    vfs::FileTree tree = varied_tree(611);
+    std::map<std::string, std::uint64_t> sizes;
+    tree.walk([&](const std::string& path, const vfs::FileNode& node) {
+      if (node.is_regular()) sizes[path] = node.content().size();
+    });
+    ConversionResult result =
+        GearConverter(*hasher).convert(vfs::FileTree(tree), "size", "v1", {});
+    std::size_t stubs = 0;
+    for (const GearIndex::StubRef& stub : result.image.index.stubs()) {
+      EXPECT_EQ(stub.size, sizes.at(stub.path)) << stub.path;
+      ++stubs;
+    }
+    EXPECT_EQ(stubs, sizes.size());
+    EXPECT_EQ(result.image.index.referenced_bytes(),
+              tree.stats().total_file_bytes);
+
+    // The same fingerprints on an index built from a copy, nothing moved.
+    std::map<std::string, Fingerprint> fps;
+    for (const GearIndex::StubRef& stub : result.image.index.stubs()) {
+      fps[stub.path] = stub.fingerprint;
+    }
+    const GearIndex unmoved = GearIndex::from_root_fs(
+        tree, [&](const std::string& path, const Bytes&) {
+          return fps.at(path);
+        });
+    const docker::Layer want = gear::testing::reference_index_layer(unmoved);
+    EXPECT_EQ(result.image.index_image.layers.at(0).digest(), want.digest());
+    EXPECT_EQ(result.stats.index_wire_bytes, want.compressed_size());
+  }
+}
+
+TEST(Converter, GearFilesOwnTheirBytes) {
+  // Each unique file's bytes live in GearImage::files, equal to every
+  // source file its fingerprint stands for (salted IDs included), after
+  // the source tree is gone.
+  TruncatedFingerprintHasher weak(8);
+  vfs::FileTree tree = varied_tree(612);
+  const vfs::FileTree source = tree;
+  ConversionResult result = GearConverter(weak).convert(std::move(tree), "own",
+                                                        "v1", {});
+  EXPECT_GT(result.stats.collisions, 0u);
+  std::map<Fingerprint, const Bytes*> bytes_of;
+  for (const auto& [fp, bytes] : result.image.files) {
+    EXPECT_TRUE(bytes_of.emplace(fp, &bytes).second) << fp.hex();
+  }
+  for (const GearIndex::StubRef& stub : result.image.index.stubs()) {
+    ASSERT_EQ(bytes_of.count(stub.fingerprint), 1u) << stub.path;
+    EXPECT_EQ(*bytes_of.at(stub.fingerprint),
+              source.lookup(stub.path)->content())
+        << stub.path;
   }
 }
 

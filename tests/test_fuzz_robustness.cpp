@@ -116,7 +116,7 @@ TEST(FuzzRobustness, IndexLayerMutationsDecodeAsTheReferenceDoes) {
   // Mutants of a real 5,000-stub index layer: GearIndex::from_layer accepts
   // exactly those the reference composition accepts, with equal trees.
   const GearIndex index(gear::testing::stub_index_tree(5000, 22));
-  const Bytes blob = docker::Layer::from_tree(index.to_wire_tree()).blob();
+  const Bytes blob = index.to_layer().blob();
   int accepted = 0;
   int rejected = 0;
   fuzz_mutations(1901, blob, 400, [&](const Bytes& b) {

@@ -1,6 +1,8 @@
 // Unit tests for the Gear index: stub encoding, wire form, Docker transport.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "compress/codec.hpp"
 
 #include "docker/layer.hpp"
@@ -114,7 +116,7 @@ TEST(GearStub, StubIsTiny) {
 
 TEST(GearIndexWire, RoundTrip) {
   GearIndex index = index_of(gear::testing::random_tree(77, 30));
-  vfs::FileTree wire = index.to_wire_tree();
+  vfs::FileTree wire = gear::testing::reference_to_wire_tree(index);
   // Wire form has only regular stub files, dirs, symlinks.
   wire.walk([](const std::string&, const vfs::FileNode& node) {
     EXPECT_TRUE(node.is_regular() || node.is_directory() || node.is_symlink());
@@ -127,10 +129,10 @@ TEST(GearIndexWire, RoundTrip) {
 }
 
 TEST(GearIndexWire, SurvivesDockerLayerTransport) {
-  // Index -> wire tree -> tar -> compress -> digest -> back: the full
-  // Docker-compatible journey of §III-C.
+  // Index -> tar -> compress -> digest -> back: the full Docker-compatible
+  // journey of §III-C.
   GearIndex index = index_of(gear::testing::sample_tree());
-  docker::Layer layer = docker::Layer::from_tree(index.to_wire_tree());
+  docker::Layer layer = index.to_layer();
   GearIndex back = GearIndex::from_layer(layer);
   EXPECT_TRUE(back.tree().equals(index.tree()));
 }
@@ -138,7 +140,7 @@ TEST(GearIndexWire, SurvivesDockerLayerTransport) {
 TEST(GearIndexWire, WireIsSmallComparedToImage) {
   vfs::FileTree root = gear::testing::random_tree(88, 60, 64 * 1024);
   GearIndex index = index_of(root);
-  docker::Layer layer = docker::Layer::from_tree(index.to_wire_tree());
+  docker::Layer layer = index.to_layer();
   // Paper: indexes average ~0.53 MB for multi-hundred-MB images (~1%).
   EXPECT_LT(layer.compressed_size() * 10, root.stats().total_file_bytes);
 }
@@ -344,11 +346,114 @@ TEST(GearIndexLayer, CraftedArchivesDecodeAsTheReferenceDoes) {
 
 TEST(GearIndexLayer, FromLayerOfAConvertedIndexMatchesTheReference) {
   const GearIndex index(gear::testing::stub_index_tree(5000, 21));
-  const docker::Layer layer = docker::Layer::from_tree(index.to_wire_tree());
+  const docker::Layer layer = index.to_layer();
   const GearIndex back = GearIndex::from_layer(layer);
   EXPECT_TRUE(back.tree().equals(index.tree()));
   EXPECT_TRUE(gear::testing::reference_index_tree(layer).equals(index.tree()));
   EXPECT_EQ(back.stubs().size(), 5000u);
+}
+
+// ------------------------------------------- to_layer vs the reference
+
+// to_layer and the reference composition on `index`: equal layers, or the
+// same error.
+void expect_same_layer(const GearIndex& index) {
+  std::optional<docker::Layer> want;
+  std::string want_error;
+  try {
+    want = gear::testing::reference_index_layer(index);
+  } catch (const Error& e) {
+    want_error = e.what();
+  }
+  std::optional<docker::Layer> got;
+  std::string got_error;
+  try {
+    got = index.to_layer();
+  } catch (const Error& e) {
+    got_error = e.what();
+  }
+  ASSERT_EQ(got.has_value(), want.has_value()) << got_error << want_error;
+  if (!got) {
+    EXPECT_EQ(got_error, want_error);
+    return;
+  }
+  EXPECT_EQ(got->blob(), want->blob());
+  EXPECT_EQ(got->digest(), want->digest());
+  EXPECT_EQ(got->uncompressed_size(), want->uncompressed_size());
+  EXPECT_TRUE(GearIndex::from_layer(*got).tree().equals(index.tree()));
+}
+
+TEST(GearIndexLayer, ToLayerMatchesTheReferenceComposition) {
+  expect_same_layer(index_of(gear::testing::sample_tree()));
+  for (std::uint64_t seed : {31u, 32u, 33u, 34u}) {
+    SCOPED_TRACE(seed);
+    vfs::FileTree root = gear::testing::random_tree(seed, 80);
+    root.add_directory("srv/empty", vfs::Metadata{0700, 3, 4, 1600000000});
+    root.add_symlink("srv/dangling", "../nowhere",
+                     vfs::Metadata{0777, 0, 0, 1690000000});
+    root.add_symlink("etc/dirlink", "../usr/share");
+    expect_same_layer(index_of(root));
+  }
+  expect_same_layer(GearIndex(gear::testing::stub_index_tree(5000, 21)));
+}
+
+TEST(GearIndexLayer, ToLayerMatchesTheReferenceAtTheUstarLimits) {
+  const Fingerprint fp = default_hasher().fingerprint(to_bytes("limit"));
+  const std::string p155 = std::string(77, 'p') + "/" + std::string(77, 'q');
+  vfs::FileTree tree;
+  tree.add_fingerprint_stub(std::string(100, 'n'), fp, 1);  // a whole name
+  tree.add_fingerprint_stub(p155 + "/" + std::string(100, 'n'), fp, 2);
+  tree.add_directory(std::string(99, 'd'));   // 100 bytes with its '/'
+  tree.add_directory(std::string(100, 'e'));  // 101: split at its '/'
+  tree.add_symlink("links/" + std::string(94, 'l'), std::string(100, 't'));
+  std::string deep;
+  for (int level = 0; level < 60; ++level) {
+    deep += (level == 0 ? "" : "/") + std::string("d") + std::to_string(level);
+  }
+  tree.add_fingerprint_stub(deep + "/leaf", fp, 3);  // split inside the path
+  expect_same_layer(GearIndex(tree));
+
+  // Longer than a 155-byte prefix and a 100-byte name can hold.
+  vfs::FileTree too_deep = tree;
+  too_deep.add_fingerprint_stub(
+      deep + "/d60/d61/d62/d63/d64/d65/d66/d67/d68/d69/leaf", fp, 4);
+  EXPECT_THROW(GearIndex(too_deep).to_layer(), Error);
+  expect_same_layer(GearIndex(too_deep));
+}
+
+TEST(GearIndexLayer, TooLongNamesFailAsTheReferenceFails) {
+  const Fingerprint fp = default_hasher().fingerprint(to_bytes("long"));
+  vfs::FileTree name;
+  name.add_fingerprint_stub("dir/" + std::string(101, 'n'), fp, 1);
+  vfs::FileTree link;
+  link.add_symlink("l", std::string(101, 't'));
+  for (const vfs::FileTree* tree : {&name, &link}) {
+    const GearIndex index(*tree);
+    expect_same_layer(index);
+    EXPECT_THROW(index.to_layer(), Error);
+  }
+  try {
+    GearIndex(name).to_layer();
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(e.message(), "tar: path too long: dir/" + std::string(101, 'n'));
+  }
+}
+
+TEST(GearIndexLayer, EmptyIndexIsTheTrailerAlone) {
+  // The reference refuses an empty index as an empty commit; to_layer
+  // writes the two zero blocks, which decode back to an empty index.
+  const GearIndex empty;
+  const docker::Layer layer = empty.to_layer();
+  EXPECT_EQ(layer.uncompressed_size(), 1024u);
+  EXPECT_EQ(decompress(layer.blob()), Bytes(1024, 0));
+  EXPECT_TRUE(GearIndex::from_layer(layer).tree().root().children().empty());
+  EXPECT_THROW(gear::testing::reference_index_layer(empty), Error);
+
+  const docker::Image image = empty.to_image("empty", "v1", {});
+  ASSERT_EQ(image.layers.size(), 1u);
+  EXPECT_EQ(image.manifest.layers.at(0).digest, layer.digest());
+  EXPECT_EQ(image.manifest.config.labels.at(kGearIndexLabel), "1");
 }
 
 TEST(GearIndexWire, ReindexingIndexIsIdentity) {

@@ -1,6 +1,10 @@
 // Tests for filesystem I/O (directory <-> tree) and catalog persistence.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -9,6 +13,8 @@
 #include "gear/persistence.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
+#include "util/thread_pool.hpp"
 #include "vfs/fs_io.hpp"
 
 namespace gear {
@@ -92,6 +98,181 @@ TEST(FsIo, ByteBudgetEnforced) {
 
 TEST(FsIo, MissingDirectoryRejected) {
   EXPECT_THROW(vfs::load_tree("/no/such/dir/anywhere"), Error);
+}
+
+// Sets the mtime of `path` itself, a symlink included, to `secs`.
+void set_mtime(const fs::path& path, std::int64_t secs) {
+  const struct timespec times[2] = {{secs, 0}, {secs, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, AT_SYMLINK_NOFOLLOW), 0)
+      << path;
+}
+
+TEST(FsIo, SymlinkKeepsItsOwnMtime) {
+  // A link's mtime is the link's, not its target's, and a dangling link has
+  // one too.
+  fs::path src = fresh_dir("link_mtime");
+  std::ofstream(src / "target") << "t";
+  set_mtime(src / "target", 1577836800);  // 2020-01-01
+  fs::create_symlink("target", src / "live");
+  set_mtime(src / "live", 1685577600);  // 2023-06-01
+  fs::create_symlink("nowhere", src / "dangling");
+  set_mtime(src / "dangling", 1640995200);  // 2022-01-01
+
+  vfs::FileTree tree = vfs::load_tree(src);
+  EXPECT_EQ(tree.lookup("target")->metadata().mtime, 1577836800u);
+  EXPECT_EQ(tree.lookup("live")->metadata().mtime, 1685577600u);
+  EXPECT_EQ(tree.lookup("dangling")->metadata().mtime, 1640995200u);
+  EXPECT_EQ(tree.lookup("dangling")->link_target(), "nowhere");
+  fs::remove_all(src);
+}
+
+// ---------------------------------------------------------------- loader
+
+// A directory holding what the loader must tell apart: nested and empty
+// directories, files of modes 0600/0755/04755 and many sizes (some past a
+// 4 KiB read), live, dangling and directory symlinks, and a FIFO.
+fs::path loader_fixture(const std::string& tag) {
+  fs::path src = fresh_dir(tag);
+  fs::create_directories(src / "a/b/c");
+  fs::create_directories(src / "empty");
+  fs::create_directories(src / "a/empty2");
+  Rng rng(4242);
+  for (int i = 0; i < 120; ++i) {
+    const fs::path dir = i % 3 == 0 ? src : i % 3 == 1 ? src / "a" : src / "a/b/c";
+    write_file_bytes(dir / ("f" + std::to_string(i)),
+                     rng.next_bytes(rng.next_range(0, 12000), 0.4));
+  }
+  write_file_bytes(src / "private", to_bytes("secret"));
+  fs::permissions(src / "private", fs::perms(0600));
+  write_file_bytes(src / "a/tool", to_bytes("#!/bin/sh\n"));
+  fs::permissions(src / "a/tool", fs::perms(0755));
+  write_file_bytes(src / "a/setuid", to_bytes("suid"));
+  EXPECT_EQ(::chmod((src / "a/setuid").c_str(), 04755), 0);
+  fs::create_symlink("f0", src / "live");
+  fs::create_symlink("missing/target", src / "a/dangling");
+  fs::create_directory_symlink("a/b", src / "dirlink");
+  EXPECT_EQ(::mkfifo((src / "a/fifo").c_str(), 0644), 0);
+  std::int64_t stamp = 1600000000;
+  for (const auto& entry : fs::recursive_directory_iterator(src)) {
+    set_mtime(entry.path(), stamp += 97);
+  }
+  return src;
+}
+
+TEST(LoadTree, FourWideEqualsSerial) {
+  // Contents are read as one task per file on the pool: any width loads
+  // the tree the serial loader loads.
+  fs::path src = loader_fixture("loader_wide");
+  util::ThreadPool pool(4);
+  vfs::FileTree serial = vfs::load_tree(src);
+  vfs::FileTree wide = vfs::load_tree(src, {}, &pool);
+  EXPECT_TRUE(wide.equals(serial));
+  EXPECT_EQ(wide.stats().regular_files, 123u);
+  fs::remove_all(src);
+}
+
+TEST(LoadTree, MatchesTheDiskEntryByEntry) {
+  fs::path src = loader_fixture("loader_disk");
+  util::ThreadPool pool(4);
+  vfs::FileTree tree = vfs::load_tree(src, {}, &pool);
+
+  std::size_t nodes = 0;
+  tree.walk([&](const std::string& path, const vfs::FileNode& node) {
+    ++nodes;
+    const fs::path on_disk = src / path;
+    struct stat st {};
+    ASSERT_EQ(::lstat(on_disk.c_str(), &st), 0) << path;
+    EXPECT_EQ(node.metadata().mode, st.st_mode & 07777) << path;
+    EXPECT_EQ(node.metadata().mtime,
+              static_cast<std::uint64_t>(st.st_mtim.tv_sec))
+        << path;
+    EXPECT_EQ(node.metadata().uid, 0u) << path;
+    if (S_ISREG(st.st_mode)) {
+      ASSERT_TRUE(node.is_regular()) << path;
+      EXPECT_EQ(node.content(), read_file_bytes(on_disk)) << path;
+    } else if (S_ISLNK(st.st_mode)) {
+      ASSERT_TRUE(node.is_symlink()) << path;
+      EXPECT_EQ(node.link_target(), fs::read_symlink(on_disk).string());
+    } else {
+      EXPECT_TRUE(S_ISDIR(st.st_mode) && node.is_directory()) << path;
+    }
+  });
+  // Every entry but the FIFO, and nothing through the directory link.
+  std::size_t on_disk = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(src)) {
+    on_disk += entry.is_fifo() ? 0 : 1;
+  }
+  EXPECT_EQ(nodes, on_disk);
+  EXPECT_TRUE(tree.lookup("dirlink")->is_symlink());
+  EXPECT_EQ(tree.lookup("a/setuid")->metadata().mode, 04755u);
+  EXPECT_EQ(tree.lookup("private")->metadata().mode, 0600u);
+  EXPECT_EQ(tree.lookup("a/tool")->metadata().mode, 0755u);
+  EXPECT_TRUE(tree.lookup("empty")->children().empty());
+  EXPECT_EQ(tree.lookup("a/fifo"), nullptr);
+  fs::remove_all(src);
+}
+
+TEST(LoadTree, ErrorsNameThePath) {
+  fs::path src = loader_fixture("loader_errors");
+  util::ThreadPool pool(2);
+
+  vfs::LoadOptions strict;
+  strict.skip_special = false;
+  try {
+    vfs::load_tree(src, strict, &pool);
+    ADD_FAILURE() << "expected kUnsupported";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnsupported);
+    EXPECT_NE(std::string(e.what()).find("a/fifo"), std::string::npos)
+        << e.what();
+  }
+
+  vfs::LoadOptions budget;
+  budget.max_total_bytes = 20000;
+  try {
+    vfs::load_tree(src, budget, &pool);
+    ADD_FAILURE() << "expected kOutOfSpace";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kOutOfSpace);
+    EXPECT_NE(std::string(e.what()).find("import exceeds byte budget at "),
+              std::string::npos)
+        << e.what();
+  }
+
+  for (const fs::path& bad : {src / "f0", src / "live", src / "no-such"}) {
+    try {
+      vfs::load_tree(bad, {}, &pool);
+      ADD_FAILURE() << "expected kInvalidArgument for " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << bad;
+      EXPECT_NE(std::string(e.what()).find(bad.string()), std::string::npos);
+    }
+  }
+  fs::remove_all(src);
+}
+
+TEST(LoadTree, ModeZeroFileIsNamedOrRead) {
+  // A file the process may not read fails the load naming its path; root,
+  // whose reads ignore the mode, loads its bytes.
+  fs::path src = loader_fixture("loader_unreadable");
+  const Bytes content = read_file_bytes(src / "a/b/c/f2");
+  fs::permissions(src / "a/b/c/f2", fs::perms::none);
+  util::ThreadPool pool(2);
+  if (::geteuid() == 0) {
+    vfs::FileTree tree = vfs::load_tree(src, {}, &pool);
+    EXPECT_EQ(tree.lookup("a/b/c/f2")->content(), content);
+    EXPECT_EQ(tree.lookup("a/b/c/f2")->metadata().mode, 0u);
+  } else {
+    try {
+      vfs::load_tree(src, {}, &pool);
+      ADD_FAILURE() << "expected an error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("a/b/c/f2"), std::string::npos)
+          << e.what();
+    }
+  }
+  fs::permissions(src / "a/b/c/f2", fs::perms::owner_all);
+  fs::remove_all(src);
 }
 
 TEST(FsIo, ExportRejectsStubsAndWhiteouts) {

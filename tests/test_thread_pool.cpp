@@ -6,6 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -135,6 +138,116 @@ TEST(ThreadPool, ExceptionPropagatesAndRemainingTasksComplete) {
     EXPECT_EQ(e.code(), ErrorCode::kInternal);
   }
   EXPECT_EQ(ran.load(), 32);  // no task is dropped on failure
+}
+
+// Holds every worker of a width-`n` pool in a task until release() (or a
+// two-second timeout, so a pool whose caller only waits still finishes).
+class BusyWorkers {
+ public:
+  BusyWorkers(ThreadPool& pool, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      held_.push_back(pool.submit([this] {
+        ++started_;
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait_for(lock, std::chrono::seconds(2), [this] { return released_; });
+      }));
+    }
+    while (started_.load() < n) std::this_thread::yield();
+  }
+  ~BusyWorkers() { release(); }
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    for (std::future<void>& f : held_) {
+      if (f.valid()) f.get();
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+  std::atomic<std::size_t> started_{0};
+  std::vector<std::future<void>> held_;
+};
+
+TEST(ThreadPool, CallerClaimsItemsWhileWorkersAreBusy) {
+  // The caller claims from the same counter as its helpers: with both
+  // workers held, it runs every item itself and returns before they are
+  // free. Helpers dequeued afterwards find nothing left to claim.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  BusyWorkers busy(pool, 2);
+  std::vector<std::thread::id> ran_on(8);
+  pool.parallel_for_each(8, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    EXPECT_EQ(ran_on[i], caller) << i;
+  }
+  busy.release();
+  // The late helpers run and leave; the pool still works afterwards.
+  std::atomic<int> hits{0};
+  pool.parallel_for_each(64, [&](std::size_t) { ++hits; });
+  EXPECT_EQ(hits.load(), 64);
+}
+
+TEST(ThreadPool, OneExceptionIsRethrownAfterEveryItemRan) {
+  // Items claimed by the caller and by helpers alike finish before the
+  // first error is rethrown, bounded or not.
+  ThreadPool pool(2);
+  for (std::uint64_t bound : {std::uint64_t{0}, std::uint64_t{100}}) {
+    std::atomic<int> finished{0};
+    try {
+      pool.parallel_for_each(
+          40,
+          [&](std::size_t i) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+            if (i == 3) throw_error(ErrorCode::kInternal, "item 3");
+            ++finished;
+          },
+          bound, [](std::size_t) -> std::uint64_t { return 30; });
+      ADD_FAILURE() << "expected Error";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInternal);
+      EXPECT_EQ(finished.load(), 39) << "bound " << bound;
+    }
+  }
+}
+
+TEST(ThreadPool, ByteBoundHoldsWhenTheCallerClaimsToo) {
+  // Sizes vary per item; the sum in flight, across helpers and the caller,
+  // never passes the bound unless one oversized item runs alone.
+  ThreadPool pool(3);
+  constexpr std::uint64_t kBound = 100;
+  auto size_of = [](std::size_t i) -> std::uint64_t {
+    return i % 10 == 9 ? 150 : 10 + (i * 7) % 50;
+  };
+  std::mutex mu;
+  std::uint64_t inflight = 0;
+  std::size_t running = 0;
+  bool violated = false;
+  pool.parallel_for_each(
+      200,
+      [&](std::size_t i) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          inflight += size_of(i);
+          ++running;
+          if (inflight > kBound && running > 1) violated = true;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        std::lock_guard<std::mutex> lock(mu);
+        inflight -= size_of(i);
+        --running;
+      },
+      kBound, size_of);
+  EXPECT_FALSE(violated);
+  EXPECT_EQ(inflight, 0u);
 }
 
 TEST(Concurrency, ResolvesWorkers) {

@@ -60,6 +60,155 @@ TEST(Hex, RejectsNonHex) {
 
 // ---------------------------------------------------------------- md5
 
+// The MD5 block loop that Md5::process_block's written-out steps replaced,
+// kept verbatim as their oracle, with RFC 1321's padding around it: a
+// one-shot digest of `data`.
+Md5Digest reference_md5(BytesView data) {
+  // Per-round left-rotate amounts (RFC 1321 §3.4).
+  constexpr std::uint32_t kShift[64] = {
+      7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
+      5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
+      4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
+      6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
+
+  // K[i] = floor(2^32 * abs(sin(i + 1))).
+  constexpr std::uint32_t kSine[64] = {
+      0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a,
+      0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
+      0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340,
+      0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
+      0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
+      0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c,
+      0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
+      0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
+      0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92,
+      0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
+      0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
+
+  auto rotl = [](std::uint32_t x, std::uint32_t n) {
+    return (x << n) | (x >> (32 - n));
+  };
+  auto load_le32 = [](const std::uint8_t* p) {
+    return static_cast<std::uint32_t>(p[0]) |
+           (static_cast<std::uint32_t>(p[1]) << 8) |
+           (static_cast<std::uint32_t>(p[2]) << 16) |
+           (static_cast<std::uint32_t>(p[3]) << 24);
+  };
+
+  std::uint32_t state[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu,
+                            0x10325476u};
+  auto process_block = [&](const std::uint8_t* block) {
+    std::uint32_t m[16];
+    for (int i = 0; i < 16; ++i) m[i] = load_le32(block + i * 4);
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      std::uint32_t f;
+      std::uint32_t g;
+      if (i < 16) {
+        f = (b & c) | (~b & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b) | (~d & c);
+        g = (5 * i + 1) & 15;
+      } else if (i < 48) {
+        f = b ^ c ^ d;
+        g = (3 * i + 5) & 15;
+      } else {
+        f = c ^ (b | ~d);
+        g = (7 * i) & 15;
+      }
+      std::uint32_t tmp = d;
+      d = c;
+      c = b;
+      b = b + rotl(a + f + kSine[i] + m[g], kShift[i]);
+      a = tmp;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+  };
+
+  // Padding: a 0x80 byte, zeros to 56 mod 64, then the 64-bit bit length.
+  Bytes message(data.begin(), data.end());
+  message.push_back(0x80);
+  while (message.size() % 64 != 56) message.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 0; i < 8; ++i) {
+    message.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  for (std::size_t off = 0; off < message.size(); off += 64) {
+    process_block(message.data() + off);
+  }
+  Md5Digest digest;
+  for (int i = 0; i < 16; ++i) {
+    digest[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(state[i / 4] >> (8 * (i % 4)));
+  }
+  return digest;
+}
+
+std::string reference_md5_hex(std::string_view text) {
+  const Md5Digest d = reference_md5(to_bytes(text));
+  return hex_encode(BytesView(d.data(), d.size()));
+}
+
+TEST(Md5Reference, Rfc1321Vectors) {
+  // The oracle itself answers RFC 1321's suite, as Md5 must below.
+  EXPECT_EQ(reference_md5_hex(""), "d41d8cd98f00b204e9800998ecf8427e");
+  EXPECT_EQ(reference_md5_hex("abc"), "900150983cd24fb0d6963f7d28e17f72");
+  EXPECT_EQ(reference_md5_hex("message digest"),
+            "f96b697d7cb7938d525a2f31aaf161d0");
+  EXPECT_EQ(reference_md5_hex("1234567890123456789012345678901234567890123456"
+                              "7890123456789012345678901234567890"),
+            "57edf4a22be3c955ac49da2e2107b67a");
+}
+
+TEST(Md5, MatchesTheReferenceAtEveryLengthUpTo1000) {
+  Rng rng(1321);
+  const Bytes data = rng.next_bytes(1000, 0.0);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const BytesView prefix(data.data(), len);
+    ASSERT_EQ(Md5::hash(prefix), reference_md5(prefix)) << "len=" << len;
+  }
+}
+
+TEST(Md5, MatchesTheReferenceOnOneMebibytePlusThree) {
+  Rng rng(1322);
+  const Bytes data = rng.next_bytes((1u << 20) + 3, 0.5);
+  EXPECT_EQ(Md5::hash(data), reference_md5(data));
+}
+
+TEST(Md5, EverySplitPointMatchesTheReference) {
+  Rng rng(1324);
+  const Bytes data = rng.next_bytes(300, 0.0);
+  const Md5Digest want = reference_md5(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Md5 h;
+    h.update(BytesView(data.data(), split));
+    h.update(BytesView(data.data() + split, data.size() - split));
+    ASSERT_EQ(h.finish(), want) << "split=" << split;
+  }
+}
+
+TEST(Md5, RandomUpdateSplitsMatchTheReference) {
+  Rng rng(1323);
+  for (int round = 0; round < 200; ++round) {
+    const Bytes data = rng.next_bytes(rng.next_range(0, 3000), 0.3);
+    const Md5Digest want = reference_md5(data);
+    Md5 h;
+    std::size_t pos = 0;
+    while (pos < data.size()) {
+      const std::size_t take = std::min<std::size_t>(
+          data.size() - pos, rng.next_range(0, 200));
+      h.update(BytesView(data.data() + pos, take));
+      pos += take;
+    }
+    ASSERT_EQ(h.finish(), want) << "round " << round;
+  }
+}
+
 // RFC 1321 appendix A.5 test suite.
 TEST(Md5, Rfc1321Vectors) {
   EXPECT_EQ(Md5::hex(to_bytes("")), "d41d8cd98f00b204e9800998ecf8427e");

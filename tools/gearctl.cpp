@@ -274,7 +274,9 @@ int cmd_import(Store& store, const std::string& dir, const std::string& ref,
     return 2;
   }
 
-  vfs::FileTree root = vfs::load_tree(dir);
+  // One --workers pool reads the tree's files and compresses for push.
+  std::unique_ptr<util::ThreadPool> pool = make_pool();
+  vfs::FileTree root = vfs::load_tree(dir, {}, pool.get());
   vfs::TreeStats stats = root.stats();
   std::printf("imported %s: %llu files, %llu dirs, %llu symlinks, %s\n",
               dir.c_str(),
@@ -284,19 +286,20 @@ int cmd_import(Store& store, const std::string& dir, const std::string& ref,
               format_size(stats.total_file_bytes).c_str());
 
   // Convert the loaded tree directly, with collision detection against what
-  // the store already holds.
+  // the store already holds. The tree moves in: its unique files' bytes
+  // become the image's without a copy.
   docker::ImageConfig config;
   config.labels["gearctl.import.source"] = dir;
   GearConverter converter(default_hasher(), &store.files());
   converter.set_concurrency(g_concurrency);
-  ConversionResult conv = converter.convert(root, ref.substr(0, colon),
+  ConversionResult conv = converter.convert(std::move(root),
+                                            ref.substr(0, colon),
                                             ref.substr(colon + 1),
                                             std::move(config));
   ChunkPolicy policy;
   if (chunk_threshold > 0) {
     policy.threshold_bytes = chunk_threshold;
   }
-  std::unique_ptr<util::ThreadPool> pool = make_pool();
   std::size_t uploaded =
       push_gear_image(conv.image, store.docker, store.files(), policy,
                       pool.get(), g_concurrency.max_inflight_bytes);
