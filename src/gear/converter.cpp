@@ -7,6 +7,7 @@
 
 #include "gear/registry_api.hpp"
 #include "util/error.hpp"
+#include "util/sha256.hpp"
 
 namespace gear {
 
@@ -17,6 +18,17 @@ namespace {
 bool reserved_name(std::string_view path) {
   std::string_view name = path.substr(path.rfind('/') + 1);  // npos + 1 == 0
   return name.starts_with(".wh.");
+}
+
+/// The registry's digest of `fp` from its query_digests answer: nullopt
+/// when the file is not stored; throws, naming `fp`, on any other failure,
+/// so a stored object that cannot be read back never reads as absent.
+std::optional<Sha256Digest> stored_digest(
+    const Fingerprint& fp, const StatusOr<Sha256Digest>& answer) {
+  if (answer.ok()) return *answer;
+  if (answer.code() == ErrorCode::kNotFound) return std::nullopt;
+  throw_error(answer.code(),
+              "collision probe of " + fp.hex() + ": " + answer.message());
 }
 
 }  // namespace
@@ -32,16 +44,6 @@ util::ThreadPool* GearConverter::pool() const {
     pool_ = std::make_unique<util::ThreadPool>(width);
   }
   return pool_.get();
-}
-
-std::optional<Bytes> GearConverter::fetch_existing(
-    const Fingerprint& fp) const {
-  if (existing_ == nullptr) return std::nullopt;
-  StatusOr<Bytes> got = existing_->download(fp);
-  if (got.ok()) return std::move(got).value();
-  if (got.code() == ErrorCode::kNotFound) return std::nullopt;
-  throw_error(got.code(),
-              "collision probe of " + fp.hex() + ": " + got.message());
 }
 
 std::vector<std::uint8_t> GearConverter::probe_existing(
@@ -66,34 +68,45 @@ std::vector<std::uint8_t> GearConverter::probe_existing(
   }
   std::vector<std::uint8_t> present = existing_->query_many(distinct);
 
-  // Steps 2 and 3: fetch the present files in batch_slices slices bounded
-  // by max_inflight_bytes and kMaxBatchBytes (sized by the local copy),
-  // decompressing on the pool; compare, keep the verdict, drop the bytes.
-  // A failed slice is re-probed one file at a time, so a file gone since
-  // the query stays a miss and any other failure names its fingerprint.
+  // Step 2: SHA-256 every local file whose fingerprint is stored, on the
+  // pool, and ask the registry for the digests of its copies in
+  // batch_slices slices (sized by the local copy, bounded by
+  // max_inflight_bytes and kMaxBatchBytes). A file clashes when the two
+  // digests differ; no stored byte moves.
   std::vector<std::size_t> stored;
   std::vector<std::uint64_t> sizes;
+  std::vector<std::size_t> todo;  // the users of stored[0], stored[1], ...
   for (std::size_t d = 0; d < distinct.size(); ++d) {
     if (present[d] == 0) continue;
     stored.push_back(d);
     sizes.push_back(contents[users[d].front()]->size());
+    todo.insert(todo.end(), users[d].begin(), users[d].end());
   }
-  auto judge = [&](std::size_t d, const Bytes& copy) {
-    for (std::size_t i : users[d]) clash[i] = *contents[i] != copy;
+  std::vector<Sha256Digest> mine(todo.size());
+  auto hash_one = [&](std::size_t t) {
+    mine[t] = Sha256::hash(*contents[todo[t]]);
   };
+  if (util::ThreadPool* workers = pool()) {
+    workers->parallel_for_each(todo.size(), hash_one);
+  } else {
+    for (std::size_t t = 0; t < todo.size(); ++t) hash_one(t);
+  }
+  std::size_t t = 0;  // walks `todo` and `mine` in step with the slices
   for (const BatchSlice& slice :
        batch_slices(sizes, concurrency_.max_inflight_bytes)) {
     std::vector<Fingerprint> fps;
     for (std::size_t k = slice.begin; k < slice.end; ++k) {
       fps.push_back(distinct[stored[k]]);
     }
-    StatusOr<std::vector<Bytes>> got = existing_->download_batch(fps, pool());
+    std::vector<StatusOr<Sha256Digest>> answers =
+        existing_->query_digests(fps, pool());
     for (std::size_t k = slice.begin; k < slice.end; ++k) {
-      if (got.ok()) {
-        judge(stored[k], (*got)[k - slice.begin]);
-      } else if (std::optional<Bytes> one =
-                     fetch_existing(fps[k - slice.begin])) {
-        judge(stored[k], *one);
+      // A file gone since the query stays a miss.
+      std::optional<Sha256Digest> theirs =
+          stored_digest(fps[k - slice.begin], answers[k - slice.begin]);
+      for (std::size_t i : users[stored[k]]) {
+        clash[i] = theirs && mine[t] != *theirs;
+        ++t;
       }
     }
   }
@@ -112,13 +125,14 @@ Fingerprint GearConverter::resolve_fingerprint(const Bytes& content,
   for (;;) {
     // Compare against content already assigned this fingerprint, else
     // against the registry's copy (the probe's verdict for the unsalted
-    // fingerprint, a single lookup for a salted one).
+    // fingerprint, a one-item digest query for a salted one).
     if (auto it = assigned.find(fp); it != assigned.end()) {
       if (*it->second == content) return fp;  // duplicate within the image
     } else {
-      if (salt != 0) {
-        std::optional<Bytes> copy = fetch_existing(fp);
-        clash = copy && *copy != content;
+      if (salt != 0 && existing_ != nullptr) {
+        std::optional<Sha256Digest> theirs =
+            stored_digest(fp, existing_->query_digests({fp}).front());
+        clash = theirs && *theirs != Sha256::hash(content);
       }
       if (!clash) return fp;  // fresh, or a dedup against the registry
     }

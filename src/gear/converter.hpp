@@ -13,13 +13,14 @@
 // via a truncated hasher — the converter detects it by content comparison
 // and assigns the newcomer a salted unique fingerprint, disabling dedup for
 // that file only. Contents already in the registry take part through a
-// batched probe: one query_many over the image's fingerprints, then the
-// present files fetched in bounded slices and compared byte for byte.
+// batched probe: one query_many over the image's fingerprints, then one
+// query_digests per bounded slice of the present files, whose stored
+// copies' SHA-256 digests are compared with the local files' own. The
+// registry hashes where the bytes are, so the probe never downloads.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -82,7 +83,7 @@ class GearConverter {
                                  double* seconds_out) const;
 
   /// Sets the worker budget for convert(): per-file fingerprinting and the
-  /// probe's decompression fan out across a pool of `resolved_workers()`
+  /// probe's SHA-256 fan out across a pool of `resolved_workers()`
   /// threads; collision resolution and stats stay an ordered
   /// single-threaded reduce, so the result (index, stats, file set, salted
   /// IDs) is byte-identical at any width.
@@ -98,17 +99,11 @@ class GearConverter {
       std::unordered_map<Fingerprint, const Bytes*, FingerprintHash>;
 
   /// The batched probe: out[i] != 0 iff the registry holds bytes other
-  /// than *contents[i] under raw[i] (a collision with stored content). All
-  /// zero without a registry.
+  /// than *contents[i] under raw[i] (a collision with stored content),
+  /// judged by SHA-256 digests. All zero without a registry.
   std::vector<std::uint8_t> probe_existing(
       const std::vector<const Bytes*>& contents,
       const std::vector<Fingerprint>& raw) const;
-
-  /// One registry download of `fp`: nullopt on kNotFound (or without a
-  /// registry), the content on success; throws, naming `fp`, on any other
-  /// failure. Serves the salted re-probes and the per-file retry of a
-  /// failed probe slice.
-  std::optional<Bytes> fetch_existing(const Fingerprint& fp) const;
 
   /// Resolves the fingerprint for `content`: normally `raw`
   /// (= hasher(content)), but salted to a unique value when a different

@@ -103,7 +103,6 @@ StatusOr<Bytes> GearRegistry::reassemble_locked(const Fingerprint& fp) const {
   if (!manifest.ok()) {
     return {ErrorCode::kNotFound, "gear file not found: " + fp.hex()};
   }
-  stats_.downloads.fetch_add(1, kRelaxed);
   const ChunkManifest& m = *manifest;
   Bytes out;
   out.reserve(m.file_size);
@@ -131,6 +130,7 @@ StatusOr<Bytes> GearRegistry::download_compressed(const Fingerprint& fp) const {
   if (store_->contains_manifest(fp)) {
     // Chunked files have no single stored frame; reassemble (counts one
     // download, like any whole-file fetch) and re-frame for the wire.
+    stats_.downloads.fetch_add(1, kRelaxed);
     StatusOr<Bytes> whole = reassemble_locked(fp);
     if (!whole.ok()) return whole;
     return compress(*whole);
@@ -161,6 +161,7 @@ StatusOr<std::vector<Bytes>> GearRegistry::download_batch(
   for (std::size_t i = 0; i < fps.size(); ++i) {
     std::shared_lock lock(shard_lock(fps[i]));
     if (store_->contains_manifest(fps[i])) {
+      stats_.downloads.fetch_add(1, kRelaxed);
       StatusOr<Bytes> whole = reassemble_locked(fps[i]);
       if (!whole.ok()) {
         return {whole.code(),
@@ -218,6 +219,39 @@ StatusOr<std::vector<Bytes>> GearRegistry::download_batch(
   }
 
   if (wire_bytes_out != nullptr) *wire_bytes_out = wire;
+  return out;
+}
+
+StatusOr<Sha256Digest> GearRegistry::digest_of(const Fingerprint& fp) const {
+  StatusOr<Bytes> frame{ErrorCode::kNotFound, ""};
+  {
+    std::shared_lock lock(shard_lock(fp));
+    if (store_->contains_manifest(fp)) {
+      StatusOr<Bytes> whole = reassemble_locked(fp);
+      if (!whole.ok()) return {whole.code(), whole.message()};
+      return Sha256::hash(*whole);
+    }
+    frame = store_->get(fp);
+  }
+  // A plain frame is decoded and hashed after the lock is dropped: an
+  // upload to this shard waits only for the read.
+  if (!frame.ok()) {
+    return {ErrorCode::kNotFound, "gear file not found: " + fp.hex()};
+  }
+  StatusOr<Bytes> content = decompress_object(fp, *frame);
+  if (!content.ok()) return {content.code(), content.message()};
+  return Sha256::hash(*content);
+}
+
+std::vector<StatusOr<Sha256Digest>> GearRegistry::query_digests(
+    const std::vector<Fingerprint>& fps, util::ThreadPool* pool) const {
+  std::vector<StatusOr<Sha256Digest>> out(fps.size(), Sha256Digest{});
+  auto digest_one = [&](std::size_t i) { out[i] = digest_of(fps[i]); };
+  if (pool != nullptr) {
+    pool->parallel_for_each(fps.size(), digest_one);
+  } else {
+    for (std::size_t i = 0; i < fps.size(); ++i) digest_one(i);
+  }
   return out;
 }
 

@@ -100,6 +100,17 @@ class GearRegistry : public FileRegistryApi {
       const std::vector<Fingerprint>& fps, util::ThreadPool* pool = nullptr,
       std::uint64_t* wire_bytes_out = nullptr) const override;
 
+  /// Collision verdicts where the bytes are: out[i] is the SHA-256 of the
+  /// raw content stored under fps[i], computed here from the stored frame
+  /// (or the reassembled chunks) without moving it. Each fingerprint is one
+  /// task on `pool` when given: its frame is read under its shard lock
+  /// (shared), then decompressed and hashed. kNotFound when absent;
+  /// kCorruptData naming the object when its frame, or one of its chunks,
+  /// no longer decodes. Counts no download: no content leaves.
+  std::vector<StatusOr<Sha256Digest>> query_digests(
+      const std::vector<Fingerprint>& fps,
+      util::ThreadPool* pool = nullptr) const override;
+
   /// Partial download of a chunked file: only the chunks covering
   /// [offset, offset+length) move. `wire_bytes_out` (optional) receives the
   /// compressed bytes a client would transfer. Works on plain files too
@@ -156,10 +167,14 @@ class GearRegistry : public FileRegistryApi {
     return store_->contains(fp) || store_->contains_manifest(fp);
   }
 
-  /// Reassembles the chunked file `fp` (counting one download); caller
-  /// holds its shard lock (shared). Chunk objects are read through the
-  /// store's own (atomic) lookups, never through other registry shard locks.
+  /// Reassembles the chunked file `fp`; caller holds its shard lock
+  /// (shared). Chunk objects are read through the store's own (atomic)
+  /// lookups, never through other registry shard locks.
   StatusOr<Bytes> reassemble_locked(const Fingerprint& fp) const;
+
+  /// The SHA-256 of the raw content stored under `fp` (query_digests'
+  /// per-item task); takes the shard lock itself.
+  StatusOr<Sha256Digest> digest_of(const Fingerprint& fp) const;
 
   /// Dedup upsert core; caller holds the shard lock of `fp` exclusively.
   bool upload_compressed_locked(const Fingerprint& fp, Bytes compressed);

@@ -43,6 +43,41 @@ StatusOr<Bytes> FileRegistryApi::download(const Fingerprint& fp) const {
   return std::move(got->front());
 }
 
+std::vector<StatusOr<Sha256Digest>> FileRegistryApi::query_digests(
+    const std::vector<Fingerprint>& fps, util::ThreadPool* pool) const {
+  std::vector<StatusOr<Sha256Digest>> out;
+  if (fps.empty()) return out;
+  out.reserve(fps.size());
+  if (StatusOr<std::vector<Bytes>> batch = download_batch(fps, pool);
+      batch.ok()) {
+    std::vector<Sha256Digest> digests(fps.size());
+    auto hash_one = [&](std::size_t i) {
+      digests[i] = Sha256::hash((*batch)[i]);
+    };
+    if (pool != nullptr) {
+      pool->parallel_for_each(fps.size(), hash_one);
+    } else {
+      for (std::size_t i = 0; i < fps.size(); ++i) hash_one(i);
+    }
+    out.assign(digests.begin(), digests.end());
+    return out;
+  }
+  // The batch fails whole on its first bad item; ask again one at a time
+  // so every item gets its own answer.
+  for (const Fingerprint& fp : fps) {
+    StatusOr<Bytes> one = download(fp);
+    if (one.ok()) {
+      out.emplace_back(Sha256::hash(*one));
+    } else if (one.code() == ErrorCode::kNotFound) {
+      out.emplace_back(ErrorCode::kNotFound, one.message());
+    } else {
+      out.emplace_back(one.code(),
+                       "digest of " + fp.hex() + ": " + one.message());
+    }
+  }
+  return out;
+}
+
 std::size_t FileRegistryApi::upload_precompressed_batch(
     std::vector<std::pair<Fingerprint, Bytes>> items) {
   std::size_t stored = 0;

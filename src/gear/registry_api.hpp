@@ -31,6 +31,7 @@
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/fingerprint.hpp"
+#include "util/sha256.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gear {
@@ -61,8 +62,9 @@ struct BatchSlice {
 /// kMaxBatchFiles items and at most min(`max_bytes`, kMaxBatchBytes) of
 /// `sizes` (`max_bytes` 0 = kMaxBatchBytes alone); an item larger than the
 /// bound travels alone. The one place every multi-file burst is formed: the
-/// downloads of the converter's collision probe, export, and prefetch (the
-/// lazy backfill), and push_gear_image's upload bursts.
+/// digest queries of the converter's collision probe, the downloads of
+/// export and prefetch (the lazy backfill), and push_gear_image's upload
+/// bursts.
 std::vector<BatchSlice> batch_slices(const std::vector<std::uint64_t>& sizes,
                                      std::uint64_t max_bytes);
 
@@ -119,6 +121,18 @@ class FileRegistryApi {
   virtual StatusOr<std::vector<Bytes>> download_batch(
       const std::vector<Fingerprint>& fps, util::ThreadPool* pool = nullptr,
       std::uint64_t* wire_bytes_out = nullptr) const = 0;
+
+  /// Collision verdicts without moving content: out[i] is the SHA-256 of
+  /// the raw content stored under fps[i], kNotFound when it is not stored,
+  /// or another error naming the fingerprint (a stored object that cannot
+  /// be read back). `pool`, when non-null, may be used for the reads and
+  /// the hashing. Default: download_batch, hashed here; when the batch
+  /// fails, one download per item, so each item gets its own answer.
+  /// Storage-backed registries hash where the bytes are, and the remote
+  /// stub moves one 32-byte digest per file.
+  virtual std::vector<StatusOr<Sha256Digest>> query_digests(
+      const std::vector<Fingerprint>& fps,
+      util::ThreadPool* pool = nullptr) const;
 
   /// Partial download of [offset, offset+length). Default fetches the whole
   /// object and slices client-side; chunk-aware backends move only the

@@ -13,10 +13,10 @@ static_assert(2 * kMaxBatchBytes <= kDefaultMaxFrameBytes);
 /// The item status answering a failed registry read. Only a missing object
 /// is kNotFound, which a client takes as an answer; any other failure (a
 /// stored frame or chunk that no longer decodes) is kServerError, which the
-/// client refetches and finally reports as kCorruptData naming the item.
-Status failed_read_status(const StatusOr<Bytes>& read) {
-  return read.code() == ErrorCode::kNotFound ? Status::kNotFound
-                                             : Status::kServerError;
+/// client asks again and finally reports as kCorruptData naming the item.
+Status failed_read_status(ErrorCode code) {
+  return code == ErrorCode::kNotFound ? Status::kNotFound
+                                      : Status::kServerError;
 }
 
 }  // namespace
@@ -99,9 +99,31 @@ Bytes FrameServer::serve(BytesView request_frame,
           out.status = Status::kOk;
           out.payload = std::move(stored).value();
         } else {
-          out.status = failed_read_status(stored);
+          out.status = failed_read_status(stored.code());
         }
         response.items.push_back(std::move(out));
+      }
+      break;
+    }
+    case MessageType::kDigestManyRequest: {
+      ++stats_.digest_round_trips;
+      stats_.digest_items += req.items.size();
+      response.type = MessageType::kDigestManyResponse;
+      std::vector<Fingerprint> fps;
+      fps.reserve(req.items.size());
+      for (const WireItem& item : req.items) fps.push_back(item.fp);
+      std::vector<StatusOr<Sha256Digest>> digests =
+          files_.query_digests(fps, pool_);
+      response.items.resize(fps.size());
+      for (std::size_t i = 0; i < fps.size(); ++i) {
+        WireItem& out = response.items[i];
+        out.fp = fps[i];
+        if (digests[i].ok()) {
+          out.status = Status::kOk;
+          out.payload.assign(digests[i]->begin(), digests[i]->end());
+        } else {
+          out.status = failed_read_status(digests[i].code());
+        }
       }
       break;
     }
@@ -145,7 +167,7 @@ Bytes FrameServer::serve(BytesView request_frame,
           out.status = Status::kOk;
           out.payload = std::move(stored).value();
         } else {
-          out.status = failed_read_status(stored);
+          out.status = failed_read_status(stored.code());
         }
         response.items.push_back(std::move(out));
       }

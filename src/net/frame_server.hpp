@@ -5,11 +5,13 @@
 // FleetRegistry of shards), encode, account. Every request is a batch, so
 // dispatch is one case per interface: kQueryMany (one query_many call per
 // frame, each hit advertising its stored size), kUploadMany (precompressed
-// frames stored verbatim), kDownloadMany (stored frames shipped verbatim)
-// and kDownloadChunks (manifest probes and chunk bursts). A frame the server
-// cannot decode or dispatch gets a kServerError reply; a download item the
-// registry cannot read is kNotFound only when the object is absent, and an
-// item-level kServerError otherwise (e.g. a chunk that no longer decodes).
+// frames stored verbatim), kDownloadMany (stored frames shipped verbatim),
+// kDownloadChunks (manifest probes and chunk bursts) and kDigestMany (one
+// query_digests call per frame, on the server's pool when it has one). A
+// frame the server cannot decode or dispatch gets a kServerError reply; a
+// download or digest item the registry cannot read is kNotFound only when
+// the object is absent, and an item-level kServerError otherwise (e.g. a
+// chunk that no longer decodes).
 //
 // FrameServer knows nothing about HOW frames travel — LoopbackTransport
 // hands them over in-process (optionally charging a simulated link) and
@@ -24,6 +26,7 @@
 
 #include "gear/registry_api.hpp"
 #include "net/wire.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gear::net {
 
@@ -49,6 +52,9 @@ struct LoopbackServerStats {
   std::atomic<std::uint64_t> manifest_round_trips{0};
   std::atomic<std::uint64_t> chunk_round_trips{0};
   std::atomic<std::uint64_t> chunk_items{0};
+  /// kDigestMany traffic: collision verdicts, one 32-byte digest per item.
+  std::atomic<std::uint64_t> digest_round_trips{0};
+  std::atomic<std::uint64_t> digest_items{0};
   std::atomic<std::uint64_t> bytes_in{0};   // request frame bytes
   std::atomic<std::uint64_t> bytes_out{0};  // response frame bytes
 };
@@ -58,8 +64,14 @@ struct LoopbackServerStats {
 /// any number of threads at once.
 class FrameServer {
  public:
-  /// Non-owning: `files` must outlive the server.
-  explicit FrameServer(FileRegistryApi& files) : files_(files) {}
+  /// Non-owning: `files` and `pool` must outlive the server. `pool`, when
+  /// non-null, is handed to query_digests, so a kDigestMany frame reads and
+  /// hashes its objects in parallel; without one (loopback transports, the
+  /// benchmark's daemon) the serving thread hashes them itself. It may be
+  /// shared by any number of serving threads.
+  explicit FrameServer(FileRegistryApi& files,
+                       util::ThreadPool* pool = nullptr)
+      : files_(files), pool_(pool) {}
 
   /// Answers one request frame with one response frame. An undecodable
   /// request is answered (kServerError), never thrown. Registry-side
@@ -76,6 +88,7 @@ class FrameServer {
 
  private:
   FileRegistryApi& files_;
+  util::ThreadPool* pool_;
   LoopbackServerStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "net/remote_registry.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "compress/codec.hpp"
@@ -190,6 +191,56 @@ StatusOr<std::vector<Bytes>> RemoteGearRegistry::download_batch(
                 fps[pending.front()].hex()};
   }
   if (wire_bytes_out != nullptr) *wire_bytes_out = wire;
+  return out;
+}
+
+std::vector<StatusOr<Sha256Digest>> RemoteGearRegistry::query_digests(
+    const std::vector<Fingerprint>& fps, util::ThreadPool* /*pool*/) const {
+  std::vector<StatusOr<Sha256Digest>> out(fps.size(), Sha256Digest{});
+  // The same item-level ladder as download_batch: the first round asks for
+  // every item, later rounds only for the items that came back unusable.
+  std::vector<std::size_t> pending(fps.size());
+  std::iota(pending.begin(), pending.end(), std::size_t{0});
+
+  for (int round = 0; round < max_attempts_ && !pending.empty(); ++round) {
+    WireMessage request;
+    request.type = MessageType::kDigestManyRequest;
+    request.items.resize(pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      request.items[i].fp = fps[pending[i]];
+    }
+    WireMessage response = call(request, MessageType::kDigestManyResponse);
+    if (response.items.size() != pending.size()) {
+      ++stats_.integrity_failures;
+      continue;  // malformed item list: ask for the whole remainder again
+    }
+    std::vector<std::size_t> still;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      const WireItem& item = response.items[i];
+      const Fingerprint& fp = fps[pending[i]];
+      if (item.fp == fp && item.status == Status::kNotFound) {
+        out[pending[i]] = {ErrorCode::kNotFound,
+                           "remote: no such file: " + fp.hex()};
+      } else if (item.fp == fp && item.status == Status::kOk &&
+                 item.payload.size() == std::tuple_size_v<Sha256Digest>) {
+        Sha256Digest digest;
+        std::copy(item.payload.begin(), item.payload.end(), digest.begin());
+        out[pending[i]] = digest;
+      } else {
+        ++stats_.integrity_failures;
+        still.push_back(pending[i]);
+      }
+    }
+    pending = std::move(still);
+    if (!pending.empty() && round + 1 < max_attempts_) {
+      stats_.item_refetches += pending.size();
+    }
+  }
+  for (std::size_t i : pending) {
+    out[i] = {ErrorCode::kCorruptData,
+              "remote: digest of " + fps[i].hex() + " unreadable after " +
+                  std::to_string(max_attempts_) + " attempts"};
+  }
   return out;
 }
 

@@ -8,7 +8,8 @@
 // surface to the deployment path; persistent ones become errors.
 //
 // The stub implements only the batched core (query_many / download_batch /
-// upload_precompressed_batch, plus the chunk and size calls); the
+// upload_precompressed_batch / query_digests, plus the chunk and size
+// calls); the
 // single-item query / upload / download are FileRegistryApi's batch-of-one
 // defaults, so every call moves one frame per batch. Retry granularity is
 // two-level: a frame that fails decode is retransmitted whole (stats_
@@ -79,6 +80,17 @@ class RemoteGearRegistry final : public FileRegistryApi {
   StatusOr<std::vector<Bytes>> download_batch(
       const std::vector<Fingerprint>& fps, util::ThreadPool* pool = nullptr,
       std::uint64_t* wire_bytes_out = nullptr) const override;
+
+  /// Collision verdicts over the wire: one kDigestMany frame per call,
+  /// answered with one 32-byte SHA-256 per file, so no content moves. An
+  /// item whose answer is kServerError, whose echo is wrong or whose
+  /// payload is not 32 bytes is asked again in a follow-up frame of only
+  /// such items (stats_.item_refetches), up to max_attempts; then it is
+  /// kCorruptData naming its fingerprint. kNotFound is an answer. The
+  /// server hashes on its own pool; `pool` is unused here.
+  std::vector<StatusOr<Sha256Digest>> query_digests(
+      const std::vector<Fingerprint>& fps,
+      util::ThreadPool* pool = nullptr) const override;
 
   /// Served from the size the server advertises in query responses.
   StatusOr<std::uint64_t> stored_size(const Fingerprint& fp) const override;

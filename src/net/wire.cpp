@@ -16,7 +16,7 @@ constexpr std::size_t kMinItemBytes = Fingerprint::kSize + 2;
 
 bool valid_type(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(MessageType::kQueryManyRequest) &&
-         t <= static_cast<std::uint8_t>(MessageType::kDownloadChunksResponse);
+         t <= static_cast<std::uint8_t>(MessageType::kDigestManyResponse);
 }
 
 bool valid_status(std::uint8_t s) {

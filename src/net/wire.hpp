@@ -33,6 +33,12 @@
 // own fingerprint (from the server's manifest), a per-chunk status, and the
 // stored compressed chunk frame; a manifest probe's response instead
 // carries the serialized manifest as its top-level payload.
+//
+// Digest messages (kDigestMany) carry collision verdicts instead of
+// content. Request items name fingerprints; each response item echoes its
+// fingerprint with kOk and the 32-byte SHA-256 of the file's raw content,
+// kNotFound when the file is not stored, or kServerError when it is stored
+// but cannot be read back.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +61,8 @@ enum class MessageType : std::uint8_t {
   kDownloadManyResponse = 12,
   kDownloadChunksRequest = 13,
   kDownloadChunksResponse = 14,
+  kDigestManyRequest = 15,
+  kDigestManyResponse = 16,
 };
 
 enum class Status : std::uint8_t {

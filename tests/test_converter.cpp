@@ -476,9 +476,9 @@ TEST(Converter, FileGoneSinceTheQueryStaysAMiss) {
 }
 
 TEST(ConverterProbe, FrameCountsOverTheWire) {
-  // First import of N distinct files: one query frame, nothing to fetch.
-  // Re-import: the query plus ⌈N/64⌉ download slices — not one frame per
-  // file.
+  // First import of N distinct files: one query frame, nothing to verify.
+  // Re-import: the query plus ⌈N/64⌉ digest slices — not one frame per
+  // file, and not one download.
   GearRegistry backend;
   net::LoopbackTransport transport(backend);
   net::RemoteGearRegistry remote(transport);
@@ -498,19 +498,53 @@ TEST(ConverterProbe, FrameCountsOverTheWire) {
   ConversionResult first = converter.convert(tree, "wire", "v1", {});
   EXPECT_EQ(wire.round_trips.load() - frames, 1u);
   EXPECT_EQ(wire.query_items.load(), kDistinct);
-  EXPECT_EQ(wire.download_items.load(), 0u);
+  EXPECT_EQ(wire.digest_items.load(), 0u);
 
   docker::DockerRegistry index_registry;
   ASSERT_EQ(push_gear_image(first.image, index_registry, remote), kDistinct);
 
   frames = wire.round_trips.load();
-  std::uint64_t downloads = wire.download_round_trips.load();
   ConversionResult again = converter.convert(tree, "wire", "v2", {});
   const std::uint64_t slices =
       (kDistinct + kMaxBatchFiles - 1) / kMaxBatchFiles;
   EXPECT_EQ(wire.round_trips.load() - frames, 1u + slices);
-  EXPECT_EQ(wire.download_round_trips.load() - downloads, slices);
-  EXPECT_EQ(wire.download_items.load(), kDistinct);
+  EXPECT_EQ(wire.digest_round_trips.load(), slices);
+  EXPECT_EQ(wire.digest_items.load(), kDistinct);
+  EXPECT_EQ(wire.download_items.load(), 0u);
+  EXPECT_TRUE(again.image.files == first.image.files);
+  EXPECT_EQ(again.stats.collisions, 0u);
+}
+
+TEST(ConverterProbe, ReimportMovesDigestsNotContent) {
+  // A re-import's probe answers carry a query item and a 32-byte digest per
+  // distinct file, whatever the files weigh: at most 72 B per file plus
+  // 64 B of framing per frame, where shipping the stored copies would
+  // cost their whole compressed size.
+  GearRegistry backend;
+  net::LoopbackTransport transport(backend);
+  net::RemoteGearRegistry remote(transport);
+  const net::LoopbackServerStats& wire = transport.server_stats();
+
+  const std::size_t kDistinct = 100;
+  vfs::FileTree tree;
+  Rng rng(615);
+  for (std::size_t i = 0; i < kDistinct; ++i) {
+    tree.add_file(numbered("f/", i), rng.next_bytes(2000 + 40 * i, 0.3));
+  }
+  GearConverter converter(default_hasher(), &remote);
+  converter.set_concurrency(util::Concurrency{2});
+  ConversionResult first = converter.convert(tree, "wire", "v1", {});
+  docker::DockerRegistry index_registry;
+  ASSERT_EQ(push_gear_image(first.image, index_registry, remote), kDistinct);
+
+  const std::uint64_t frames = wire.round_trips.load();
+  const std::uint64_t bytes_out = wire.bytes_out.load();
+  ConversionResult again = converter.convert(tree, "wire", "v2", {});
+  const std::uint64_t bound =
+      72 * kDistinct + 64 * (wire.round_trips.load() - frames);
+  EXPECT_LE(wire.bytes_out.load() - bytes_out, bound);
+  EXPECT_GT(backend.storage_bytes(), 10 * bound);  // what downloads would move
+  EXPECT_EQ(wire.download_items.load(), 0u);
   EXPECT_TRUE(again.image.files == first.image.files);
   EXPECT_EQ(again.stats.collisions, 0u);
 }
@@ -569,10 +603,11 @@ TEST(ConverterProbe, WeakHashCollisionAmongBatchedHitsKeepsItsSaltedId) {
 }
 
 TEST(ConcurrentConverterProbe, FourWideAndSerialDecompressionAgree) {
-  // The probe decompresses its slices on the converter's pool; results are
-  // placed by index and only verdicts survive, so a 4-wide and a 1-wide
-  // pool must convert identically, against an in-process registry and
-  // through the wire stub.
+  // The probe hashes the local files on the converter's pool, and an
+  // in-process registry reads, decompresses and hashes its copies on the
+  // same pool; results are placed by index and only verdicts survive, so a
+  // 4-wide and a 1-wide pool must convert identically, against an
+  // in-process registry and through the wire stub.
   GearRegistry registry;
   vfs::FileTree base = gear::testing::random_tree(630, 260, 8192);
   docker::DockerRegistry index_registry;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 
 #include "compress/codec.hpp"
 #include "net/remote_registry.hpp"
@@ -12,6 +13,7 @@
 #include "util/error.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
+#include "util/sha256.hpp"
 
 namespace gear::net {
 namespace {
@@ -98,6 +100,7 @@ constexpr MessageType kAllTypes[] = {
     MessageType::kUploadManyRequest,     MessageType::kUploadManyResponse,
     MessageType::kDownloadManyRequest,   MessageType::kDownloadManyResponse,
     MessageType::kDownloadChunksRequest, MessageType::kDownloadChunksResponse,
+    MessageType::kDigestManyRequest,     MessageType::kDigestManyResponse,
 };
 
 /// A batch of one: what every single-item call puts on the wire.
@@ -137,8 +140,9 @@ TEST(Wire, RoundTripAllTypes) {
 }
 
 TEST(Wire, GoldenFramesMatchTheBatchEncoding) {
-  // One frame of every type, pinned byte for byte to the encoding these
-  // types had while the retired single-item types 1-6 still existed.
+  // One frame of every type, pinned byte for byte: types 7-14 to the
+  // encoding they had while the retired single-item types 1-6 still
+  // existed, and the digest pair 15-16 to the same batch layout.
   const char* const golden[] = {
       "47575031070200112233445566778899aabbccddeeff02677701ffeeddcc"
       "bbaa9988776655443322110001046974656d0bd1ae61",
@@ -155,6 +159,10 @@ TEST(Wire, GoldenFramesMatchTheBatchEncoding) {
       "475750310d0200112233445566778899aabbccddeeff03020002e0948305",
       "475750310e0200112233445566778899aabbccddeeff02677701ffeeddcc"
       "bbaa9988776655443322110001046974656d382cb6c1",
+      "475750310f0200112233445566778899aabbccddeeff02677701ffeeddcc"
+      "bbaa9988776655443322110001046974656d5a149eeb",
+      "47575031100200112233445566778899aabbccddeeff02677701ffeeddcc"
+      "bbaa9988776655443322110001046974656dc6f46678",
   };
   for (std::size_t i = 0; i < std::size(kAllTypes); ++i) {
     EXPECT_EQ(hex_encode(encode_message(golden_message(kAllTypes[i]))),
@@ -163,20 +171,43 @@ TEST(Wire, GoldenFramesMatchTheBatchEncoding) {
   }
 }
 
+/// `frame` with its type byte set to `type` and its CRC recomputed, so only
+/// the type can make it fail decode.
+Bytes retyped(Bytes frame, std::uint8_t type) {
+  frame[4] = type;  // the type byte follows the 4-byte magic
+  std::uint32_t crc = crc32(BytesView(frame.data(), frame.size() - 4));
+  for (std::size_t k = 0; k < 4; ++k) {
+    frame[frame.size() - 4 + k] = static_cast<std::uint8_t>(crc >> (8 * k));
+  }
+  return frame;
+}
+
 TEST(Wire, RetiredSingleItemTypesDecodeAsCorrupt) {
   Bytes frame =
       encode_message(one_item(MessageType::kQueryManyRequest, "r", {}));
   for (std::uint8_t retired = 1; retired <= 6; ++retired) {
-    Bytes bad = frame;
-    bad[4] = retired;  // the type byte follows the 4-byte magic
-    std::uint32_t crc = crc32(BytesView(bad.data(), bad.size() - 4));
-    for (std::size_t k = 0; k < 4; ++k) {
-      bad[bad.size() - 4 + k] = static_cast<std::uint8_t>(crc >> (8 * k));
-    }
-    StatusOr<WireMessage> decoded = decode_message(bad);
+    StatusOr<WireMessage> decoded = decode_message(retyped(frame, retired));
     ASSERT_FALSE(decoded.ok()) << int{retired};
     EXPECT_EQ(decoded.code(), ErrorCode::kCorruptData);
     EXPECT_NE(decoded.message().find("unknown type"), std::string::npos);
+  }
+}
+
+TEST(Wire, TypesAboveTheDigestPairDecodeAsCorrupt) {
+  // The digest pair (15-16) is the last assigned: a CRC-valid frame typed
+  // 17 or above, or 0, is corrupt, while every assigned type decodes.
+  Bytes frame =
+      encode_message(one_item(MessageType::kQueryManyRequest, "r", {}));
+  for (std::uint8_t type : {0, 17, 18, 255}) {
+    StatusOr<WireMessage> decoded = decode_message(retyped(frame, type));
+    ASSERT_FALSE(decoded.ok()) << int{type};
+    EXPECT_EQ(decoded.code(), ErrorCode::kCorruptData);
+    EXPECT_NE(decoded.message().find("unknown type"), std::string::npos);
+  }
+  for (MessageType type : kAllTypes) {
+    if (!is_batch_type(type)) continue;  // its payload is an index list
+    const auto byte = static_cast<std::uint8_t>(type);
+    EXPECT_TRUE(decode_message(retyped(frame, byte)).ok()) << int{byte};
   }
 }
 
@@ -316,11 +347,8 @@ TEST_F(NetFixture, EndToEndThroughRemoteStub) {
 // ---------------------------------------------------------- batch wire
 
 TEST(WireBatch, RoundTripAllBatchTypes) {
-  for (MessageType type :
-       {MessageType::kQueryManyRequest, MessageType::kQueryManyResponse,
-        MessageType::kUploadManyRequest, MessageType::kUploadManyResponse,
-        MessageType::kDownloadManyRequest,
-        MessageType::kDownloadManyResponse}) {
+  for (MessageType type : kAllTypes) {
+    if (!is_batch_type(type)) continue;
     WireMessage m;
     m.type = type;
     m.fp = fp_of("batch");
@@ -356,33 +384,45 @@ TEST(WireBatch, ItemsOnNonBatchTypeNotEncoded) {
   EXPECT_EQ(encode_message(with_items), encode_message(plain));
 }
 
-TEST(WireBatch, EveryByteFlipDetected) {
+/// A two-item frame of `type` (a chunk index list for the one type without
+/// items), the frame the damage tests below flip and cut.
+Bytes two_item_frame(MessageType type) {
   WireMessage m;
-  m.type = MessageType::kDownloadManyResponse;
-  m.items.resize(2);
-  m.items[0] = {fp_of("p"), Status::kOk, to_bytes("first item bytes")};
-  m.items[1] = {fp_of("q"), Status::kOk, to_bytes("second item bytes")};
-  Bytes frame = encode_message(m);
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    Bytes bad = frame;
-    bad[i] ^= 0xFF;
-    EXPECT_FALSE(decode_message(bad).ok()) << "flip at " << i;
+  m.type = type;
+  m.fp = fp_of("batch");
+  if (is_batch_type(type)) {
+    m.items.resize(2);
+    m.items[0] = {fp_of("p"), Status::kOk, to_bytes("first item bytes")};
+    m.items[1] = {fp_of("q"), Status::kOk, Bytes(70, 4)};
+  } else {
+    m.payload = encode_chunk_index_list({0, 2, 5});
+  }
+  return encode_message(m);
+}
+
+TEST(WireBatch, EveryByteFlipDetected) {
+  for (MessageType type : kAllTypes) {
+    Bytes frame = two_item_frame(type);
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      Bytes bad = frame;
+      bad[i] ^= 0xFF;
+      EXPECT_FALSE(decode_message(bad).ok())
+          << static_cast<int>(type) << " flip at " << i;
+    }
   }
 }
 
 TEST(WireBatch, TruncationAndTrailingGarbageRejected) {
-  WireMessage m;
-  m.type = MessageType::kUploadManyRequest;
-  m.items.resize(2);
-  m.items[0] = {fp_of("t"), Status::kOk, Bytes(50, 3)};
-  m.items[1] = {fp_of("u"), Status::kOk, Bytes(70, 4)};
-  Bytes frame = encode_message(m);
-  for (std::size_t len = 0; len < frame.size(); ++len) {
-    EXPECT_FALSE(decode_message(BytesView(frame.data(), len)).ok()) << len;
+  for (MessageType type : kAllTypes) {
+    Bytes frame = two_item_frame(type);
+    for (std::size_t len = 0; len < frame.size(); ++len) {
+      EXPECT_FALSE(decode_message(BytesView(frame.data(), len)).ok())
+          << static_cast<int>(type) << " cut at " << len;
+    }
+    Bytes padded = frame;
+    padded.push_back(0);
+    EXPECT_FALSE(decode_message(padded).ok()) << static_cast<int>(type);
   }
-  Bytes padded = frame;
-  padded.push_back(0);
-  EXPECT_FALSE(decode_message(padded).ok());
 }
 
 // ------------------------------------------------------- batch transport
@@ -472,6 +512,102 @@ TEST_F(NetFixture, StoredSizeServedOverTheWire) {
   RemoteGearRegistry remote(loopback);
   EXPECT_EQ(remote.stored_size(fp).value(), registry.stored_size(fp).value());
   EXPECT_EQ(remote.stored_size(fp_of("nope")).code(), ErrorCode::kNotFound);
+}
+
+TEST_F(NetFixture, DigestQueryMovesDigestsInOneRoundTrip) {
+  // Verdicts, not content: one kDigestMany frame answers every file with
+  // the SHA-256 of its stored content, or kNotFound.
+  Bytes a = Rng(28).next_bytes(5000);
+  Bytes b = to_bytes("second stored file");
+  registry.upload(fp_of("a-name"), a);  // any name: the bytes are hashed
+  registry.upload(fp_of("b-name"), b);
+  RemoteGearRegistry remote(loopback);
+  std::vector<StatusOr<Sha256Digest>> got =
+      remote.query_digests({fp_of("a-name"), fp_of("absent"), fp_of("b-name")});
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].value(), Sha256::hash(a));
+  EXPECT_EQ(got[1].code(), ErrorCode::kNotFound);
+  EXPECT_NE(got[1].message().find(fp_of("absent").hex()), std::string::npos);
+  EXPECT_EQ(got[2].value(), Sha256::hash(b));
+  EXPECT_EQ(loopback.server_stats().digest_round_trips, 1u);
+  EXPECT_EQ(loopback.server_stats().digest_items, 3u);
+  EXPECT_EQ(loopback.server_stats().download_items, 0u);
+  EXPECT_LT(loopback.server_stats().bytes_out, 3u * 64);
+  EXPECT_EQ(remote.stats().requests, 1u);
+  EXPECT_TRUE(remote.query_digests({}).empty());
+  EXPECT_EQ(remote.stats().requests, 1u);  // an empty query sends nothing
+}
+
+TEST_F(NetFixture, DamagedObjectDigestIsCorruptDataNamingIt) {
+  // A stored frame that no longer decodes is answered kServerError; the
+  // stub asks for it again, alone, and then reports kCorruptData naming
+  // it, while the intact file in the same frame keeps its digest.
+  Bytes intact = to_bytes("intact");
+  Fingerprint damaged = fp_of("damaged");
+  registry.upload(fp_of("intact"), intact);
+  Bytes frame = compress(to_bytes("damaged"));
+  frame[0] ^= 0xFF;  // GZC1 magic overwritten
+  registry.upload_precompressed(damaged, std::move(frame));
+  EXPECT_EQ(registry.query_digests({damaged})[0].code(),
+            ErrorCode::kCorruptData);
+
+  RemoteGearRegistry remote(loopback, /*max_attempts=*/3);
+  std::vector<StatusOr<Sha256Digest>> got =
+      remote.query_digests({fp_of("intact"), damaged});
+  EXPECT_EQ(got[0].value(), Sha256::hash(intact));
+  ASSERT_FALSE(got[1].ok());
+  EXPECT_EQ(got[1].code(), ErrorCode::kCorruptData);
+  EXPECT_NE(got[1].message().find(damaged.hex()), std::string::npos)
+      << got[1].message();
+  EXPECT_EQ(loopback.server_stats().digest_round_trips, 3u);
+  EXPECT_EQ(loopback.server_stats().digest_items, 2u + 1u + 1u);
+  EXPECT_EQ(remote.stats().item_refetches, 2u);
+  EXPECT_EQ(remote.stats().retries, 0u);  // every frame decoded fine
+}
+
+/// Rewrites the first response's message through `edit` and re-frames it
+/// with a valid CRC: a middlebox that damages items, not frames.
+class EditingTransport final : public Transport {
+ public:
+  EditingTransport(Transport& inner, std::function<void(WireMessage&)> edit)
+      : inner_(inner), edit_(std::move(edit)) {}
+
+  Bytes round_trip(BytesView request_frame) override {
+    Bytes response = inner_.round_trip(request_frame);
+    if (++calls_ > 1) return response;
+    WireMessage m = decode_message(response).value();
+    edit_(m);
+    return encode_message(m);
+  }
+
+ private:
+  Transport& inner_;
+  std::function<void(WireMessage&)> edit_;
+  int calls_ = 0;
+};
+
+TEST_F(NetFixture, MalformedDigestItemsAreAskedAgain) {
+  // A short digest, a wrong echo and a per-item server error each send
+  // their item, and only it, into the follow-up frame.
+  std::vector<Fingerprint> fps;
+  std::vector<Bytes> contents;
+  for (int i = 0; i < 5; ++i) {
+    contents.push_back(to_bytes("digest item " + std::to_string(i)));
+    fps.push_back(fp_of(to_string(contents.back())));
+    registry.upload(fps.back(), contents.back());
+  }
+  EditingTransport edited(loopback, [](WireMessage& m) {
+    m.items.at(1).payload.pop_back();
+    m.items.at(2).fp = fp_of("someone else");
+    m.items.at(4).status = Status::kServerError;
+  });
+  RemoteGearRegistry remote(edited, /*max_attempts=*/2);
+  std::vector<StatusOr<Sha256Digest>> got = remote.query_digests(fps);
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    EXPECT_EQ(got[i].value(), Sha256::hash(contents[i])) << i;
+  }
+  EXPECT_EQ(remote.stats().item_refetches, 3u);
+  EXPECT_EQ(loopback.server_stats().digest_items, 5u + 3u);
 }
 
 TEST_F(NetFixture, DamagedBatchFrameRetriedWhole) {

@@ -3,23 +3,33 @@
 // loopback path (same frames, same server stats, same client state), and
 // exercises the stream edge cases loopback can never hit: split writes and
 // short reads, mid-frame peer disconnects, oversized-frame rejection,
-// server restart with transparent client reconnect, and concurrent
-// multi-client deploys (the ConcurrentTcp* test also runs under TSAN).
+// server restart with transparent client reconnect, concurrent
+// multi-client deploys, collision verdicts racing uploads on a pooled
+// daemon (the ConcurrentTcp* and ConcurrentDigest* tests also run under
+// TSAN), and every damaged frame of every wire type replayed at a live
+// server.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "compress/codec.hpp"
 #include "gear/client.hpp"
 #include "gear/converter.hpp"
+#include "gear/fleet.hpp"
 #include "gear/local_runtime.hpp"
 #include "gear/object_store.hpp"
 #include "gear/registry.hpp"
@@ -28,6 +38,8 @@
 #include "net/transport.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/sha256.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gear {
 namespace {
@@ -492,6 +504,330 @@ TEST_F(TcpDeployFixture, ConcurrentTcpClientsDeployAgainstOneDaemon) {
             kClients * gear_image.files.size());
   EXPECT_GE(server.connections_accepted(),
             static_cast<std::uint64_t>(kClients));
+  server.stop();
+}
+
+// ---- Collision verdicts on a pooled daemon ---------------------------------
+
+/// An in-process transport over a shared FrameServer: the loopback twin of
+/// a TcpServer, so many clients can share one pooled server without
+/// sockets (LoopbackTransport owns a pool-less FrameServer of its own).
+class SharedServerTransport final : public net::Transport {
+ public:
+  explicit SharedServerTransport(FrameServer& frames) : frames_(frames) {}
+  Bytes round_trip(BytesView request_frame) override {
+    return frames_.serve(request_frame);
+  }
+
+ private:
+  FrameServer& frames_;
+};
+
+using Digests = std::vector<StatusOr<Sha256Digest>>;
+
+/// Four clients race collision verdicts against uploads on one FrameServer
+/// with a 4-wide pool: each asks for the digests of every stored file (and
+/// of absent ones between them) three times, uploading its share of other
+/// files between rounds. A serial in-process registry holding the same
+/// files is the reference for every answer.
+struct ConcurrentDigestProbe : ::testing::Test {
+  static constexpr int kClients = 4;
+  static constexpr int kRounds = 3;
+
+  util::ThreadPool pool{4};
+  const ChunkPolicy policy{16384, 4096};
+  std::vector<Bytes> stored;  // in the registry before the race; [0] chunked
+  std::vector<Bytes> racing;  // uploaded by the clients during it
+  std::vector<Fingerprint> queried;  // stored files, an absent one every 8th
+  std::vector<Fingerprint> racing_fps;
+  std::set<Fingerprint> absent;
+  GearRegistry serial;
+
+  void SetUp() override {
+    Rng rng(7001);
+    stored.push_back(rng.next_bytes(40000, 0.4));
+    for (int i = 0; i < 95; ++i) {
+      stored.push_back(rng.next_bytes(rng.next_range(100, 20000), 0.4));
+    }
+    for (int i = 0; i < 4 * kClients * kRounds; ++i) {
+      racing.push_back(rng.next_bytes(rng.next_range(100, 8000), 0.4));
+      racing_fps.push_back(default_hasher().fingerprint(racing.back()));
+    }
+    serial.upload_chunked(default_hasher().fingerprint(stored[0]), stored[0],
+                          policy);
+    for (std::size_t i = 0; i < stored.size(); ++i) {
+      queried.push_back(default_hasher().fingerprint(stored[i]));
+      serial.upload(queried.back(), stored[i]);
+      if (i % 8 == 7) {
+        queried.push_back(default_hasher().fingerprint(
+            to_bytes("never stored " + std::to_string(i))));
+        absent.insert(queried.back());
+      }
+    }
+    for (std::size_t i = 0; i < racing.size(); ++i) {
+      serial.upload(racing_fps[i], racing[i]);
+    }
+  }
+
+  /// Stores the pre-race files in `served` the way a push would.
+  void store(FileRegistryApi& served) const {
+    served.upload_chunked(default_hasher().fingerprint(stored[0]), stored[0],
+                          policy);
+    for (const Bytes& content : stored) {
+      served.upload(default_hasher().fingerprint(content), content);
+    }
+  }
+
+  /// Runs the race through transports from `dial`; returns each client's
+  /// answers, round by round, then one final answer over the racing files.
+  std::vector<std::vector<Digests>> race(
+      const std::function<std::unique_ptr<net::Transport>()>& dial) const {
+    std::vector<std::vector<Digests>> answers(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        std::unique_ptr<net::Transport> transport = dial();
+        RemoteGearRegistry remote(*transport, 3, kNoVerify);
+        for (int r = 0; r < kRounds; ++r) {
+          answers[c].push_back(remote.query_digests(queried));
+          std::vector<std::pair<Fingerprint, Bytes>> batch;
+          for (std::size_t i = 0; i < racing.size(); ++i) {
+            if (static_cast<int>(i) % (kClients * kRounds) ==
+                c * kRounds + r) {
+              batch.emplace_back(racing_fps[i], compress(racing[i]));
+            }
+          }
+          remote.upload_precompressed_batch(std::move(batch));
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    // Every racing upload has landed: all of them answer now.
+    std::unique_ptr<net::Transport> transport = dial();
+    RemoteGearRegistry remote(*transport, 3, kNoVerify);
+    answers[0].push_back(remote.query_digests(racing_fps));
+    return answers;
+  }
+
+  /// Checks `got` against the serial registry's answers for `fps`: the same
+  /// digest, or kNotFound where it has none — except the files in
+  /// `unreadable`, which must fail otherwise, naming the file.
+  void expect_serial_answers(const Digests& got,
+                             const std::vector<Fingerprint>& fps,
+                             const std::set<Fingerprint>& unreadable) const {
+    const Digests want = serial.query_digests(fps);
+    ASSERT_EQ(got.size(), fps.size());
+    for (std::size_t i = 0; i < fps.size(); ++i) {
+      SCOPED_TRACE(fps[i].hex());
+      if (unreadable.count(fps[i]) != 0) {
+        ASSERT_FALSE(got[i].ok());
+        EXPECT_NE(got[i].code(), ErrorCode::kNotFound);
+        EXPECT_NE(got[i].message().find(fps[i].hex()), std::string::npos)
+            << got[i].message();
+      } else if (want[i].ok()) {
+        ASSERT_TRUE(got[i].ok()) << got[i].message();
+        EXPECT_EQ(*got[i], *want[i]);
+      } else {
+        EXPECT_EQ(want[i].code(), ErrorCode::kNotFound);
+        EXPECT_EQ(got[i].code(), ErrorCode::kNotFound) << got[i].message();
+      }
+    }
+  }
+
+  void expect_race_matches_serial(
+      const std::vector<std::vector<Digests>>& answers,
+      const std::set<Fingerprint>& unreadable = {}) const {
+    for (int c = 0; c < kClients; ++c) {
+      for (int r = 0; r < kRounds; ++r) {
+        SCOPED_TRACE("client " + std::to_string(c) + " round " +
+                     std::to_string(r));
+        expect_serial_answers(answers[c][r], queried, unreadable);
+      }
+    }
+    expect_serial_answers(answers[0].back(), racing_fps, {});
+  }
+};
+
+TEST_F(ConcurrentDigestProbe, SerialReferenceHashesTheStoredContent) {
+  const Digests want = serial.query_digests(queried);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < queried.size(); ++i) {
+    if (absent.count(queried[i]) != 0) {
+      EXPECT_EQ(want[i].code(), ErrorCode::kNotFound);
+      continue;
+    }
+    EXPECT_EQ(want[i].value(), Sha256::hash(stored[next++]));
+  }
+  EXPECT_EQ(next, stored.size());
+  EXPECT_TRUE(serial.is_chunked(queried[0]));
+}
+
+TEST_F(ConcurrentDigestProbe, LoopbackClientsMatchSerial) {
+  GearRegistry served;
+  store(served);
+  FrameServer frames(served, &pool);
+  auto answers = race([&] {
+    return std::make_unique<SharedServerTransport>(frames);
+  });
+  expect_race_matches_serial(answers);
+  EXPECT_EQ(frames.stats().digest_items,
+            kClients * kRounds * queried.size() + racing.size());
+  EXPECT_EQ(frames.stats().download_items, 0u);
+}
+
+TEST_F(ConcurrentDigestProbe, TcpClientsMatchSerial) {
+  GearRegistry served;
+  store(served);
+  FrameServer frames(served, &pool);
+  TcpServer server(frames);
+  server.start("127.0.0.1", 0);
+  auto answers = race([&] {
+    return std::make_unique<TcpTransport>("127.0.0.1", server.port());
+  });
+  server.stop();
+  expect_race_matches_serial(answers);
+  EXPECT_EQ(frames.stats().digest_round_trips,
+            static_cast<std::uint64_t>(kClients * kRounds + 1));
+  EXPECT_EQ(server.frames_rejected(), 0u);
+}
+
+TEST_F(ConcurrentDigestProbe, FleetWithAShardDownMatchesSerial) {
+  // Three wire-fronted shards, two replicas each, behind one pooled
+  // server; one shard goes down before the race. The fleet answers
+  // through the interface's default: a download_batch that fails on the
+  // absent files, then one download per file. Stored files come from
+  // their live replica. An absent file whose home is the dead shard cannot
+  // be ruled out, so it fails as unreadable rather than reading absent.
+  constexpr std::size_t kShards = 3;
+  std::vector<std::unique_ptr<GearRegistry>> shards;
+  std::vector<std::unique_ptr<LoopbackTransport>> loopbacks;
+  std::vector<std::unique_ptr<net::DownTransport>> switches;
+  std::vector<std::unique_ptr<RemoteGearRegistry>> stubs;
+  std::vector<FileRegistryApi*> apis;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    shards.push_back(std::make_unique<GearRegistry>());
+    loopbacks.push_back(std::make_unique<LoopbackTransport>(*shards.back()));
+    switches.push_back(
+        std::make_unique<net::DownTransport>(*loopbacks.back()));
+    stubs.push_back(std::make_unique<RemoteGearRegistry>(*switches.back(), 3,
+                                                         kNoVerify));
+    apis.push_back(stubs.back().get());
+  }
+  FleetRegistry fleet(apis, FleetRegistry::Options{/*replicas=*/2, 64, 2});
+  store(fleet);
+  const std::size_t dead = 1;
+  switches[dead]->set_down(true);
+  std::set<Fingerprint> unreadable;
+  for (const Fingerprint& fp : absent) {
+    if (fleet.replicas_of(fp)[0] == dead) unreadable.insert(fp);
+  }
+
+  FrameServer frames(fleet, &pool);
+  auto answers = race([&] {
+    return std::make_unique<SharedServerTransport>(frames);
+  });
+  expect_race_matches_serial(answers, unreadable);
+  EXPECT_GT(fleet.stats().replica_fallbacks.load(), 0u);
+}
+
+// ---- Damaged frames at a live server ---------------------------------------
+
+/// Reads one length-prefixed frame off `fd`; nullopt when the server
+/// closed the connection instead.
+std::optional<Bytes> read_frame(int fd) {
+  std::uint8_t header[net::kFrameHeaderBytes];
+  if (::recv(fd, header, sizeof header, MSG_WAITALL) !=
+      static_cast<ssize_t>(sizeof header)) {
+    return std::nullopt;
+  }
+  Bytes frame(net::get_frame_length(header));
+  if (::recv(fd, frame.data(), frame.size(), MSG_WAITALL) !=
+      static_cast<ssize_t>(frame.size())) {
+    return std::nullopt;
+  }
+  return frame;
+}
+
+TEST(TcpWireFuzz, EveryDamagedFrameIsAnsweredOrDroppedWhileAnotherClientIsServed) {
+  // The WireBatch damage corpus — a two-item frame of every wire type with
+  // each byte flipped in turn, then cut at every shorter length — sent
+  // down one connection of a pooled daemon. Each damaged frame is answered
+  // with kServerError, or (the empty cut) drops its connection, counted as
+  // rejected; a well-formed client on another connection is served
+  // correctly throughout.
+  GearRegistry registry;
+  util::ThreadPool pool(4);
+  FrameServer frames(registry, &pool);
+  TcpServer server(frames);
+  server.start("127.0.0.1", 0);
+  const Bytes content = Rng(808).next_bytes(3000, 0.4);
+  const Fingerprint fp = default_hasher().fingerprint(content);
+  registry.upload(fp, content);
+  const Fingerprint missing = default_hasher().fingerprint(to_bytes("none"));
+
+  std::vector<Bytes> corpus;
+  for (std::uint8_t t = 7; t <= 16; ++t) {  // every type the wire carries
+    net::WireMessage m;
+    m.type = static_cast<net::MessageType>(t);
+    m.fp = fp;
+    if (net::is_batch_type(m.type)) {
+      m.items.push_back({fp, net::Status::kOk, to_bytes("first item bytes")});
+      m.items.push_back({missing, net::Status::kExists, Bytes(70, 4)});
+    } else {
+      m.payload = net::encode_chunk_index_list({0, 2, 5});
+    }
+    const Bytes frame = net::encode_message(m);
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      corpus.push_back(frame);
+      corpus.back()[i] ^= 0xFF;
+    }
+    for (std::size_t len = 0; len < frame.size(); ++len) {
+      corpus.emplace_back(frame.begin(),
+                          frame.begin() + static_cast<std::ptrdiff_t>(len));
+    }
+  }
+
+  TcpTransport good_transport("127.0.0.1", server.port());
+  RemoteGearRegistry good(good_transport, 3, kNoVerify);
+  const Sha256Digest want = Sha256::hash(content);
+  std::uint64_t answered = 0;
+  std::uint64_t dropped = 0;
+  int fd = raw_dial(server.port());
+  for (std::size_t k = 0; k < corpus.size(); ++k) {
+    // One gathered send per frame, so header and body leave together.
+    std::uint8_t header[net::kFrameHeaderBytes];
+    net::put_frame_length(header, corpus[k].size());
+    iovec parts[2] = {{header, sizeof header},
+                      {corpus[k].data(), corpus[k].size()}};
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = 2;
+    ASSERT_EQ(::sendmsg(fd, &message, MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof header + corpus[k].size()));
+    if (std::optional<Bytes> response = read_frame(fd)) {
+      StatusOr<net::WireMessage> decoded = net::decode_message(*response);
+      ASSERT_TRUE(decoded.ok()) << k;
+      EXPECT_EQ(decoded->status, net::Status::kServerError) << k;
+      ++answered;
+    } else {
+      ++dropped;
+      ::close(fd);
+      fd = raw_dial(server.port());
+    }
+    if (k % 64 == 0) {
+      Digests got = good.query_digests({fp, missing});
+      ASSERT_EQ(got[0].value(), want) << k;
+      ASSERT_EQ(got[1].code(), ErrorCode::kNotFound) << k;
+      ASSERT_EQ(good.download(fp).value(), content) << k;
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(answered + dropped, corpus.size());
+  EXPECT_EQ(dropped, 10u);  // one empty cut per type
+  EXPECT_EQ(server.frames_rejected(), dropped);
+  EXPECT_EQ(frames.stats().bad_requests, answered);
+  EXPECT_EQ(good.stats().retries, 0u);
+  EXPECT_EQ(good_transport.reconnects(), 0u);
   server.stop();
 }
 

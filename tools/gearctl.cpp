@@ -10,7 +10,8 @@
 //   gearctl <store-dir> rm <name:tag>
 //   gearctl <store-dir> gc
 //   gearctl <store-dir> stats
-//   gearctl serve --addr HOST:PORT --store-dir DIR [--shards N --replicas R]
+//   gearctl serve --addr HOST:PORT --store-dir DIR [--workers N]
+//                 [--shards N --replicas R]
 //
 // The store directory holds the catalog (manifests and index layers) under
 // docker/ (gear/persistence.hpp), the Gear files in a durable
@@ -60,8 +61,8 @@ using namespace gear;
 
 namespace {
 
-/// Worker budget for import's fingerprinting/compression (--workers N;
-/// 0 = one thread per hardware core).
+/// Worker budget for import's fingerprinting/compression and serve's
+/// collision verdicts (--workers N; 0 = one thread per hardware core).
 util::Concurrency g_concurrency;
 
 /// --range-batch N: chunk indices per download_chunks batch in ranged cat.
@@ -247,8 +248,8 @@ GearIndex load_index_of(Store& store, const std::string& ref) {
   return GearIndex::from_layer(layer);
 }
 
-/// A pool of --workers threads for batch compression and decompression;
-/// null when that is one worker.
+/// A pool of --workers threads for batch compression, decompression and
+/// serve's collision verdicts; null when that is one worker.
 std::unique_ptr<util::ThreadPool> make_pool() {
   if (g_concurrency.resolved_workers() <= 1) return nullptr;
   return std::make_unique<util::ThreadPool>(g_concurrency.resolved_workers());
@@ -818,12 +819,15 @@ int cmd_stats(Store& store) {
 
 /// `gearctl serve`: run the gear-file registry as a TCP daemon. Mounts a
 /// DiskObjectStore at --store-dir (or a --shards fleet of them) behind a
-/// FrameServer and serves wire frames until SIGTERM/SIGINT. Prints
-/// "serving on HOST:PORT" once bound — with --addr HOST:0 the kernel picks
-/// the port and this line is how callers learn it.
+/// FrameServer and serves wire frames until SIGTERM/SIGINT. Collision
+/// verdicts (kDigestMany) read and hash their objects on a pool of
+/// --workers threads. Prints "serving on HOST:PORT" once bound — with
+/// --addr HOST:0 the kernel picks the port and this line is how callers
+/// learn it.
 int cmd_serve() {
   FileBackend backend(g_object_store_dir);
-  net::FrameServer frames(backend.files());
+  std::unique_ptr<util::ThreadPool> pool = make_pool();
+  net::FrameServer frames(backend.files(), pool.get());
   net::TcpServer server(frames);
 
   // Handlers go in before the socket opens: a supervisor that signals the
@@ -973,11 +977,12 @@ int usage() {
                "[--eviction fifo|lru] "
                "[--remote HOST:PORT] <store-dir> <command> [args]\n"
                "       gearctl serve --addr HOST:PORT --store-dir PATH "
-               "[--shards N] [--replicas R]\n"
+               "[--workers N] [--shards N] [--replicas R]\n"
                "       gearctl cluster-sim [--sites N] [--nodes-per-site N] "
                "[--wan-mbps F] [--lan-mbps F] [--mode eager|lazy] [--churn]\n"
                "  --workers N      worker threads for import's fingerprinting/"
-               "compression (default: one per core)\n"
+               "compression and serve's collision verdicts (default: one per "
+               "core)\n"
                "  --store-dir PATH where the durable object store of the "
                "gear files lives (default: the store dir itself)\n"
                "  --shards N       route the gear files over a fleet of N "
