@@ -7,14 +7,28 @@
 
 namespace gear::docker {
 
-OverlayMount::OverlayMount(std::vector<const vfs::FileTree*> lowers)
-    : lowers_(std::move(lowers)) {
-  for (const auto* tree : lowers_) {
+namespace {
+
+std::vector<const vfs::FileTree*> non_null(
+    std::vector<const vfs::FileTree*> lowers) {
+  for (const auto* tree : lowers) {
     if (tree == nullptr) {
       throw_error(ErrorCode::kInvalidArgument, "overlay: null lower tree");
     }
   }
+  return lowers;
 }
+
+}  // namespace
+
+OverlayMount::OverlayMount(std::vector<const vfs::FileTree*> lowers)
+    : lowers_(non_null(std::move(lowers))),
+      owned_upper_(std::make_unique<vfs::FileTree>()),
+      upper_(owned_upper_.get()) {}
+
+OverlayMount::OverlayMount(std::vector<const vfs::FileTree*> lowers,
+                           vfs::FileTree& upper)
+    : lowers_(non_null(std::move(lowers))), upper_(&upper) {}
 
 const vfs::FileNode* OverlayMount::resolve_child(const DirStack& stack,
                                                  const std::string& name,
@@ -45,7 +59,7 @@ const vfs::FileNode* OverlayMount::resolve_child(const DirStack& stack,
 OverlayMount::DirStack OverlayMount::dir_stack_at(
     const std::vector<std::string>& segments) const {
   DirStack stack;
-  stack.push_back(&upper_.root());
+  stack.push_back(&upper_->root());
   for (auto it = lowers_.rbegin(); it != lowers_.rend(); ++it) {
     stack.push_back(&(*it)->root());
   }
@@ -67,7 +81,7 @@ OverlayEntry OverlayMount::lookup(std::string_view path) const {
   if (node == nullptr) return {};
   // The node is in the upper layer iff the resolved pointer lives inside
   // upper_'s node graph; the cheap equivalent: re-resolve against upper only.
-  const vfs::FileNode* upper_node = upper_.lookup(path);
+  const vfs::FileNode* upper_node = upper_->lookup(path);
   return {node, upper_node == node};
 }
 
@@ -120,14 +134,13 @@ std::vector<std::string> OverlayMount::list_dir(std::string_view path) const {
   return {visible.begin(), visible.end()};
 }
 
-void OverlayMount::write_file(std::string_view path, Bytes content,
-                              const vfs::Metadata& meta) {
-  auto segments = vfs::FileTree::split_path(path);
-  // The parent must resolve to a directory in the union (or be creatable).
-  vfs::FileNode* node = &upper_.root();
+vfs::FileNode& OverlayMount::upper_parent(
+    const std::vector<std::string>& segments) {
+  vfs::FileNode* node = &upper_->root();
   DirStack stack = dir_stack_at({});
   for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
-    // Validate against the union: a non-directory component is an error.
+    // `node` heads `stack` until the walk creates a directory, which has no
+    // children, so this also rejects a non-directory in the upper layer.
     DirStack next;
     const vfs::FileNode* merged = resolve_child(stack, segments[i], &next);
     if (merged != nullptr && !merged->is_directory()) {
@@ -136,81 +149,59 @@ void OverlayMount::write_file(std::string_view path, Bytes content,
     }
     stack = std::move(next);
 
-    vfs::FileNode* upper_child = node->child(segments[i]);
-    if (upper_child == nullptr) {
-      upper_child = &node->add_child(
-          segments[i], std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory));
-      if (merged != nullptr) upper_child->metadata() = merged->metadata();
-    } else if (upper_child->is_whiteout()) {
-      // Writing under a previously deleted directory re-creates it opaque.
+    vfs::FileNode* child = node->child(segments[i]);
+    if (child == nullptr) {
+      auto dir = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
+      if (merged != nullptr) dir->metadata() = merged->metadata();
+      child = &node->add_child(segments[i], std::move(dir));
+    } else if (child->is_whiteout()) {
+      // A directory re-created under a delete hides the lower contents.
       auto dir = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
       dir->set_opaque(true);
-      upper_child = &node->add_child(segments[i], std::move(dir));
-      stack.clear();  // lower contents are hidden from here down
-    } else if (!upper_child->is_directory()) {
-      throw_error(ErrorCode::kInvalidArgument,
-                  "overlay: upper path component is not a directory: " +
-                      segments[i]);
+      child = &node->add_child(segments[i], std::move(dir));
     }
-    node = upper_child;
+    node = child;
   }
+  return *node;
+}
+
+void OverlayMount::write_file(std::string_view path, Bytes content,
+                              const vfs::Metadata& meta) {
+  auto segments = vfs::FileTree::split_path(path);
+  vfs::FileNode& parent = upper_parent(segments);
   auto file = std::make_unique<vfs::FileNode>(vfs::NodeType::kRegular);
   file->metadata() = meta;
   file->set_content(std::move(content));
-  node->add_child(segments.back(), std::move(file));
+  parent.add_child(segments.back(), std::move(file));
 }
 
 void OverlayMount::make_dir(std::string_view path, const vfs::Metadata& meta) {
   auto segments = vfs::FileTree::split_path(path);
-  vfs::FileNode* node = &upper_.root();
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    vfs::FileNode* child = node->child(segments[i]);
-    bool last = i + 1 == segments.size();
-    if (child == nullptr) {
-      auto dir = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
-      if (last) dir->metadata() = meta;
-      child = &node->add_child(segments[i], std::move(dir));
-    } else if (child->is_whiteout()) {
-      auto dir = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
-      dir->set_opaque(true);
-      if (last) dir->metadata() = meta;
-      child = &node->add_child(segments[i], std::move(dir));
-    } else if (!child->is_directory()) {
-      throw_error(ErrorCode::kAlreadyExists,
-                  "overlay: non-directory exists at " + segments[i]);
-    } else if (last) {
-      child->metadata() = meta;
-    }
-    node = child;
+  vfs::FileNode& parent = upper_parent(segments);
+  vfs::FileNode* existing = parent.child(segments.back());
+  if (existing != nullptr && existing->is_directory()) {
+    existing->metadata() = meta;
+    return;
   }
+  if (existing != nullptr && !existing->is_whiteout()) {
+    throw_error(ErrorCode::kAlreadyExists,
+                "overlay: non-directory exists at " + std::string(path));
+  }
+  auto dir = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
+  dir->set_opaque(existing != nullptr);  // re-created after a delete
+  dir->metadata() = meta;
+  parent.add_child(segments.back(), std::move(dir));
 }
 
 bool OverlayMount::remove(std::string_view path) {
   if (!exists(path)) return false;
-  auto segments = vfs::FileTree::split_path(path);
-
-  // Drop any upper entry.
-  upper_.remove(path);
-
-  // If a lower layer still provides the path, mask it with a whiteout.
-  DirStack stack;
-  for (auto it = lowers_.rbegin(); it != lowers_.rend(); ++it) {
-    stack.push_back(&(*it)->root());
-  }
-  for (std::size_t i = 0; i + 1 < segments.size() && !stack.empty(); ++i) {
-    DirStack next;
-    const vfs::FileNode* node = resolve_child(stack, segments[i], &next);
-    if (node == nullptr || !node->is_directory()) {
-      stack.clear();
-      break;
-    }
-    stack = std::move(next);
-  }
-  bool lower_has =
-      !stack.empty() &&
-      resolve_child(stack, segments.back(), nullptr) != nullptr;
-  if (lower_has) {
-    upper_.add_whiteout(path);
+  upper_->remove(path);
+  // If the path still resolves through the union, mask it with a whiteout.
+  if (exists(path)) {
+    auto segments = vfs::FileTree::split_path(path);
+    upper_parent(segments).add_child(
+        segments.back(),
+        std::make_unique<vfs::FileNode>(vfs::NodeType::kWhiteout));
   }
   return true;
 }
@@ -220,7 +211,7 @@ vfs::FileTree OverlayMount::merged() const {
   for (const auto* lower : lowers_) {
     m = vfs::apply_layer(m, *lower);
   }
-  return vfs::apply_layer(m, upper_);
+  return vfs::apply_layer(m, *upper_);
 }
 
 }  // namespace gear::docker

@@ -11,9 +11,12 @@
 //
 // Lookups are lazy — nothing is flattened at mount time — mirroring the real
 // driver. `merged()` materializes the full view for verification; the
-// property suite checks lazy lookups against vfs::flatten_layers.
+// property suite checks lazy lookups against vfs::flatten_layers. Docker
+// containers mount it over their image layers, and the Gear File Viewer
+// (gear/viewer) over an image's index, as both run on the one overlayfs.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,7 +37,13 @@ class OverlayMount {
  public:
   /// `lowers`: read-only layer *diff* trees, bottom first (as Overlay2's
   /// lowerdir list). The caller keeps them alive for the mount's lifetime.
+  /// The mount owns a fresh, empty upper layer.
   explicit OverlayMount(std::vector<const vfs::FileTree*> lowers);
+
+  /// Mounts over a writable layer the caller owns, as a container's diff
+  /// outlives any one mount of it. `upper` must outlive the mount.
+  OverlayMount(std::vector<const vfs::FileTree*> lowers,
+               vfs::FileTree& upper);
 
   /// Resolves `path` through the union. Returns nullopt-like entry with
   /// node == nullptr when absent (or masked by a whiteout).
@@ -53,23 +62,26 @@ class OverlayMount {
   std::vector<std::string> list_dir(std::string_view path) const;
 
   /// Creates/overwrites a regular file in the upper layer, creating parent
-  /// directories as needed (copy-up of directory structure).
+  /// directories as needed (copy-up of directory structure). Throws
+  /// kInvalidArgument when a parent component is not a directory.
   void write_file(std::string_view path, Bytes content,
                   const vfs::Metadata& meta = {});
 
-  /// Creates a directory in the upper layer. If the path was deleted
-  /// earlier (whiteout present), the new directory is opaque so lower
-  /// contents stay hidden.
+  /// Creates a directory in the upper layer, or sets the metadata of one
+  /// already there. If the path was deleted earlier (whiteout present), the
+  /// new directory is opaque so lower contents stay hidden. Throws
+  /// kInvalidArgument when a parent component is not a directory, and
+  /// kAlreadyExists when the upper layer holds a non-directory at `path`.
   void make_dir(std::string_view path, const vfs::Metadata& meta = {});
 
   /// Removes `path` from the union view: erases any upper entry and places
-  /// a whiteout if a lower layer still provides the path. Returns false if
-  /// the path did not exist in the union.
+  /// a whiteout if the path still resolves through the union. Returns false
+  /// if the path did not exist in the union.
   bool remove(std::string_view path);
 
   /// The writable layer as a diff tree — exactly what `docker commit` turns
   /// into a new image layer.
-  const vfs::FileTree& upper_diff() const noexcept { return upper_; }
+  const vfs::FileTree& upper_diff() const noexcept { return *upper_; }
 
   /// Materializes the full merged view (for tests and commit verification).
   vfs::FileTree merged() const;
@@ -88,8 +100,18 @@ class OverlayMount {
   /// path, or an empty stack when the path is not a directory in the union.
   DirStack dir_stack_at(const std::vector<std::string>& segments) const;
 
+  /// The upper-layer directory that holds the last of `segments`, walked
+  /// through the union. Each existing component must be a directory in the
+  /// union (kInvalidArgument otherwise); a missing one is created in the
+  /// upper layer with the union's metadata (copy-up); one deleted earlier
+  /// comes back as an opaque directory.
+  vfs::FileNode& upper_parent(const std::vector<std::string>& segments);
+
   std::vector<const vfs::FileTree*> lowers_;  // bottom first
-  vfs::FileTree upper_;                       // writable layer (diff tree)
+  // Set only when the mount owns its upper layer. It lives on the heap so
+  // that moving the mount keeps `upper_` valid.
+  std::unique_ptr<vfs::FileTree> owned_upper_;
+  vfs::FileTree* upper_;  // writable layer (diff tree)
 };
 
 }  // namespace gear::docker

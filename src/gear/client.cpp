@@ -147,14 +147,7 @@ docker::PullStats GearClient::pull(const std::string& reference) {
   docker::PullStats stats;
   sim::SimTimer timer(link_.clock());
 
-  StatusOr<docker::Manifest> manifest_or =
-      index_registry_.get_manifest(reference);
-  if (!manifest_or.ok()) {
-    throw_error(manifest_or.code(),
-                "pull: manifest of " + reference + ": " +
-                    manifest_or.message());
-  }
-  docker::Manifest manifest = std::move(manifest_or).value();
+  docker::Manifest manifest = gear_index_manifest(index_registry_, reference);
   link_.request(manifest.wire_size());
   stats.bytes_downloaded += manifest.wire_size();
 
@@ -164,29 +157,12 @@ docker::PullStats GearClient::pull(const std::string& reference) {
     return stats;
   }
 
-  if (manifest.config.labels.count(kGearIndexLabel) == 0) {
-    throw_error(ErrorCode::kInvalidArgument,
-                reference + " is not a Gear index image");
-  }
-  if (manifest.layers.size() != 1) {
-    throw_error(ErrorCode::kCorruptData,
-                "Gear index image must have exactly one layer");
-  }
-
-  const docker::LayerDescriptor& desc = manifest.layers.front();
-  StatusOr<Bytes> blob_or = index_registry_.get_blob(desc.digest);
-  if (!blob_or.ok()) {
-    throw_error(blob_or.code(), "pull: index layer " + desc.digest.to_string() +
-                                    " of " + reference + ": " +
-                                    blob_or.message());
-  }
-  Bytes blob = std::move(blob_or).value();
-  link_.request(blob.size());
-  stats.bytes_downloaded += blob.size();
+  docker::Layer layer = gear_index_layer(index_registry_, manifest, reference);
+  link_.request(layer.compressed_size());
+  stats.bytes_downloaded += layer.compressed_size();
   ++stats.layers_fetched;
-  disk_.write(blob.size());
+  disk_.write(layer.compressed_size());
 
-  docker::Layer layer = docker::Layer::from_blob(std::move(blob), desc.digest);
   GearIndex index = GearIndex::from_layer(layer);
   disk_.write(layer.uncompressed_size());  // set up the level-2 index dir
   store_.add_index(reference, std::move(index));

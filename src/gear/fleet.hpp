@@ -6,7 +6,7 @@
 // EdgePier makes the same argument from the edge side). FleetRegistry
 // presents the FileRegistryApi surface over N backend registry instances —
 // in-process GearRegistry shards or RemoteGearRegistry stubs — so every
-// existing caller (GearClient, push_gear_image, ConversionService,
+// existing caller (GearClient, push_gear_image, GearConverter,
 // p2p::Topology) scales out without changing a deployed byte:
 //
 //  * Routing. Fingerprints map to shards through a consistent-hash ring

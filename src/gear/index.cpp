@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "compress/codec.hpp"
+#include "docker/registry.hpp"
 #include "tar/tar.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
@@ -309,6 +310,28 @@ GearIndex GearIndex::from_layer(const docker::Layer& layer) {
   GearIndex index;
   index.tree_ = std::move(out);
   return index;
+}
+
+docker::Manifest gear_index_manifest(const docker::DockerRegistry& registry,
+                                     const std::string& reference) {
+  docker::Manifest manifest =
+      unwrap(registry.get_manifest(reference), "manifest of " + reference);
+  if (manifest.config.labels.count(kGearIndexLabel) == 0 ||
+      manifest.layers.size() != 1) {
+    throw_error(ErrorCode::kInvalidArgument,
+                reference + " is not a Gear index image");
+  }
+  return manifest;
+}
+
+docker::Layer gear_index_layer(const docker::DockerRegistry& registry,
+                               const docker::Manifest& manifest,
+                               const std::string& reference) {
+  const docker::Digest& digest = manifest.layers[0].digest;
+  return docker::Layer::from_blob(
+      unwrap(registry.get_blob(digest),
+             "index layer " + digest.to_string() + " of " + reference),
+      digest);
 }
 
 }  // namespace gear

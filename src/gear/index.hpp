@@ -21,6 +21,10 @@
 #include "util/fingerprint.hpp"
 #include "vfs/file_tree.hpp"
 
+namespace gear::docker {
+class DockerRegistry;
+}  // namespace gear::docker
+
 namespace gear {
 
 /// Semantic form of a Gear index.
@@ -103,5 +107,20 @@ struct GearImage {
   /// Unique files introduced by this image (fingerprint -> raw content).
   std::vector<std::pair<Fingerprint, Bytes>> files;
 };
+
+/// The manifest of the Gear index image `reference`. Throws the registry's
+/// code, naming `reference`, when there is no such manifest, and
+/// kInvalidArgument "<reference> is not a Gear index image" when it lacks
+/// kGearIndexLabel or holds other than one layer.
+docker::Manifest gear_index_manifest(const docker::DockerRegistry& registry,
+                                     const std::string& reference);
+
+/// Fetches the one layer of `manifest`, which gear_index_manifest() has
+/// checked. Throws the registry's code, naming `reference` and the digest,
+/// when the blob is missing, and kCorruptData when its digest does not
+/// match.
+docker::Layer gear_index_layer(const docker::DockerRegistry& registry,
+                               const docker::Manifest& manifest,
+                               const std::string& reference);
 
 }  // namespace gear

@@ -1,7 +1,7 @@
 #include "gear/local_runtime.hpp"
 
-#include "docker/layer.hpp"
-#include "gear/index.hpp"      // kGearIndexLabel
+#include "docker/overlay.hpp"
+#include "gear/index.hpp"
 #include "gear/client.hpp"     // push_gear_image
 #include "gear/viewer.hpp"
 
@@ -60,28 +60,10 @@ LocalRuntime::LocalRuntime(docker::DockerRegistry& index_registry,
 
 void LocalRuntime::pull(const std::string& reference) {
   if (store_.has_index(reference)) return;
-  StatusOr<docker::Manifest> manifest_or =
-      index_registry_.get_manifest(reference);
-  if (!manifest_or.ok()) {
-    throw_error(manifest_or.code(),
-                "pull: manifest of " + reference + ": " +
-                    manifest_or.message());
-  }
-  docker::Manifest manifest = std::move(manifest_or).value();
-  if (manifest.config.labels.count(kGearIndexLabel) == 0 ||
-      manifest.layers.size() != 1) {
-    throw_error(ErrorCode::kInvalidArgument,
-                reference + " is not a Gear index image");
-  }
-  StatusOr<Bytes> blob =
-      index_registry_.get_blob(manifest.layers[0].digest);
-  if (!blob.ok()) {
-    throw_error(blob.code(), "pull: index layer of " + reference + ": " +
-                                 blob.message());
-  }
-  docker::Layer layer = docker::Layer::from_blob(std::move(blob).value(),
-                                                 manifest.layers[0].digest);
-  store_.install_index(reference, GearIndex::from_layer(layer));
+  docker::Manifest manifest = gear_index_manifest(index_registry_, reference);
+  store_.install_index(reference,
+                       GearIndex::from_layer(gear_index_layer(
+                           index_registry_, manifest, reference)));
 }
 
 bool LocalRuntime::has_image(const std::string& reference) const {
@@ -247,12 +229,7 @@ StatusOr<std::string> LocalRuntime::read_symlink(
   const std::string reference = store_.container_image(container_id);
   vfs::FileTree index = load_index_tree(reference);
   vfs::FileTree diff = store_.load_diff(container_id);
-  GearFileViewer viewer(
-      index, diff,
-      [](const std::string&, const Fingerprint&, std::uint64_t) -> Bytes {
-        throw_error(ErrorCode::kInternal, "symlink read fetched a file");
-      });
-  return viewer.read_symlink(path);
+  return docker::OverlayMount({&index}, diff).read_symlink(path);
 }
 
 void LocalRuntime::write(const std::string& container_id,
@@ -260,12 +237,8 @@ void LocalRuntime::write(const std::string& container_id,
   const std::string reference = store_.container_image(container_id);
   vfs::FileTree index = load_index_tree(reference);
   vfs::FileTree diff = store_.load_diff(container_id);
-  GearFileViewer viewer(
-      index, diff,
-      [](const std::string&, const Fingerprint&, std::uint64_t) -> Bytes {
-        throw_error(ErrorCode::kInternal, "write fetched a file");
-      });
-  viewer.write_file(path, Bytes(content.begin(), content.end()));
+  docker::OverlayMount({&index}, diff)
+      .write_file(path, Bytes(content.begin(), content.end()));
   store_.save_diff(container_id, diff);
 }
 
@@ -274,12 +247,7 @@ bool LocalRuntime::remove_path(const std::string& container_id,
   const std::string reference = store_.container_image(container_id);
   vfs::FileTree index = load_index_tree(reference);
   vfs::FileTree diff = store_.load_diff(container_id);
-  GearFileViewer viewer(
-      index, diff,
-      [](const std::string&, const Fingerprint&, std::uint64_t) -> Bytes {
-        throw_error(ErrorCode::kInternal, "remove fetched a file");
-      });
-  bool removed = viewer.remove(path);
+  bool removed = docker::OverlayMount({&index}, diff).remove(path);
   if (removed) store_.save_diff(container_id, diff);
   return removed;
 }

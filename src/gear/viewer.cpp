@@ -1,7 +1,5 @@
 #include "gear/viewer.hpp"
 
-#include <set>
-
 #include "util/error.hpp"
 
 namespace gear {
@@ -10,7 +8,7 @@ GearFileViewer::GearFileViewer(vfs::FileTree& index, vfs::FileTree& diff,
                                Materializer materializer,
                                std::mutex* tree_lock)
     : index_(index),
-      diff_(diff),
+      mount_({&index}, diff),
       materializer_(std::move(materializer)),
       tree_lock_(tree_lock) {
   if (!materializer_) {
@@ -27,57 +25,6 @@ std::unique_lock<std::mutex> maybe_lock(std::mutex* m) {
 }
 }  // namespace
 
-GearFileViewer::ResolvedPair GearFileViewer::resolve_pair(
-    const std::vector<std::string>& segments) const {
-  const vfs::FileNode* diff_dir = &diff_.root();
-  const vfs::FileNode* index_dir = &index_.root();
-
-  for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
-    const std::string& seg = segments[i];
-    const vfs::FileNode* d = diff_dir ? diff_dir->child(seg) : nullptr;
-    const vfs::FileNode* x = index_dir ? index_dir->child(seg) : nullptr;
-    if (d != nullptr) {
-      if (!d->is_directory()) return {};  // whiteout or file masks below
-      diff_dir = d;
-      // An opaque diff directory (or a non-directory on the index side)
-      // masks the index from here down.
-      index_dir = (d->opaque() || x == nullptr || !x->is_directory()) ? nullptr
-                                                                      : x;
-    } else {
-      if (x == nullptr || !x->is_directory()) return {};
-      diff_dir = nullptr;
-      index_dir = x;
-    }
-  }
-
-  const std::string& last = segments.back();
-  ResolvedPair pair;
-  const vfs::FileNode* d = diff_dir ? diff_dir->child(last) : nullptr;
-  if (d != nullptr && d->is_whiteout()) {
-    pair.whiteout = true;  // masks the index entry too
-    return pair;
-  }
-  pair.diff_node = d;
-  const vfs::FileNode* x = index_dir ? index_dir->child(last) : nullptr;
-  // A non-directory diff entry masks the index entry; merged directories
-  // keep both sides visible.
-  if (d == nullptr || (d->is_directory() && !d->opaque())) {
-    pair.index_node = x;
-  }
-  return pair;
-}
-
-const vfs::FileNode* GearFileViewer::resolve(std::string_view path,
-                                             bool* from_diff) const {
-  ResolvedPair pair = resolve_pair(vfs::FileTree::split_path(path));
-  if (pair.diff_node != nullptr) {
-    if (from_diff != nullptr) *from_diff = true;
-    return pair.diff_node;
-  }
-  if (pair.index_node != nullptr && from_diff != nullptr) *from_diff = false;
-  return pair.index_node;
-}
-
 StatusOr<Bytes> GearFileViewer::read_file(std::string_view path) {
   reads_.fetch_add(1, std::memory_order_relaxed);
   Fingerprint fp;
@@ -87,8 +34,8 @@ StatusOr<Bytes> GearFileViewer::read_file(std::string_view path) {
     // under the tree lock; a concurrent fault may replace sibling stubs —
     // or this very node — while we look.
     std::unique_lock<std::mutex> lock = maybe_lock(tree_lock_);
-    bool from_diff = false;
-    const vfs::FileNode* node = resolve(path, &from_diff);
+    docker::OverlayEntry entry = mount_.lookup(path);
+    const vfs::FileNode* node = entry.node;
     if (node == nullptr) {
       return {ErrorCode::kNotFound, "no such file: " + std::string(path)};
     }
@@ -100,7 +47,7 @@ StatusOr<Bytes> GearFileViewer::read_file(std::string_view path) {
       return {ErrorCode::kInvalidArgument,
               "not a regular file: " + std::string(path)};
     }
-    if (from_diff) {
+    if (entry.in_upper) {
       return {ErrorCode::kCorruptData,
               "stub in writable layer: " + std::string(path)};
     }
@@ -151,25 +98,18 @@ StatusOr<Bytes> GearFileViewer::read_file(std::string_view path) {
 StatusOr<std::string> GearFileViewer::read_symlink(
     std::string_view path) const {
   std::unique_lock<std::mutex> lock = maybe_lock(tree_lock_);
-  const vfs::FileNode* node = resolve(path, nullptr);
-  if (node == nullptr) {
-    return {ErrorCode::kNotFound, "no such link: " + std::string(path)};
-  }
-  if (!node->is_symlink()) {
-    return {ErrorCode::kInvalidArgument, "not a symlink: " + std::string(path)};
-  }
-  return node->link_target();
+  return mount_.read_symlink(path);
 }
 
 bool GearFileViewer::exists(std::string_view path) const {
   std::unique_lock<std::mutex> lock = maybe_lock(tree_lock_);
-  return resolve(path, nullptr) != nullptr;
+  return mount_.exists(path);
 }
 
 StatusOr<std::uint64_t> GearFileViewer::stat_size(
     std::string_view path) const {
   std::unique_lock<std::mutex> lock = maybe_lock(tree_lock_);
-  const vfs::FileNode* node = resolve(path, nullptr);
+  const vfs::FileNode* node = mount_.lookup(path).node;
   if (node == nullptr) {
     return {ErrorCode::kNotFound, "no such file: " + std::string(path)};
   }
@@ -182,122 +122,24 @@ StatusOr<std::uint64_t> GearFileViewer::stat_size(
 std::vector<std::string> GearFileViewer::list_dir(
     std::string_view path) const {
   std::unique_lock<std::mutex> lock = maybe_lock(tree_lock_);
-  const vfs::FileNode* diff_dir = nullptr;
-  const vfs::FileNode* index_dir = nullptr;
-  if (path.empty() || path == "/" || path == ".") {
-    diff_dir = &diff_.root();
-    index_dir = &index_.root();
-  } else {
-    ResolvedPair pair = resolve_pair(vfs::FileTree::split_path(path));
-    const vfs::FileNode* node =
-        pair.diff_node != nullptr ? pair.diff_node : pair.index_node;
-    if (node == nullptr || !node->is_directory()) {
-      throw_error(ErrorCode::kNotFound,
-                  "not a directory: " + std::string(path));
-    }
-    diff_dir = pair.diff_node;
-    index_dir = (pair.index_node != nullptr && pair.index_node->is_directory())
-                    ? pair.index_node
-                    : nullptr;
-  }
-
-  std::set<std::string> names;
-  std::set<std::string> hidden;
-  if (diff_dir != nullptr) {
-    for (const auto& [name, child] : diff_dir->children()) {
-      if (child->is_whiteout()) {
-        hidden.insert(name);
-      } else {
-        names.insert(name);
-      }
-    }
-  }
-  if (index_dir != nullptr) {
-    for (const auto& [name, child] : index_dir->children()) {
-      (void)child;
-      if (hidden.count(name) == 0) names.insert(name);
-    }
-  }
-  return {names.begin(), names.end()};
-}
-
-vfs::FileNode& GearFileViewer::ensure_diff_parent(
-    const std::vector<std::string>& segments) {
-  vfs::FileNode* node = &diff_.root();
-  const vfs::FileNode* index_dir = &index_.root();
-  for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
-    const std::string& seg = segments[i];
-    const vfs::FileNode* x = index_dir ? index_dir->child(seg) : nullptr;
-    vfs::FileNode* d = node->child(seg);
-    if (d == nullptr) {
-      // The union must allow a directory here.
-      if (x != nullptr && !x->is_directory()) {
-        throw_error(ErrorCode::kInvalidArgument,
-                    "path component is not a directory: " + seg);
-      }
-      auto dir = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
-      if (x != nullptr) dir->metadata() = x->metadata();  // copy-up
-      d = &node->add_child(seg, std::move(dir));
-    } else if (d->is_whiteout()) {
-      auto dir = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
-      dir->set_opaque(true);
-      d = &node->add_child(seg, std::move(dir));
-    } else if (!d->is_directory()) {
-      throw_error(ErrorCode::kInvalidArgument,
-                  "path component is not a directory: " + seg);
-    }
-    index_dir = (d->opaque() || x == nullptr || !x->is_directory())
-                    ? nullptr
-                    : x;
-    node = d;
-  }
-  return *node;
+  return mount_.list_dir(path);
 }
 
 void GearFileViewer::write_file(std::string_view path, Bytes content,
                                 const vfs::Metadata& meta) {
-  auto segments = vfs::FileTree::split_path(path);
-  vfs::FileNode& parent = ensure_diff_parent(segments);
-  auto file = std::make_unique<vfs::FileNode>(vfs::NodeType::kRegular);
-  file->metadata() = meta;
-  file->set_content(std::move(content));
-  parent.add_child(segments.back(), std::move(file));
+  std::unique_lock<std::mutex> lock = maybe_lock(tree_lock_);
+  mount_.write_file(path, std::move(content), meta);
 }
 
 void GearFileViewer::make_dir(std::string_view path,
                               const vfs::Metadata& meta) {
-  auto segments = vfs::FileTree::split_path(path);
-  vfs::FileNode& parent = ensure_diff_parent(segments);
-  vfs::FileNode* existing = parent.child(segments.back());
-  if (existing != nullptr && existing->is_whiteout()) {
-    auto dir = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
-    dir->set_opaque(true);
-    dir->metadata() = meta;
-    parent.add_child(segments.back(), std::move(dir));
-    return;
-  }
-  if (existing != nullptr && !existing->is_directory()) {
-    throw_error(ErrorCode::kAlreadyExists,
-                "non-directory exists at " + std::string(path));
-  }
-  if (existing == nullptr) {
-    auto dir = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
-    dir->metadata() = meta;
-    parent.add_child(segments.back(), std::move(dir));
-  }
+  std::unique_lock<std::mutex> lock = maybe_lock(tree_lock_);
+  mount_.make_dir(path, meta);
 }
 
 bool GearFileViewer::remove(std::string_view path) {
-  if (!exists(path)) return false;
-  diff_.remove(path);
-  // If the index still shows the path through the union, mask it.
-  if (resolve(path, nullptr) != nullptr) {
-    auto segments = vfs::FileTree::split_path(path);
-    vfs::FileNode& parent = ensure_diff_parent(segments);
-    parent.add_child(segments.back(),
-                     std::make_unique<vfs::FileNode>(vfs::NodeType::kWhiteout));
-  }
-  return true;
+  std::unique_lock<std::mutex> lock = maybe_lock(tree_lock_);
+  return mount_.remove(path);
 }
 
 }  // namespace gear

@@ -1,14 +1,15 @@
 // Gear File Viewer: the container's root filesystem view (paper §III-D2).
 //
-// Union-mounts the image's read-only index directory (level 2) under the
-// container's writable diff directory (level 3), with Overlay2 semantics for
-// whiteouts and copy-up. The Gear twist is the lookup path: when a read
-// reaches a fingerprint stub, the viewer pauses the access and calls its
-// materializer — the model of the paper's modified ovl_lookup_single() plus
-// the user-mode helper that hard-links the file from the shared cache or
-// downloads it from the Gear Registry. After materialization the stub node
-// becomes a regular node backed by the shared content, so every later access
-// (from this or any other container of the image) is served directly.
+// A docker::OverlayMount of the image's read-only index directory (level 2)
+// under the container's writable diff directory (level 3), so whiteouts and
+// copy-up follow the one Overlay2 implementation. The Gear twist is the
+// lookup path: when a read reaches a fingerprint stub, the viewer pauses the
+// access and calls its materializer — the model of the paper's modified
+// ovl_lookup_single() plus the user-mode helper that hard-links the file
+// from the shared cache or downloads it from the Gear Registry. After
+// materialization the stub node becomes a regular node backed by the shared
+// content, so every later access (from this or any other container of the
+// image) is served directly.
 //
 // Irregular files (directories, symlinks) are answered straight from the
 // index without any fetch.
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "docker/overlay.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/fingerprint.hpp"
@@ -42,13 +44,13 @@ class GearFileViewer {
   /// Both must outlive the viewer.
   ///
   /// `tree_lock` (optional) serializes index-tree access across viewers of
-  /// the same image: lookups and the stub→regular replacement take it, but
-  /// the materializer itself runs outside, so concurrent faults still
-  /// download in parallel (singleflight dedups same-fingerprint races).
-  /// Required whenever several threads read through viewers of one image —
-  /// the lazy reader-storm-plus-backfill case; a null lock keeps the
-  /// single-threaded fast path lock-free. The diff layer stays
-  /// single-writer: write_file/make_dir/remove are not covered by the lock.
+  /// the same image: every union call and the stub→regular replacement
+  /// take it, but the materializer itself runs outside, so concurrent
+  /// faults still download in parallel (singleflight dedups
+  /// same-fingerprint races). Required whenever several threads use
+  /// viewers of one image — the lazy reader-storm-plus-backfill case; a
+  /// null lock keeps the single-threaded fast path lock-free. Each diff
+  /// layer still has one writer: the lock guards the shared index.
   GearFileViewer(vfs::FileTree& index, vfs::FileTree& diff,
                  Materializer materializer, std::mutex* tree_lock = nullptr);
 
@@ -99,7 +101,8 @@ class GearFileViewer {
   void make_dir(std::string_view path, const vfs::Metadata& meta = {});
 
   /// Deletes `path` from the view: removes any diff entry and places a
-  /// whiteout if the index still provides it. Returns false when absent.
+  /// whiteout if the path still resolves through the union. Returns false
+  /// when absent.
   bool remove(std::string_view path);
 
   /// Count of stubs materialized through this viewer (telemetry).
@@ -107,30 +110,12 @@ class GearFileViewer {
     return materialized_.load(std::memory_order_relaxed);
   }
 
-  const vfs::FileTree& diff() const noexcept { return diff_; }
+  const vfs::FileTree& diff() const noexcept { return mount_.upper_diff(); }
   const vfs::FileTree& index() const noexcept { return index_; }
 
  private:
-  /// Both sides of a masked resolution: the diff node (if any, and not a
-  /// whiteout) and the index node (if visible through the union, i.e. not
-  /// masked by a whiteout, opaque directory, or non-directory ancestor).
-  struct ResolvedPair {
-    const vfs::FileNode* diff_node = nullptr;
-    const vfs::FileNode* index_node = nullptr;
-    bool whiteout = false;  // diff holds a whiteout at the final segment
-  };
-  ResolvedPair resolve_pair(const std::vector<std::string>& segments) const;
-
-  /// Resolves a path through diff-then-index with whiteout masking.
-  /// Sets *from_diff when the winning node lives in the diff layer.
-  const vfs::FileNode* resolve(std::string_view path, bool* from_diff) const;
-
-  /// Ensures parent directories of `path` exist in the diff layer,
-  /// validating against the union; returns the parent node.
-  vfs::FileNode& ensure_diff_parent(const std::vector<std::string>& segments);
-
   vfs::FileTree& index_;
-  vfs::FileTree& diff_;
+  docker::OverlayMount mount_;  // index_ under the diff
   Materializer materializer_;
   FaultHook fault_hook_;
   std::mutex* tree_lock_;  // nullable; serializes index access + mutation

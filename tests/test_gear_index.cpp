@@ -1,11 +1,13 @@
 // Unit tests for the Gear index: stub encoding, wire form, Docker transport.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 
 #include "compress/codec.hpp"
 
 #include "docker/layer.hpp"
+#include "docker/registry.hpp"
 #include "gear/index.hpp"
 #include "reference_index.hpp"
 #include "test_helpers.hpp"
@@ -454,6 +456,56 @@ TEST(GearIndexLayer, EmptyIndexIsTheTrailerAlone) {
   ASSERT_EQ(image.layers.size(), 1u);
   EXPECT_EQ(image.manifest.layers.at(0).digest, layer.digest());
   EXPECT_EQ(image.manifest.config.labels.at(kGearIndexLabel), "1");
+}
+
+// GearClient, LocalRuntime and gearctl load an index image through these
+// two calls, so all three report a bad image alike.
+TEST(GearIndexImage, LoaderErrorsKeepTheCodeAndNameTheImage) {
+  const GearIndex index = index_of(gear::testing::sample_tree());
+  const docker::Image image = index.to_image("app", "v1", {});
+  docker::DockerRegistry registry;
+  registry.push_image(image);
+
+  const docker::Manifest manifest = gear_index_manifest(registry, "app:v1");
+  EXPECT_TRUE(
+      GearIndex::from_layer(gear_index_layer(registry, manifest, "app:v1"))
+          .tree()
+          .equals(index.tree()));
+
+  auto expect_error = [](ErrorCode code, const std::string& named,
+                         const std::function<void()>& load) {
+    try {
+      load();
+      ADD_FAILURE() << "loaded, expected an error naming " << named;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), code) << e.what();
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_error(ErrorCode::kNotFound, "none:v1",
+               [&] { gear_index_manifest(registry, "none:v1"); });
+
+  docker::Image unlabeled = image;
+  unlabeled.manifest.tag = "plain";
+  unlabeled.manifest.config.labels.clear();
+  registry.push_image(unlabeled);
+  expect_error(ErrorCode::kInvalidArgument,
+               "app:plain is not a Gear index image",
+               [&] { gear_index_manifest(registry, "app:plain"); });
+
+  docker::Image two_layers = image;
+  two_layers.manifest.tag = "two";
+  two_layers.manifest.layers.push_back(two_layers.manifest.layers[0]);
+  registry.push_image(two_layers);
+  expect_error(ErrorCode::kInvalidArgument,
+               "app:two is not a Gear index image",
+               [&] { gear_index_manifest(registry, "app:two"); });
+
+  registry.delete_blob(manifest.layers[0].digest);
+  expect_error(ErrorCode::kNotFound,
+               manifest.layers[0].digest.to_string() + " of app:v1",
+               [&] { gear_index_layer(registry, manifest, "app:v1"); });
 }
 
 TEST(GearIndexWire, ReindexingIndexIsIdentity) {

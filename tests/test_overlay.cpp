@@ -165,6 +165,37 @@ TEST(Overlay, InUpperFlagAccurate) {
   EXPECT_TRUE(m.lookup("up").in_upper);
 }
 
+TEST(Overlay, MakeDirThroughFileComponentFails) {
+  vfs::FileTree l1;
+  l1.add_file("a", to_bytes("file"));
+  OverlayMount m({&l1});
+  try {
+    m.make_dir("a/b");
+    ADD_FAILURE() << "make_dir under a regular file returned";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+  ASSERT_NE(m.lookup("a").node, nullptr);
+  EXPECT_TRUE(m.lookup("a").node->is_regular());
+  EXPECT_EQ(to_string(m.read_file("a").value()), "file");
+}
+
+TEST(Overlay, RemoveCopiesUpParentMetadata) {
+  vfs::FileTree l1;
+  vfs::Metadata www;
+  www.mode = 0700;
+  www.uid = 33;
+  www.mtime = 1234;
+  l1.add_directory("srv/www", www);
+  l1.add_file("srv/www/index.html", to_bytes("<html/>"));
+  OverlayMount m({&l1});
+  ASSERT_TRUE(m.remove("srv/www/index.html"));
+  EXPECT_FALSE(m.exists("srv/www/index.html"));
+  const vfs::FileNode* dir = m.lookup("srv/www").node;
+  ASSERT_NE(dir, nullptr);
+  EXPECT_EQ(dir->metadata(), www);
+}
+
 TEST(Overlay, ReadNonRegularFails) {
   vfs::FileTree l1;
   l1.add_directory("d");

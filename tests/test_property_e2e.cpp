@@ -3,7 +3,7 @@
 // These sweep seeds through whole-pipeline invariants:
 //  * conversion is lossless (index + files reproduce the exact root fs);
 //  * the Gear viewer and an Overlay2 mount agree on every path after
-//    arbitrary interleaved reads/writes/deletes;
+//    arbitrary interleaved reads/writes/deletes/mkdirs;
 //  * commit composes (deploy(commit(c)) sees exactly c's view);
 //  * corrupted registry content is detected, never silently served.
 #include <gtest/gtest.h>
@@ -107,7 +107,7 @@ TEST_P(ViewerOverlayEquivalence, FuzzedOpsAgree) {
       if (a.ok()) {
         EXPECT_EQ(*a, *b) << target;
       }
-    } else if (roll < 0.7) {
+    } else if (roll < 0.65) {
       Bytes content = rng.next_bytes(rng.next_range(1, 256), 0.4);
       bool viewer_ok = true, overlay_ok = true;
       try {
@@ -121,8 +121,24 @@ TEST_P(ViewerOverlayEquivalence, FuzzedOpsAgree) {
         overlay_ok = false;
       }
       EXPECT_EQ(viewer_ok, overlay_ok) << target;
-    } else if (roll < 0.9) {
+    } else if (roll < 0.8) {
       EXPECT_EQ(viewer.remove(target), overlay.remove(target)) << target;
+    } else if (roll < 0.9) {
+      // A directory at or below the target; below a file, both must fail.
+      const std::string dir =
+          rng.next_below(2) == 0 ? target : target + "/made";
+      bool viewer_ok = true, overlay_ok = true;
+      try {
+        viewer.make_dir(dir);
+      } catch (const Error&) {
+        viewer_ok = false;
+      }
+      try {
+        overlay.make_dir(dir);
+      } catch (const Error&) {
+        overlay_ok = false;
+      }
+      EXPECT_EQ(viewer_ok, overlay_ok) << dir;
     } else {
       // Listing comparison on a random directory.
       bool viewer_threw = false, overlay_threw = false;

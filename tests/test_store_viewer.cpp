@@ -1,7 +1,9 @@
 // Unit tests for the three-level store, the Gear File Viewer, and commit.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <map>
+#include <mutex>
 
 #include "docker/image.hpp"
 #include "gear/committer.hpp"
@@ -263,6 +265,68 @@ TEST_F(ViewerFixture, CommittedImageLaunchesCorrectly) {
   EXPECT_FALSE(v2.exists("etc/hostname"));
   EXPECT_EQ(to_string(v2.read_file("etc/os-release").value()),
             "NAME=gearos\nVERSION=1\n");
+}
+
+// Two containers of one image share its index tree and tree lock. One
+// faults the stubs under d/ in, which rewrites the index, while the other
+// deletes the same files, which walks the index to place whiteouts. Under
+// ThreadSanitizer, a union call that walks the index without the lock
+// reports a data race here.
+TEST(ConcurrentViewer, RemoveWhileAnotherContainerFaults) {
+  constexpr int kFiles = 64;
+  constexpr int kRounds = 300;
+  auto path_of = [](int i) { return "d/f" + std::to_string(i); };
+  auto content_of = [](int i) {
+    return to_bytes("content " + std::to_string(i));
+  };
+
+  vfs::FileTree root;
+  for (int i = 0; i < kFiles; ++i) root.add_file(path_of(i), content_of(i));
+  std::map<Fingerprint, Bytes> pool;  // read-only once the threads start
+  GearIndex stubs = GearIndex::from_root_fs(
+      std::move(root), [&pool](const std::string&, const Bytes& content) {
+        Fingerprint fp = default_hasher().fingerprint(content);
+        pool[fp] = content;
+        return fp;
+      });
+  auto materialize = [&pool](const std::string&, const Fingerprint& fp,
+                             std::uint64_t) { return pool.at(fp); };
+
+  for (int round = 0; round < kRounds; ++round) {
+    vfs::FileTree index = stubs.tree();
+    vfs::FileTree reader_diff;
+    vfs::FileTree remover_diff;
+    std::mutex tree_lock;
+    GearFileViewer reader(index, reader_diff, materialize, &tree_lock);
+    GearFileViewer remover(index, remover_diff, materialize, &tree_lock);
+
+    std::future<std::vector<bool>> removing =
+        std::async(std::launch::async, [&] {
+          std::vector<bool> removed;
+          for (int i = 0; i < kFiles; ++i) {
+            removed.push_back(remover.remove(path_of(i)));
+          }
+          return removed;
+        });
+    std::vector<StatusOr<Bytes>> reads;
+    for (int i = 0; i < kFiles; ++i) {
+      reads.push_back(reader.read_file(path_of(i)));
+    }
+    std::vector<bool> removed = removing.get();
+
+    for (int i = 0; i < kFiles; ++i) {
+      ASSERT_TRUE(reads[i].ok()) << path_of(i) << ": " << reads[i].message();
+      EXPECT_EQ(*reads[i], content_of(i)) << path_of(i);
+      EXPECT_TRUE(removed[i]) << path_of(i);
+      const vfs::FileNode* mark = remover.diff().lookup(path_of(i));
+      ASSERT_NE(mark, nullptr) << path_of(i);
+      EXPECT_TRUE(mark->is_whiteout()) << path_of(i);
+      EXPECT_TRUE(reader.exists(path_of(i))) << path_of(i);
+      EXPECT_FALSE(remover.exists(path_of(i))) << path_of(i);
+    }
+    EXPECT_EQ(remover.diff().lookup("d")->children().size(),
+              static_cast<std::size_t>(kFiles));
+  }
 }
 
 }  // namespace

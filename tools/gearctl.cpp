@@ -38,7 +38,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "docker/layer.hpp"
 #include "gear/converter.hpp"
 #include "gear/client.hpp"
 #include "gear/fleet.hpp"
@@ -234,18 +233,8 @@ GearRegistry* require_single(Store& store, const char* cmd) {
 }
 
 GearIndex load_index_of(Store& store, const std::string& ref) {
-  docker::Manifest manifest =
-      unwrap(store.docker.get_manifest(ref), "manifest of " + ref);
-  if (manifest.config.labels.count(kGearIndexLabel) == 0 ||
-      manifest.layers.size() != 1) {
-    throw Error(ErrorCode::kInvalidArgument, ref + " is not a Gear image");
-  }
-  const docker::Digest& digest = manifest.layers[0].digest;
-  docker::Layer layer = docker::Layer::from_blob(
-      unwrap(store.docker.get_blob(digest),
-             "index layer " + digest.to_string() + " of " + ref),
-      digest);
-  return GearIndex::from_layer(layer);
+  docker::Manifest manifest = gear_index_manifest(store.docker, ref);
+  return GearIndex::from_layer(gear_index_layer(store.docker, manifest, ref));
 }
 
 /// A pool of --workers threads for batch compression, decompression and
