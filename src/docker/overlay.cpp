@@ -167,6 +167,12 @@ vfs::FileNode& OverlayMount::upper_parent(
 
 void OverlayMount::write_file(std::string_view path, Bytes content,
                               const vfs::Metadata& meta) {
+  // A directory in any layer stays one: overlayfs answers EISDIR.
+  if (const vfs::FileNode* node = lookup(path).node;
+      node != nullptr && node->is_directory()) {
+    throw_error(ErrorCode::kInvalidArgument,
+                "overlay: is a directory: " + std::string(path));
+  }
   auto segments = vfs::FileTree::split_path(path);
   vfs::FileNode& parent = upper_parent(segments);
   auto file = std::make_unique<vfs::FileNode>(vfs::NodeType::kRegular);
@@ -176,16 +182,18 @@ void OverlayMount::write_file(std::string_view path, Bytes content,
 }
 
 void OverlayMount::make_dir(std::string_view path, const vfs::Metadata& meta) {
+  // A file in any layer stays one: overlayfs answers EEXIST.
+  if (const vfs::FileNode* node = lookup(path).node;
+      node != nullptr && !node->is_directory()) {
+    throw_error(ErrorCode::kAlreadyExists,
+                "overlay: non-directory exists at " + std::string(path));
+  }
   auto segments = vfs::FileTree::split_path(path);
   vfs::FileNode& parent = upper_parent(segments);
   vfs::FileNode* existing = parent.child(segments.back());
   if (existing != nullptr && existing->is_directory()) {
     existing->metadata() = meta;
     return;
-  }
-  if (existing != nullptr && !existing->is_whiteout()) {
-    throw_error(ErrorCode::kAlreadyExists,
-                "overlay: non-directory exists at " + std::string(path));
   }
   auto dir = std::make_unique<vfs::FileNode>(vfs::NodeType::kDirectory);
   dir->set_opaque(existing != nullptr);  // re-created after a delete

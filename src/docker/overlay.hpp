@@ -63,7 +63,9 @@ class OverlayMount {
 
   /// Creates/overwrites a regular file in the upper layer, creating parent
   /// directories as needed (copy-up of directory structure). Throws
-  /// kInvalidArgument when a parent component is not a directory.
+  /// kInvalidArgument when a parent component is not a directory, or when
+  /// the union holds a directory at `path` ("is a directory", overlayfs's
+  /// EISDIR).
   void write_file(std::string_view path, Bytes content,
                   const vfs::Metadata& meta = {});
 
@@ -71,7 +73,8 @@ class OverlayMount {
   /// already there. If the path was deleted earlier (whiteout present), the
   /// new directory is opaque so lower contents stay hidden. Throws
   /// kInvalidArgument when a parent component is not a directory, and
-  /// kAlreadyExists when the upper layer holds a non-directory at `path`.
+  /// kAlreadyExists when any layer of the union holds a non-directory at
+  /// `path` (overlayfs's EEXIST).
   void make_dir(std::string_view path, const vfs::Metadata& meta = {});
 
   /// Removes `path` from the union view: erases any upper entry and places

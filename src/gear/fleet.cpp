@@ -466,15 +466,17 @@ bool FleetRegistry::upload_chunked(const Fingerprint& fp, BytesView content,
                         });
 }
 
-std::size_t FleetRegistry::upload_precompressed_batch(
+std::vector<std::uint8_t> FleetRegistry::upload_precompressed_many(
     std::vector<std::pair<Fingerprint, Bytes>> items) {
   std::shared_lock lk(ring_mutex_);
-  if (items.empty()) return 0;
+  std::vector<std::uint8_t> stored(items.size(), 0);
+  if (items.empty()) return stored;
   for (const auto& [fp, frame] : items) catalog_put(fp, false, ChunkPolicy{});
 
   // One job per (replica level, shard): level 0 carries the authoritative
-  // "stored" count (dedup semantics identical to a single registry); the
-  // backup levels replicate best-effort, read fallback covers any they miss.
+  // per-item "stored" answer (dedup semantics identical to a single
+  // registry); the backup levels replicate best-effort, read fallback
+  // covers any they miss.
   struct Job {
     std::size_t level;
     std::size_t shard;
@@ -494,7 +496,6 @@ std::size_t FleetRegistry::upload_precompressed_batch(
     jobs.push_back(Job{key.first, key.second, std::move(idxs)});
   }
 
-  std::atomic<std::uint64_t> stored{0};
   std::mutex mu;
   std::vector<std::string> failures;
   pool_.parallel_for_each(jobs.size(), [&](std::size_t j) {
@@ -505,9 +506,13 @@ std::size_t FleetRegistry::upload_precompressed_batch(
     for (std::size_t idx : job.idxs) batch.push_back(items[idx]);
     try {
       stats_.shard_calls.fetch_add(1, kRelaxed);
-      std::size_t n = api->upload_precompressed_batch(std::move(batch));
+      std::vector<std::uint8_t> result =
+          api->upload_precompressed_many(std::move(batch));
       if (job.level == 0) {
-        stored.fetch_add(n, kRelaxed);
+        // Each item has one level-0 job, so the slots never race.
+        for (std::size_t k = 0; k < job.idxs.size(); ++k) {
+          stored[job.idxs[k]] = result[k];
+        }
         shard_stats_[job.shard]->routed_items.fetch_add(job.idxs.size(),
                                                         kRelaxed);
       } else {
@@ -528,10 +533,10 @@ std::size_t FleetRegistry::upload_precompressed_batch(
           try {
             stats_.shard_calls.fetch_add(1, kRelaxed);
             Bytes frame = items[idx].second;
-            if (shards_[reps[level]]->upload_precompressed(items[idx].first,
-                                                           std::move(frame))) {
-              stored.fetch_add(1, kRelaxed);
-            }
+            stored[idx] = shards_[reps[level]]->upload_precompressed(
+                              items[idx].first, std::move(frame))
+                              ? 1
+                              : 0;
             stats_.replica_fallbacks.fetch_add(1, kRelaxed);
             placed = true;
           } catch (const Error& e2) {
@@ -550,7 +555,7 @@ std::size_t FleetRegistry::upload_precompressed_batch(
   if (!failures.empty()) {
     throw_error(ErrorCode::kInternal, failures.front());
   }
-  return static_cast<std::size_t>(stored.load());
+  return stored;
 }
 
 // ---- rebalance ------------------------------------------------------------

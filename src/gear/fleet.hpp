@@ -20,7 +20,7 @@
 //    (a dead transport throws; the fleet absorbs it and counts a fallback).
 //    Only when every replica fails does the caller see an error.
 //  * Batch splitting. query_many / download_batch / upload_precompressed_
-//    batch split per home shard and issue the sub-batches concurrently on
+//    many split per home shard and issue the sub-batches concurrently on
 //    the fleet's own thread pool, so a bulk call costs max-over-shards
 //    instead of sum — the per-shard wire calls stay the existing batched
 //    frames, and result placement stays byte-identical to the single-
@@ -148,7 +148,9 @@ class FleetRegistry final : public FileRegistryApi {
   std::vector<std::uint8_t> query_many(
       const std::vector<Fingerprint>& fps) const override;
   bool upload_precompressed(const Fingerprint& fp, Bytes compressed) override;
-  std::size_t upload_precompressed_batch(
+  /// One upload_precompressed_many per (replica level, shard), run
+  /// concurrently; the answer per item is its home shard's.
+  std::vector<std::uint8_t> upload_precompressed_many(
       std::vector<std::pair<Fingerprint, Bytes>> items) override;
   bool upload_chunked(
       const Fingerprint& fp, BytesView content, const ChunkPolicy& policy,

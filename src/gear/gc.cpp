@@ -63,6 +63,7 @@ GcReport GearRegistryGc::collect() {
     report.bytes_reclaimed += file_registry_.remove(fp);
     ++report.swept_objects;
   }
+  report.bytes_compacted = file_registry_.store().compact();
   return report;
 }
 

@@ -9,7 +9,9 @@
 //   mark:  walk every index image in the Docker registry, load its index
 //          layer, collect every fingerprint it references (for chunked
 //          files, also the chunk fingerprints via the manifest);
-//   sweep: delete every Gear registry object not marked.
+//   sweep: delete every Gear registry object not marked;
+//   compact: have the object store return the space the swept objects
+//          held (a pack store rewrites its mostly-dead segments).
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,7 @@ struct GcReport {
   std::size_t live_objects = 0;
   std::size_t swept_objects = 0;
   std::uint64_t bytes_reclaimed = 0;
+  std::uint64_t bytes_compacted = 0;  // disk space the store's compact() freed
 };
 
 class GearRegistryGc {

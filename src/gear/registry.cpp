@@ -2,6 +2,7 @@
 
 #include <mutex>
 #include <string>
+#include <unordered_set>
 
 #include "compress/codec.hpp"
 
@@ -19,6 +20,19 @@ StatusOr<Bytes> decompress_object(const Fingerprint& fp, BytesView frame) {
     return {ErrorCode::kCorruptData,
             "corrupt object " + fp.hex() + ": " + e.message()};
   }
+}
+
+/// The error a failed store read of `fp` becomes: only an absent object is
+/// kNotFound ("<what> not found: <fp>"); any other failure keeps its code
+/// and names the fingerprint.
+template <typename T, typename U>
+StatusOr<T> read_failure(const Fingerprint& fp, const StatusOr<U>& failed,
+                         const char* what) {
+  if (failed.code() == ErrorCode::kNotFound) {
+    return {ErrorCode::kNotFound, std::string(what) + " not found: " + fp.hex()};
+  }
+  return {failed.code(),
+          std::string(what) + " " + fp.hex() + ": " + failed.message()};
 }
 }  // namespace
 
@@ -54,6 +68,29 @@ bool GearRegistry::upload_precompressed(const Fingerprint& fp,
   return upload_compressed_locked(fp, std::move(compressed));
 }
 
+std::vector<std::uint8_t> GearRegistry::upload_precompressed_many(
+    std::vector<std::pair<Fingerprint, Bytes>> items) {
+  std::array<bool, kObjectStoreShards> touched{};
+  for (const auto& item : items) touched[object_store_shard(item.first)] = true;
+  std::vector<std::unique_lock<std::shared_mutex>> locks;
+  for (std::size_t s = 0; s < kObjectStoreShards; ++s) {
+    if (touched[s]) locks.emplace_back(shard_locks_[s]);
+  }
+  std::vector<std::uint8_t> stored(items.size(), 0);
+  std::vector<StorePut> puts;
+  std::unordered_set<Fingerprint, FingerprintHash> batch;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    auto& [fp, frame] = items[i];
+    if (contains_locked(fp) || !batch.insert(fp).second) continue;
+    puts.push_back({fp, std::move(frame), std::nullopt});
+    stored[i] = 1;
+  }
+  store_->put_batch(std::move(puts));
+  stats_.uploads_accepted.fetch_add(batch.size(), kRelaxed);
+  stats_.uploads_deduplicated.fetch_add(items.size() - batch.size(), kRelaxed);
+  return stored;
+}
+
 bool GearRegistry::upload_chunked(const Fingerprint& fp, BytesView content,
                                   const ChunkPolicy& policy,
                                   const FingerprintHasher& hasher) {
@@ -71,15 +108,22 @@ bool GearRegistry::upload_chunked(const Fingerprint& fp, BytesView content,
     // fingerprint with its only chunk's (identical content): store plain.
     return upload_compressed_locked(fp, compress(content));
   }
+  // The file's new chunks, then its manifest, in one batch. Chunk inserts
+  // go straight to the (internally synchronized) store: a racing upload of
+  // another file sharing a chunk stores identical bytes, and put_batch
+  // accounts the winner exactly once.
+  std::vector<StorePut> batch;
+  std::unordered_set<Fingerprint, FingerprintHash> chunks;
   for (std::size_t i = 0; i < manifest.chunks.size(); ++i) {
     const Fingerprint& chunk_fp = manifest.chunks[i];
-    if (store_->contains(chunk_fp)) continue;  // shared chunk: dedup
-    // Chunk inserts go straight to the (internally synchronized) store: a
-    // racing upload of another file sharing this chunk stores identical
-    // bytes, and put_if_absent accounts the winner exactly once.
-    store_->put_if_absent(chunk_fp, compress(chunk_view(content, manifest, i)));
+    if (store_->contains(chunk_fp) || !chunks.insert(chunk_fp).second) {
+      continue;  // shared chunk: dedup
+    }
+    batch.push_back({chunk_fp, compress(chunk_view(content, manifest, i)),
+                     std::nullopt});
   }
-  store_->put_manifest_if_absent(fp, manifest);
+  batch.push_back({fp, {}, std::move(manifest)});
+  store_->put_batch(std::move(batch));
   stats_.uploads_accepted.fetch_add(1, kRelaxed);
   return true;
 }
@@ -92,25 +136,28 @@ StatusOr<ChunkManifest> GearRegistry::chunk_manifest(
     const Fingerprint& fp) const {
   std::shared_lock lock(shard_lock(fp));
   StatusOr<ChunkManifest> manifest = store_->get_manifest(fp);
-  if (!manifest.ok()) {
+  if (manifest.ok()) return manifest;
+  if (manifest.code() == ErrorCode::kNotFound) {
     return {ErrorCode::kNotFound, "no chunk manifest for " + fp.hex()};
   }
-  return manifest;
+  return read_failure<ChunkManifest>(fp, manifest, "chunk manifest of");
 }
 
 StatusOr<Bytes> GearRegistry::reassemble_locked(const Fingerprint& fp) const {
   StatusOr<ChunkManifest> manifest = store_->get_manifest(fp);
-  if (!manifest.ok()) {
-    return {ErrorCode::kNotFound, "gear file not found: " + fp.hex()};
-  }
+  if (!manifest.ok()) return read_failure<Bytes>(fp, manifest, "gear file");
   const ChunkManifest& m = *manifest;
   Bytes out;
   out.reserve(m.file_size);
   for (const Fingerprint& chunk_fp : m.chunks) {
     StatusOr<Bytes> chunk = store_->get(chunk_fp);
     if (!chunk.ok()) {
-      return {ErrorCode::kCorruptData,
-              "chunk missing for " + fp.hex() + ": " + chunk_fp.hex()};
+      // A chunk that a stored manifest lists is missing: corrupt data.
+      if (chunk.code() == ErrorCode::kNotFound) {
+        return {ErrorCode::kCorruptData,
+                "chunk missing for " + fp.hex() + ": " + chunk_fp.hex()};
+      }
+      return {chunk.code(), "chunk of " + fp.hex() + ": " + chunk.message()};
     }
     StatusOr<Bytes> content = decompress_object(chunk_fp, *chunk);
     if (!content.ok()) {
@@ -136,9 +183,7 @@ StatusOr<Bytes> GearRegistry::download_compressed(const Fingerprint& fp) const {
     return compress(*whole);
   }
   StatusOr<Bytes> frame = store_->get(fp);
-  if (!frame.ok()) {
-    return {ErrorCode::kNotFound, "gear file not found: " + fp.hex()};
-  }
+  if (!frame.ok()) return read_failure<Bytes>(fp, frame, "gear file");
   stats_.downloads.fetch_add(1, kRelaxed);
   return frame;
 }
@@ -183,9 +228,9 @@ StatusOr<std::vector<Bytes>> GearRegistry::download_batch(
     }
     StatusOr<Bytes> frame = store_->get(fps[i]);
     if (!frame.ok()) {
-      return {ErrorCode::kNotFound,
-              "download_batch: gear file not found: " + fps[i].hex() +
-                  item_pos(i)};
+      StatusOr<Bytes> failed = read_failure<Bytes>(fps[i], frame, "gear file");
+      return {failed.code(),
+              "download_batch: " + failed.message() + item_pos(i)};
     }
     stats_.downloads.fetch_add(1, kRelaxed);
     wire += frame->size();
@@ -235,9 +280,7 @@ StatusOr<Sha256Digest> GearRegistry::digest_of(const Fingerprint& fp) const {
   }
   // A plain frame is decoded and hashed after the lock is dropped: an
   // upload to this shard waits only for the read.
-  if (!frame.ok()) {
-    return {ErrorCode::kNotFound, "gear file not found: " + fp.hex()};
-  }
+  if (!frame.ok()) return read_failure<Sha256Digest>(fp, frame, "gear file");
   StatusOr<Bytes> content = decompress_object(fp, *frame);
   if (!content.ok()) return {content.code(), content.message()};
   return Sha256::hash(*content);
@@ -259,8 +302,11 @@ StatusOr<Bytes> GearRegistry::download_range(
     const Fingerprint& fp, std::uint64_t offset, std::uint64_t length,
     std::uint64_t* wire_bytes_out) const {
   std::shared_lock lock(shard_lock(fp));
-  if (StatusOr<ChunkManifest> manifest = store_->get_manifest(fp);
-      manifest.ok()) {
+  StatusOr<ChunkManifest> manifest = store_->get_manifest(fp);
+  if (!manifest.ok() && manifest.code() != ErrorCode::kNotFound) {
+    return read_failure<Bytes>(fp, manifest, "gear file");
+  }
+  if (manifest.ok()) {
     const ChunkManifest& m = *manifest;
     auto [first, last] = m.chunk_range(offset, length);
     stats_.downloads.fetch_add(1, kRelaxed);
@@ -269,7 +315,11 @@ StatusOr<Bytes> GearRegistry::download_range(
     for (std::size_t c = first; c <= last; ++c) {
       StatusOr<Bytes> chunk = store_->get(m.chunks[c]);
       if (!chunk.ok()) {
-        return {ErrorCode::kCorruptData, "chunk missing: " + m.chunks[c].hex()};
+        if (chunk.code() == ErrorCode::kNotFound) {
+          return {ErrorCode::kCorruptData,
+                  "chunk missing: " + m.chunks[c].hex()};
+        }
+        return {chunk.code(), "chunk of " + fp.hex() + ": " + chunk.message()};
       }
       wire += chunk->size();
       StatusOr<Bytes> content = decompress_object(m.chunks[c], *chunk);
@@ -290,9 +340,7 @@ StatusOr<Bytes> GearRegistry::download_range(
 
   // Plain object: the whole blob moves; slice client-side.
   StatusOr<Bytes> frame = store_->get(fp);
-  if (!frame.ok()) {
-    return {ErrorCode::kNotFound, "gear file not found: " + fp.hex()};
-  }
+  if (!frame.ok()) return read_failure<Bytes>(fp, frame, "gear file");
   stats_.downloads.fetch_add(1, kRelaxed);
   if (wire_bytes_out != nullptr) *wire_bytes_out = frame->size();
   StatusOr<Bytes> whole = decompress_object(fp, *frame);
@@ -306,8 +354,11 @@ StatusOr<Bytes> GearRegistry::download_range(
 
 StatusOr<std::uint64_t> GearRegistry::stored_size_locked(
     const Fingerprint& fp) const {
-  if (StatusOr<ChunkManifest> manifest = store_->get_manifest(fp);
-      manifest.ok()) {
+  StatusOr<ChunkManifest> manifest = store_->get_manifest(fp);
+  if (!manifest.ok() && manifest.code() != ErrorCode::kNotFound) {
+    return read_failure<std::uint64_t>(fp, manifest, "gear file");
+  }
+  if (manifest.ok()) {
     std::uint64_t total = manifest->serialize().size();
     for (const Fingerprint& chunk_fp : manifest->chunks) {
       StatusOr<std::uint64_t> size = store_->object_size(chunk_fp);
@@ -331,9 +382,7 @@ StatusOr<Bytes> GearRegistry::download_chunk_compressed(
     const Fingerprint& chunk_fp) const {
   std::shared_lock lock(shard_lock(chunk_fp));
   StatusOr<Bytes> frame = store_->get(chunk_fp);
-  if (!frame.ok()) {
-    return {ErrorCode::kNotFound, "chunk not found: " + chunk_fp.hex()};
-  }
+  if (!frame.ok()) return read_failure<Bytes>(chunk_fp, frame, "chunk");
   stats_.downloads.fetch_add(1, kRelaxed);
   return frame;
 }

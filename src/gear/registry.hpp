@@ -10,7 +10,9 @@
 // backend (gear/object_store.hpp) — MemoryObjectStore by default
 // (byte- and stats-identical to the historical in-memory maps), or
 // DiskObjectStore for a durable registry that reopens after a process
-// restart with no re-push.
+// restart with no re-push. Reads keep the store's error: only an absent
+// object is kNotFound; any other failure (a record whose checksum no longer
+// matches) keeps its code and names the fingerprint.
 //
 // Concurrency: the registry is safe for concurrent callers. A sharded
 // reader-writer lock (kObjectStoreShards shards by fingerprint hash) lets
@@ -64,10 +66,19 @@ class GearRegistry : public FileRegistryApi {
   /// match the serial path exactly.
   bool upload_precompressed(const Fingerprint& fp, Bytes compressed) override;
 
+  /// Batched upload_precompressed: every shard the batch touches is locked
+  /// exclusively, in shard order, so each dedup check and its insert stay
+  /// one step per fingerprint; the new frames then go to the store in one
+  /// put_batch (one append and one sync on a DiskObjectStore). A repeat
+  /// within the batch deduplicates like a repeat across batches.
+  std::vector<std::uint8_t> upload_precompressed_many(
+      std::vector<std::pair<Fingerprint, Bytes>> items) override;
+
   /// Chunked upload (future-work extension, paper §VII): stores the file as
-  /// policy-sized chunk objects plus a chunk manifest under `fp`. Chunks
-  /// shared with other files are deduplicated individually. Falls back to a
-  /// plain upload when the policy does not apply to this file size.
+  /// policy-sized chunk objects plus a chunk manifest under `fp`, in one
+  /// store put_batch (its new chunks, then the manifest). Chunks shared with
+  /// other files are deduplicated individually. Falls back to a plain
+  /// upload when the policy does not apply to this file size.
   bool upload_chunked(
       const Fingerprint& fp, BytesView content, const ChunkPolicy& policy,
       const FingerprintHasher& hasher = default_hasher()) override;

@@ -80,9 +80,19 @@ std::vector<StatusOr<Sha256Digest>> FileRegistryApi::query_digests(
 
 std::size_t FileRegistryApi::upload_precompressed_batch(
     std::vector<std::pair<Fingerprint, Bytes>> items) {
-  std::size_t stored = 0;
-  for (auto& [fp, compressed] : items) {
-    if (upload_precompressed(fp, std::move(compressed))) ++stored;
+  std::vector<std::uint8_t> stored =
+      upload_precompressed_many(std::move(items));
+  return static_cast<std::size_t>(
+      std::count(stored.begin(), stored.end(), std::uint8_t{1}));
+}
+
+std::vector<std::uint8_t> FileRegistryApi::upload_precompressed_many(
+    std::vector<std::pair<Fingerprint, Bytes>> items) {
+  std::vector<std::uint8_t> stored(items.size(), 0);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    stored[i] = upload_precompressed(items[i].first, std::move(items[i].second))
+                    ? 1
+                    : 0;
   }
   return stored;
 }

@@ -98,9 +98,18 @@ class FileRegistryApi {
   virtual bool upload_precompressed(const Fingerprint& fp, Bytes compressed) = 0;
 
   /// Batched precompressed upload; returns the number actually stored (the
-  /// rest were deduplicated). Default loops upload_precompressed() in item
-  /// order; remote implementations move the whole batch in one round-trip.
+  /// rest were deduplicated). Default: the stored items of
+  /// upload_precompressed_many.
   virtual std::size_t upload_precompressed_batch(
+      std::vector<std::pair<Fingerprint, Bytes>> items);
+
+  /// Batched precompressed upload reporting each item: out[i] != 0 when
+  /// items[i] was stored, 0 when it was deduplicated — what a daemon
+  /// answers an upload frame with. Default loops upload_precompressed() in
+  /// item order; GearRegistry stores the batch with one store put_batch
+  /// (one append and one sync on a DiskObjectStore), and remote
+  /// implementations move it in one round trip.
+  virtual std::vector<std::uint8_t> upload_precompressed_many(
       std::vector<std::pair<Fingerprint, Bytes>> items);
 
   /// Chunked upload (paper §VII). Backends without chunk support store the

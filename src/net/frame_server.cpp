@@ -72,17 +72,20 @@ Bytes FrameServer::serve(BytesView request_frame,
       ++stats_.upload_round_trips;
       stats_.upload_items += req.items.size();
       response.type = MessageType::kUploadManyResponse;
-      response.items.reserve(req.items.size());
+      // Item payloads are precompressed frames: stored verbatim, in one
+      // registry call for the whole frame.
+      std::vector<std::pair<Fingerprint, Bytes>> uploads;
+      uploads.reserve(req.items.size());
       for (WireItem& item : req.items) {
-        WireItem out;
-        out.fp = item.fp;
-        // Item payloads are precompressed frames: stored verbatim, exactly
-        // the in-process upload_precompressed protocol.
-        out.status =
-            files_.upload_precompressed(item.fp, std::move(item.payload))
-                ? Status::kOk
-                : Status::kExists;
-        response.items.push_back(std::move(out));
+        uploads.emplace_back(item.fp, std::move(item.payload));
+      }
+      std::vector<std::uint8_t> stored =
+          files_.upload_precompressed_many(std::move(uploads));
+      response.items.resize(req.items.size());
+      for (std::size_t i = 0; i < req.items.size(); ++i) {
+        response.items[i].fp = req.items[i].fp;
+        response.items[i].status = stored[i] != 0 ? Status::kOk
+                                                  : Status::kExists;
       }
       break;
     }
@@ -90,18 +93,24 @@ Bytes FrameServer::serve(BytesView request_frame,
       ++stats_.download_round_trips;
       stats_.download_items += req.items.size();
       response.type = MessageType::kDownloadManyResponse;
-      response.items.reserve(req.items.size());
-      for (const WireItem& item : req.items) {
-        WireItem out;
-        out.fp = item.fp;
-        StatusOr<Bytes> stored = files_.download_compressed(item.fp);
+      response.items.resize(req.items.size());
+      // Each item is one read (a pread and its checksum on a pack store),
+      // on the pool when the server has one; answers stay in slot order.
+      auto download_one = [&](std::size_t i) {
+        WireItem& out = response.items[i];
+        out.fp = req.items[i].fp;
+        StatusOr<Bytes> stored = files_.download_compressed(out.fp);
         if (stored.ok()) {
           out.status = Status::kOk;
           out.payload = std::move(stored).value();
         } else {
           out.status = failed_read_status(stored.code());
         }
-        response.items.push_back(std::move(out));
+      };
+      if (pool_ != nullptr) {
+        pool_->parallel_for_each(req.items.size(), download_one);
+      } else {
+        for (std::size_t i = 0; i < req.items.size(); ++i) download_one(i);
       }
       break;
     }

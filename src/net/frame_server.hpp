@@ -4,10 +4,11 @@
 // dispatch against a FileRegistryApi (a single GearRegistry or a whole
 // FleetRegistry of shards), encode, account. Every request is a batch, so
 // dispatch is one case per interface: kQueryMany (one query_many call per
-// frame, each hit advertising its stored size), kUploadMany (precompressed
-// frames stored verbatim), kDownloadMany (stored frames shipped verbatim),
-// kDownloadChunks (manifest probes and chunk bursts) and kDigestMany (one
-// query_digests call per frame, on the server's pool when it has one). A
+// frame, each hit advertising its stored size), kUploadMany (one
+// upload_precompressed_many call per frame: precompressed frames stored
+// verbatim), kDownloadMany (stored frames shipped verbatim, read on the
+// server's pool when it has one), kDownloadChunks (manifest probes and chunk
+// bursts) and kDigestMany (one query_digests call per frame, on the pool). A
 // frame the server cannot decode or dispatch gets a kServerError reply; a
 // download or digest item the registry cannot read is kNotFound only when
 // the object is absent, and an item-level kServerError otherwise (e.g. a
@@ -65,10 +66,11 @@ struct LoopbackServerStats {
 class FrameServer {
  public:
   /// Non-owning: `files` and `pool` must outlive the server. `pool`, when
-  /// non-null, is handed to query_digests, so a kDigestMany frame reads and
-  /// hashes its objects in parallel; without one (loopback transports, the
-  /// benchmark's daemon) the serving thread hashes them itself. It may be
-  /// shared by any number of serving threads.
+  /// non-null, reads a kDownloadMany frame's items and is handed to
+  /// query_digests, so a kDigestMany frame reads and hashes its objects in
+  /// parallel; without one (loopback transports, the benchmark's daemon)
+  /// the serving thread does both itself. It may be shared by any number of
+  /// serving threads.
   explicit FrameServer(FileRegistryApi& files,
                        util::ThreadPool* pool = nullptr)
       : files_(files), pool_(pool) {}

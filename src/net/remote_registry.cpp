@@ -68,12 +68,13 @@ bool RemoteGearRegistry::upload_precompressed(const Fingerprint& fp,
                                               Bytes compressed) {
   std::vector<std::pair<Fingerprint, Bytes>> one;
   one.emplace_back(fp, std::move(compressed));
-  return upload_precompressed_batch(std::move(one)) == 1;
+  return upload_precompressed_many(std::move(one))[0] != 0;
 }
 
-std::size_t RemoteGearRegistry::upload_precompressed_batch(
+std::vector<std::uint8_t> RemoteGearRegistry::upload_precompressed_many(
     std::vector<std::pair<Fingerprint, Bytes>> items) {
-  if (items.empty()) return 0;
+  std::vector<std::uint8_t> stored(items.size(), 0);
+  if (items.empty()) return stored;
   WireMessage request;
   request.type = MessageType::kUploadManyRequest;
   request.items.resize(items.size());
@@ -92,9 +93,8 @@ std::size_t RemoteGearRegistry::upload_precompressed_batch(
       ++stats_.integrity_failures;
       continue;
     }
-    std::size_t stored = 0;
-    for (const WireItem& item : response.items) {
-      if (item.status == Status::kOk) ++stored;
+    for (std::size_t i = 0; i < stored.size(); ++i) {
+      stored[i] = response.items[i].status == Status::kOk ? 1 : 0;
     }
     return stored;
   }
@@ -384,7 +384,9 @@ StatusOr<std::vector<Bytes>> RemoteGearRegistry::download_chunks(
     return {ErrorCode::kCorruptData,
             "remote: " + std::to_string(pending.size()) +
                 " chunk(s) repeatedly failed fingerprint check, first index " +
-                std::to_string(indices[pending.front()]) + " of " + fp.hex()};
+                std::to_string(indices[pending.front()]) + " (chunk " +
+                manifest.chunks[indices[pending.front()]].hex() + ") of " +
+                fp.hex()};
   }
   if (wire_bytes_out != nullptr) *wire_bytes_out = wire;
   return out;

@@ -8,10 +8,9 @@
 // surface to the deployment path; persistent ones become errors.
 //
 // The stub implements only the batched core (query_many / download_batch /
-// upload_precompressed_batch / query_digests, plus the chunk and size
-// calls); the
-// single-item query / upload / download are FileRegistryApi's batch-of-one
-// defaults, so every call moves one frame per batch. Retry granularity is
+// upload_precompressed_many / query_digests, plus the chunk and size
+// calls); the single-item query / upload / download are FileRegistryApi's
+// batch-of-one defaults, so every call moves one frame per batch. Retry granularity is
 // two-level: a frame that fails decode is retransmitted whole (stats_
 // .retries), while a per-item fingerprint mismatch inside an intact frame
 // refetches only the damaged items in a follow-up batch (stats_
@@ -65,9 +64,9 @@ class RemoteGearRegistry final : public FileRegistryApi {
   /// Stores a precompressed frame; one single-item batch round trip.
   bool upload_precompressed(const Fingerprint& fp, Bytes compressed) override;
 
-  /// Batched precompressed upload: one round trip per batch. Returns the
-  /// number of items the server newly stored.
-  std::size_t upload_precompressed_batch(
+  /// Batched precompressed upload: one round trip per batch; out[i] != 0
+  /// when the server newly stored items[i].
+  std::vector<std::uint8_t> upload_precompressed_many(
       std::vector<std::pair<Fingerprint, Bytes>> items) override;
 
   /// Batched download: one round trip per batch; per-item payloads are the

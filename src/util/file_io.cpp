@@ -17,16 +17,6 @@ void throw_errno(const std::string& what, const std::filesystem::path& path) {
               what + " " + path.string() + ": " + std::strerror(errno));
 }
 
-namespace {
-
-void fsync_path(const std::filesystem::path& path, int open_flags) {
-  UniqueFd fd(::open(path.c_str(), open_flags));
-  if (!fd) throw_errno("cannot open for fsync", path);
-  if (::fsync(fd.get()) != 0) throw_errno("fsync failed for", path);
-}
-
-}  // namespace
-
 void UniqueFd::reset(int fd) noexcept {
   if (fd_ >= 0) ::close(fd_);
   fd_ = fd;
@@ -96,20 +86,6 @@ void write_file_bytes(const std::filesystem::path& path, BytesView content) {
   if (!out) {
     throw_error(ErrorCode::kInternal, "short write to " + path.string());
   }
-}
-
-void write_file_durable(const std::filesystem::path& path, BytesView content) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  UniqueFd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
-  if (!fd) throw_errno("cannot create", tmp);
-  write_all(fd.get(), content, tmp);
-  if (::fsync(fd.get()) != 0) throw_errno("fsync failed for", tmp);
-  if (::close(fd.release()) != 0) throw_errno("close failed for", tmp);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw_errno("rename failed onto", path);
-  }
-  // The rename itself must be durable: sync the containing directory.
-  fsync_path(path.parent_path(), O_RDONLY | O_DIRECTORY);
 }
 
 }  // namespace gear

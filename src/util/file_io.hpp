@@ -1,5 +1,5 @@
 // Small filesystem I/O helpers shared by the on-disk backends
-// (gear/fs_store, gear/persistence, vfs/fs_io).
+// (gear/object_store, gear/fs_store, gear/persistence, vfs/fs_io).
 #pragma once
 
 #include <filesystem>
@@ -59,12 +59,5 @@ Bytes read_file_bytes(const std::filesystem::path& path);
 /// Creates/truncates `path` and writes `content`. Throws Error(kInternal)
 /// on failure (including short writes).
 void write_file_bytes(const std::filesystem::path& path, BytesView content);
-
-/// Crash-safe write: writes `content` to a sibling temp file, fsyncs it,
-/// atomically renames it onto `path`, then fsyncs the containing directory.
-/// A reader (or a reopen after a crash) therefore sees either no file or the
-/// complete content, never a torn prefix; an interrupted write leaves only a
-/// "<name>.tmp" sibling. Throws Error(kInternal) on failure.
-void write_file_durable(const std::filesystem::path& path, BytesView content);
 
 }  // namespace gear

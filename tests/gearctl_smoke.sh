@@ -13,6 +13,30 @@ SRC="$WORK/src"
 STORE="$WORK/store"
 OUT="$WORK/out"
 
+# Pack store helpers. A segment holds records: a 32-byte header (magic
+# "GP", version, kind, fingerprint at [4,20), payload length at [20,24)
+# little-endian, two CRC-32Cs) and the payload, a GZC1 frame for an object.
+first_segment() { ls "$1/pack/"*.seg | head -n 1; }
+header_fp() { od -A n -t x1 -j $(($2 + 4)) -N 16 "$1" | tr -d ' \n'; }
+file_size() { echo $(($(wc -c < "$1"))); }
+# Prints the header offset of the object record of fingerprint $2 in
+# segment $1, walking the record headers.
+record_of() {
+  off=0
+  size="$(file_size "$1")"
+  while test "$off" -lt "$size"; do
+    kind="$(od -A n -t u1 -j $((off + 3)) -N 1 "$1" | tr -d ' ')"
+    len="$(od -A n -t u1 -j $((off + 20)) -N 4 "$1" \
+      | awk '{ print $1 + 256 * $2 + 65536 * $3 + 16777216 * $4 }')"
+    if test "$kind" -eq 1 && test "$(header_fp "$1" "$off")" = "$2"; then
+      echo "$off"
+      return 0
+    fi
+    off=$((off + 32 + len))
+  done
+  return 1
+}
+
 mkdir -p "$SRC/app" "$SRC/etc"
 printf 'hello from gearctl\n' > "$SRC/app/hello.txt"
 head -c 65536 /dev/urandom > "$SRC/app/blob.bin"
@@ -28,7 +52,7 @@ test ! -e "$WORK/never"
 "$GEARCTL" "$STORE" init
 "$GEARCTL" "$STORE" import "$SRC" demo:v1
 # The Gear files live in a durable object store under the store root.
-test -n "$(ls "$STORE/objects")"
+test -n "$(ls "$STORE/pack")"
 test ! -e "$STORE/gear"
 "$GEARCTL" "$STORE" images | grep -q "demo:v1"
 "$GEARCTL" "$STORE" inspect demo:v1 | grep -q "files:"
@@ -51,6 +75,12 @@ test "$("$GEARCTL" "$STORE" read "$C" app/hello.txt)" = "hello from gearctl"
 test "$("$GEARCTL" "$STORE" read "$C" app/note.txt)" = "patched"
 "$GEARCTL" "$STORE" commit "$C" demo:patched
 test "$("$GEARCTL" "$STORE" cat demo:patched app/note.txt)" = "patched"
+# Writing over a directory of the image fails (overlayfs's EISDIR) and
+# leaves the directory and its files in place.
+if "$GEARCTL" "$STORE" write "$C" app x 2> "$WORK/eisdir.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "is a directory" "$WORK/eisdir.err"
+test "$("$GEARCTL" "$STORE" read "$C" app/hello.txt)" = "hello from gearctl"
 
 # second import of the same content deduplicates everything.
 "$GEARCTL" "$STORE" import "$SRC" demo:v2 | grep -q "0 uploaded"
@@ -72,6 +102,15 @@ mkdir -p "$GSTORE/gear/objects"
 if "$GEARCTL" "$GSTORE" images > /dev/null 2> "$WORK/retired.err"
 then exit 1; else test $? -eq 1; fi
 grep -q "$GSTORE/gear" "$WORK/retired.err"
+# So is one whose Gear files sit in the retired one-file-per-object layout
+# (<store>/objects): exit 1 naming the directory and asking for a re-import.
+OSTORE="$WORK/ostore"
+"$GEARCTL" "$OSTORE" init > /dev/null
+mkdir -p "$OSTORE/objects"
+if "$GEARCTL" "$OSTORE" images > /dev/null 2> "$WORK/oretired.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "$OSTORE/objects" "$WORK/oretired.err"
+grep -q "re-import" "$WORK/oretired.err"
 
 # An empty source directory imports as an empty image: its index layer is
 # the tar trailer alone, and a launch or an export of it holds 0 files.
@@ -95,7 +134,7 @@ DOUT="$WORK/dout"
 
 "$GEARCTL" --store-dir "$OBJDIR" "$DSTORE" init
 "$GEARCTL" --store-dir "$OBJDIR" "$DSTORE" import "$SRC" disk:v1
-test -n "$(ls "$OBJDIR/objects")"
+test -n "$(ls "$OBJDIR/pack")"
 
 # Restart: a fresh process reopens the same object store; a re-import of
 # identical content must upload nothing (zero re-push after restart) and an
@@ -105,18 +144,29 @@ test -n "$(ls "$OBJDIR/objects")"
 "$GEARCTL" --store-dir "$OBJDIR" "$DSTORE" export disk:v1 "$DOUT"
 diff -r "$SRC" "$DOUT"
 
-# Crash recovery: a torn temp file (interrupted durable write) alongside the
-# valid objects must be ignored and reaped on reopen, not served.
-printf 'torn' > "$OBJDIR/objects/deadbeefdeadbeefdeadbeefdeadbeef.tmp"
+# Crash recovery: the bytes of a torn append after the last complete record
+# are ignored on reopen, never served, and left alone by a reader; the next
+# write cuts them off and appends a record where they were.
+SEG="$(ls "$OBJDIR/pack/"*.seg | tail -n 1)"
+SIZE="$(file_size "$SEG")"
+printf 'torn' >> "$SEG"
 "$GEARCTL" --store-dir "$OBJDIR" "$DSTORE" stats | grep -q "gear registry"
-test ! -e "$OBJDIR/objects/deadbeefdeadbeefdeadbeefdeadbeef.tmp"
+test "$(file_size "$SEG")" -eq $((SIZE + 4))
+mkdir -p "$WORK/src2"
+printf 'written after the crash\n' > "$WORK/src2/new.txt"
+"$GEARCTL" --store-dir "$OBJDIR" "$DSTORE" import "$WORK/src2" disk:v3 \
+  | grep -q "1 uploaded"
+test "$(od -A n -t c -j "$SIZE" -N 2 "$SEG" | tr -d ' ')" = "GP"
+"$GEARCTL" --store-dir "$OBJDIR" "$DSTORE" stats | grep -q "gear registry"
 
-# Scrub of a store holding one damaged object (its GZC1 magic overwritten):
-# the object is listed as corrupt (exit 1) and the scan covers every object.
+# Scrub of a store holding one damaged object (its GZC1 magic overwritten;
+# the record is found through its header): the object is listed as corrupt
+# (exit 1) and the scan covers every object.
 BADOBJ="$WORK/badobj"
 cp -r "$OBJDIR" "$BADOBJ"
-VICTIM="$(ls "$BADOBJ/objects" | head -n 1)"
-printf 'XXXX' | dd of="$BADOBJ/objects/$VICTIM" bs=1 conv=notrunc 2>/dev/null
+BADSEG="$(first_segment "$BADOBJ")"
+VICTIM="$(header_fp "$BADSEG" 0)"
+printf 'XXXX' | dd of="$BADSEG" bs=1 seek=32 conv=notrunc 2>/dev/null
 if "$GEARCTL" --store-dir "$BADOBJ" "$DSTORE" scrub > "$WORK/scrub.out"
 then exit 1; else test $? -eq 1; fi
 grep -q "CORRUPT: $VICTIM" "$WORK/scrub.out"
@@ -143,6 +193,46 @@ if "$GEARCTL" --store-dir "$BADOBJ" --lazy "$LSTORE" launch disk:v1 \
 then exit 1; else test $? -eq 1; fi
 grep -q "prefetch of $BADFILE" "$WORK/badlaunch.err"
 
+# One byte flipped inside the LZSS literals of a stored frame: the frame
+# still decodes, to content one byte wrong, so only the record's CRC-32C
+# can tell. Export and a lazy launch fail (exit 1) naming the path and the
+# fingerprint, a re-import fails in its collision probe, and scrub counts
+# the object corrupt. flip_literal finds the record through its header:
+# payload byte 10 follows GZC1, the LZSS method byte, a two-byte size and
+# the first flag byte, and is the third literal (the 'a' of "gear").
+LSRC="$WORK/litsrc"
+mkdir -p "$LSRC"
+yes 'gear smoke literal line' | head -c 4096 > "$LSRC/lit.txt"
+LFP="$(md5sum < "$LSRC/lit.txt" | cut -c1-32)"
+flip_literal() {
+  seg="$(first_segment "$1")"
+  off="$(record_of "$seg" "$LFP")"
+  test "$(od -A n -t c -j $((off + 32 + 10)) -N 1 "$seg" | tr -d ' ')" = "a"
+  printf 'Z' | dd of="$seg" bs=1 seek=$((off + 32 + 10)) conv=notrunc \
+    2>/dev/null
+}
+LITSTORE="$WORK/litstore"
+LITOBJ="$WORK/litobj"
+"$GEARCTL" --store-dir "$LITOBJ" "$LITSTORE" init > /dev/null
+"$GEARCTL" --store-dir "$LITOBJ" "$LITSTORE" import "$LSRC" lit:v1 > /dev/null
+flip_literal "$LITOBJ"
+if "$GEARCTL" --store-dir "$LITOBJ" "$LITSTORE" export lit:v1 \
+  "$WORK/litout" > /dev/null 2> "$WORK/litexport.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "export of lit.txt ($LFP)" "$WORK/litexport.err"
+if "$GEARCTL" --store-dir "$LITOBJ" --lazy "$LITSTORE" launch lit:v1 \
+  > /dev/null 2> "$WORK/litlaunch.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "prefetch of lit.txt ($LFP)" "$WORK/litlaunch.err"
+if "$GEARCTL" --store-dir "$LITOBJ" "$LITSTORE" import "$LSRC" lit:v2 \
+  > /dev/null 2> "$WORK/litimport.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "collision probe of $LFP" "$WORK/litimport.err"
+if "$GEARCTL" --store-dir "$LITOBJ" "$LITSTORE" scrub > "$WORK/litscrub.out"
+then exit 1; else test $? -eq 1; fi
+grep -q "1 corrupt" "$WORK/litscrub.out"
+grep -q "CORRUPT: $LFP" "$WORK/litscrub.out"
+
 # A source tree holding a ".wh." name (the layer whiteout marker, which a
 # Gear index cannot carry) is refused with exit 1, naming the path, before
 # anything is uploaded or any manifest is written.
@@ -157,7 +247,7 @@ if "$GEARCTL" --store-dir "$WOBJ" "$WSTORE" import "$WSRC" wh:v1 \
   > /dev/null 2> "$WORK/wh.err"
 then exit 1; else test $? -eq 1; fi
 grep -q "etc/.wh.keep" "$WORK/wh.err"
-test -z "$(ls "$WOBJ/objects" 2>/dev/null)"
+test -z "$(ls "$WOBJ/pack" 2>/dev/null)"
 if "$GEARCTL" --store-dir "$WOBJ" "$WSTORE" images | grep -q "wh:v1"
 then exit 1; fi
 
@@ -274,8 +364,12 @@ RSTORE="$WORK/rstore"
 "$GEARCTL" --store-dir "$ROBJ" --shards 2 --replicas 2 "$RSTORE" init
 "$GEARCTL" --store-dir "$ROBJ" --shards 2 --replicas 2 "$RSTORE" \
   import "$SRC" repl:v1
-N0="$(ls "$ROBJ/shard-0/objects" | wc -l)"
-N1="$(ls "$ROBJ/shard-1/objects" | wc -l)"
+shard_objects() {
+  "$GEARCTL" --store-dir "$ROBJ/shard-$1" "$RSTORE" stats \
+    | sed -n 's/^gear registry: *\([0-9][0-9]*\) objects.*/\1/p'
+}
+N0="$(shard_objects 0)"
+N1="$(shard_objects 1)"
 test "$N0" -eq "$N1"
 test "$N0" -gt 0
 
@@ -429,7 +523,7 @@ test -n "$PORT"
 
 "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" init
 "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" import "$SRC" net:v1
-test -n "$(ls "$NOBJ/objects")"   # the objects live in the DAEMON's store
+test -n "$(ls "$NOBJ/pack")"   # the objects live in the DAEMON's store
 "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" stats > "$WORK/rstats"
 grep -q "reachable" "$WORK/rstats"
 # Every referenced file present remotely: "N / N present" with N > 0.
@@ -442,6 +536,7 @@ grep -q "referenced gear files on remote: \([1-9][0-9]*\) / \1 present" \
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 grep -q "shut down" "$WORK/serve.err"
+grep -q "[1-9][0-9]* store syncs)" "$WORK/serve.err"
 "$GEARCTL" serve --addr "127.0.0.1:$PORT" --store-dir "$NOBJ" \
   > "$WORK/serve2.out" 2> "$WORK/serve2.err" &
 SERVE_PID=$!
@@ -461,8 +556,9 @@ test -e "$NSTORE/docker/sentinel"
 # One object in the daemon's store damaged (its GZC1 magic overwritten): a
 # re-import over --remote must fail naming it (exit 1) and push no manifest,
 # instead of reading the damaged object as absent and the import as a dedup.
-NVICTIM="$(ls "$NOBJ/objects" | head -n 1)"
-printf 'XXXX' | dd of="$NOBJ/objects/$NVICTIM" bs=1 conv=notrunc 2>/dev/null
+NSEG="$(first_segment "$NOBJ")"
+NVICTIM="$(header_fp "$NSEG" 0)"
+printf 'XXXX' | dd of="$NSEG" bs=1 seek=32 conv=notrunc 2>/dev/null
 if "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" import "$SRC" net:bad \
   > /dev/null 2> "$WORK/netbad.err"
 then exit 1; else test $? -eq 1; fi
@@ -487,14 +583,13 @@ SERVE_PID=""
 # the new chunks is damaged. A re-import then fails naming the file instead
 # of taking it for absent, and export and a lazy launch's backfill fail
 # naming its path.
-ls "$NOBJ/objects" | sort > "$WORK/plain.list"
+# The chunked import appends one batch: the new chunks, then the manifest.
+KBATCH="$(file_size "$NSEG")"
 "$GEARCTL" --store-dir "$NOBJ" "$WORK/kstore" init > /dev/null
 "$GEARCTL" --store-dir "$NOBJ" "$WORK/kstore" import "$CSRC" chunky:v1 65536 \
   > /dev/null
-KFILE="$(ls "$NOBJ/chunked" | sed 's/\.gcm$//')"
-KVICTIM="$(ls "$NOBJ/objects" | sort | comm -13 "$WORK/plain.list" - \
-  | head -n 1)"
-test -n "$KFILE"
+KFILE="$(md5sum < "$CSRC/model.bin" | cut -c1-32)"
+KVICTIM="$(header_fp "$NSEG" "$KBATCH")"
 test -n "$KVICTIM"
 "$GEARCTL" serve --addr "127.0.0.1:$PORT" --store-dir "$NOBJ" \
   > "$WORK/serve3.out" 2> "$WORK/serve3.err" &
@@ -502,7 +597,8 @@ SERVE_PID=$!
 wait_serving "$WORK/serve3.out"
 "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" import "$CSRC" chunky:v1 \
   | grep -q "0 uploaded"
-printf 'XXXX' | dd of="$NOBJ/objects/$KVICTIM" bs=1 conv=notrunc 2>/dev/null
+printf 'XXXX' | dd of="$NSEG" bs=1 seek=$((KBATCH + 32)) conv=notrunc \
+  2>/dev/null
 if "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" import "$CSRC" chunky:bad \
   > /dev/null 2> "$WORK/chunkbad.err"
 then exit 1; else test $? -eq 1; fi
@@ -518,6 +614,90 @@ grep -q "corrupt_data: prefetch of model.bin ($KFILE)" "$WORK/chunklaunch.err"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
+
+# The flipped literal over --remote: the daemon checks each record's CRC-32C
+# on every read, so export, a lazy launch and a re-import fail naming the
+# file, as they do locally; scrub of the daemon's store counts it corrupt.
+LROBJ="$WORK/litrobj"
+LRSTORE="$WORK/litrstore"
+"$GEARCTL" serve --addr 127.0.0.1:0 --store-dir "$LROBJ" \
+  > "$WORK/serve4.out" 2> "$WORK/serve4.err" &
+SERVE_PID=$!
+wait_serving "$WORK/serve4.out"
+LPORT="$(sed -n 's/^serving on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' \
+  "$WORK/serve4.out")"
+"$GEARCTL" --remote "127.0.0.1:$LPORT" "$LRSTORE" init > /dev/null
+"$GEARCTL" --remote "127.0.0.1:$LPORT" "$LRSTORE" import "$LSRC" lit:v1 \
+  > /dev/null
+flip_literal "$LROBJ"
+if "$GEARCTL" --remote "127.0.0.1:$LPORT" "$LRSTORE" export lit:v1 \
+  "$WORK/litrout" > /dev/null 2> "$WORK/litrexport.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "export of lit.txt ($LFP)" "$WORK/litrexport.err"
+if "$GEARCTL" --remote "127.0.0.1:$LPORT" --lazy "$LRSTORE" launch lit:v1 \
+  > /dev/null 2> "$WORK/litrlaunch.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "prefetch of lit.txt ($LFP)" "$WORK/litrlaunch.err"
+if "$GEARCTL" --remote "127.0.0.1:$LPORT" "$LRSTORE" import "$LSRC" lit:v2 \
+  > /dev/null 2> "$WORK/litrimport.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "collision probe of $LFP" "$WORK/litrimport.err"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_PID=""
+if "$GEARCTL" --store-dir "$LROBJ" "$LITSTORE" scrub > "$WORK/litrscrub.out"
+then exit 1; else test $? -eq 1; fi
+grep -q "1 corrupt" "$WORK/litrscrub.out"
+
+# A daemon killed mid-push: SIGKILL `serve` as soon as the first upload of a
+# large import is acknowledged. A restarted daemon over the same store
+# serves what was acknowledged, the import run again exits 0 and uploads
+# the rest, the export is byte-identical, and scrub finds nothing corrupt.
+BSRC="$WORK/bigsrc"
+KOBJ="$WORK/killobj"
+KSTORE="$WORK/killstore"
+awk -v dir="$BSRC" 'BEGIN {
+  srand(7)
+  for (d = 0; d < 40; d++) system("mkdir -p " dir "/d" d)
+  for (i = 0; i < 3000; i++) {
+    f = sprintf("%s/d%d/f%04d.txt", dir, i % 40, i)
+    for (j = 0; j < 30; j++) printf "%d %d %.9f\n", i, j, rand() > f
+    close(f)
+  }
+}'
+"$GEARCTL" serve --addr 127.0.0.1:0 --store-dir "$KOBJ" \
+  > "$WORK/serve5.out" 2> "$WORK/serve5.err" &
+SERVE_PID=$!
+wait_serving "$WORK/serve5.out"
+KPORT="$(sed -n 's/^serving on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' \
+  "$WORK/serve5.out")"
+"$GEARCTL" --remote "127.0.0.1:$KPORT" "$KSTORE" init > /dev/null
+"$GEARCTL" --remote "127.0.0.1:$KPORT" "$KSTORE" import "$BSRC" big:v1 \
+  > /dev/null 2>&1 &
+IMPORT_PID=$!
+i=0
+while test ! -s "$KOBJ/pack/00000001.seg"; do
+  i=$((i+1)); test "$i" -le 4000; sleep 0.005
+done
+kill -KILL "$SERVE_PID"
+wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=""
+# The client gives up once its retries find no daemon (or finished first).
+wait "$IMPORT_PID" 2>/dev/null || true
+"$GEARCTL" serve --addr "127.0.0.1:$KPORT" --store-dir "$KOBJ" \
+  > "$WORK/serve6.out" 2> "$WORK/serve6.err" &
+SERVE_PID=$!
+wait_serving "$WORK/serve6.out"
+"$GEARCTL" --remote "127.0.0.1:$KPORT" "$KSTORE" import "$BSRC" big:v1 \
+  > "$WORK/kimport.out"
+"$GEARCTL" --remote "127.0.0.1:$KPORT" "$KSTORE" export big:v1 "$WORK/kout" \
+  > /dev/null
+diff -r "$BSRC" "$WORK/kout"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_PID=""
+"$GEARCTL" --store-dir "$KOBJ" "$KSTORE" scrub > "$WORK/kscrub.out"
+grep -q "3000 objects checked, .* 0 corrupt" "$WORK/kscrub.out"
 
 # Strict endpoint validation: malformed HOST:PORT specs and serve flag
 # conflicts are usage errors (exit 2), not crashes.

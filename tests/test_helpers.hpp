@@ -2,8 +2,13 @@
 // random-tree generator for property tests, and a mutation fuzzer.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -146,6 +151,80 @@ inline vfs::FileTree stub_index_tree(int n_stubs, std::uint64_t seed) {
     }
   }
   return t;
+}
+
+// ------------------------------------------------- pack store records
+
+/// One record of a DiskObjectStore pack, found through its header.
+struct PackRecord {
+  std::filesystem::path segment;
+  std::uint64_t offset = 0;  // of the 32-byte header
+  std::uint8_t kind = 0;     // 1 object, 2 manifest, 3 tombstone, 4 commit
+  Fingerprint fp;
+  std::uint32_t length = 0;  // payload bytes, which follow the header
+};
+
+/// The segment files of the pack under `store_dir`, oldest first.
+inline std::vector<std::filesystem::path> pack_segments(
+    const std::filesystem::path& store_dir) {
+  std::vector<std::filesystem::path> out;
+  for (const auto& e : std::filesystem::directory_iterator(store_dir / "pack")) {
+    if (e.path().extension() == ".seg") out.push_back(e.path());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+inline Bytes read_whole(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Every record of the pack under `store_dir`, walked header by header
+/// (the layout DiskObjectStore documents): the fingerprint at [4,20) and
+/// the payload length at [20,24), little-endian.
+inline std::vector<PackRecord> pack_records(
+    const std::filesystem::path& store_dir) {
+  std::vector<PackRecord> out;
+  for (const auto& segment : pack_segments(store_dir)) {
+    Bytes raw = read_whole(segment);
+    for (std::size_t off = 0; off + 32 <= raw.size();) {
+      PackRecord r;
+      r.segment = segment;
+      r.offset = off;
+      r.kind = raw[off + 3] & 0x0F;
+      std::array<std::uint8_t, Fingerprint::kSize> fp{};
+      std::copy(raw.begin() + static_cast<std::ptrdiff_t>(off + 4),
+                raw.begin() + static_cast<std::ptrdiff_t>(off + 20),
+                fp.begin());
+      r.fp = Fingerprint(fp);
+      r.length = static_cast<std::uint32_t>(raw[off + 20]) |
+                 static_cast<std::uint32_t>(raw[off + 21]) << 8 |
+                 static_cast<std::uint32_t>(raw[off + 22]) << 16 |
+                 static_cast<std::uint32_t>(raw[off + 23]) << 24;
+      out.push_back(r);
+      off += 32 + r.length;
+    }
+  }
+  return out;
+}
+
+/// The object (kind 1) or manifest (kind 2) record stored for `fp`.
+inline std::optional<PackRecord> find_pack_record(
+    const std::filesystem::path& store_dir, const Fingerprint& fp,
+    std::uint8_t kind = 1) {
+  for (const PackRecord& r : pack_records(store_dir)) {
+    if (r.kind == kind && r.fp == fp) return r;
+  }
+  return std::nullopt;
+}
+
+/// Overwrites the bytes at `offset` of `path` in place.
+inline void overwrite_bytes(const std::filesystem::path& path,
+                            std::uint64_t offset, const std::string& bytes) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 }  // namespace gear::testing

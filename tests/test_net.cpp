@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <functional>
 
 #include "compress/codec.hpp"
@@ -10,6 +11,7 @@
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "util/crc32.hpp"
+#include "util/crc32_testing.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
@@ -91,6 +93,35 @@ TEST(Crc32, DetectsSingleBitFlip) {
   std::uint32_t original = crc32(data);
   data[250] ^= 0x01;
   EXPECT_NE(crc32(data), original);
+}
+
+// --------------------------------------------------------------- crc32c
+
+TEST(Crc32c, KnownVectors) {
+  // The Castagnoli check value for "123456789" (RFC 3720 appendix B.4).
+  EXPECT_EQ(crc32c(to_bytes("123456789")), 0xE3069283u);
+  EXPECT_EQ(crc32c({}), 0x00000000u);
+  EXPECT_EQ(crc32c(Bytes(32, 0x00)), 0x8A9136AAu);
+  EXPECT_EQ(crc32c(Bytes(32, 0xFF)), 0x62A8AB43u);
+}
+
+TEST(Crc32c, BothKernelsAgreeAtEveryLengthAndAlignment) {
+  std::printf("[ INFO     ] CRC-32C SSE4.2 path: %s\n",
+              crc32_testing::crc32c_native_available() ? "yes" : "no");
+  Rng rng(5);
+  Bytes data = rng.next_bytes(8 + 200, 0.0);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 200; ++length) {
+      BytesView view(data.data() + offset, length);
+      const std::uint32_t portable = crc32_testing::crc32c_portable(view);
+      ASSERT_EQ(crc32c(view), portable)
+          << "offset " << offset << " length " << length;
+      if (crc32_testing::crc32c_native_available()) {
+        ASSERT_EQ(crc32_testing::crc32c_native(view), portable)
+            << "offset " << offset << " length " << length;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- wire

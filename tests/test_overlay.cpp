@@ -196,6 +196,48 @@ TEST(Overlay, RemoveCopiesUpParentMetadata) {
   EXPECT_EQ(dir->metadata(), www);
 }
 
+TEST(Overlay, WriteOverADirectoryIsRejected) {
+  vfs::FileTree l1;
+  l1.add_file("d/f", to_bytes("kept"));
+  OverlayMount m({&l1});
+  m.make_dir("u");
+  for (const char* dir : {"d", "u"}) {  // lower, then upper
+    try {
+      m.write_file(dir, to_bytes("x"));
+      ADD_FAILURE() << "write_file over directory " << dir << " returned";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+      EXPECT_NE(e.message().find("is a directory"), std::string::npos);
+    }
+    ASSERT_NE(m.lookup(dir).node, nullptr);
+    EXPECT_TRUE(m.lookup(dir).node->is_directory());
+  }
+  EXPECT_EQ(to_string(m.read_file("d/f").value()), "kept");
+  EXPECT_EQ(m.upper_diff().lookup("d"), nullptr);  // nothing copied up
+}
+
+TEST(Overlay, MakeDirOverALowerFileIsRejected) {
+  vfs::FileTree l1;
+  l1.add_file("a", to_bytes("file"));
+  l1.add_symlink("s", "a");
+  OverlayMount m({&l1});
+  for (const char* path : {"a", "s"}) {
+    try {
+      m.make_dir(path);
+      ADD_FAILURE() << "make_dir over " << path << " returned";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kAlreadyExists);
+    }
+  }
+  ASSERT_NE(m.lookup("a").node, nullptr);
+  EXPECT_TRUE(m.lookup("a").node->is_regular());
+  EXPECT_EQ(to_string(m.read_file("a").value()), "file");
+  // After a delete the name is free again, and the new directory is opaque.
+  ASSERT_TRUE(m.remove("a"));
+  m.make_dir("a");
+  EXPECT_TRUE(m.lookup("a").node->is_directory());
+}
+
 TEST(Overlay, ReadNonRegularFails) {
   vfs::FileTree l1;
   l1.add_directory("d");

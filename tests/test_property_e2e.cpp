@@ -89,11 +89,14 @@ TEST_P(ViewerOverlayEquivalence, FuzzedOpsAgree) {
   // Reference side: overlay over the plain root.
   docker::OverlayMount overlay({&root});
 
-  // Collect candidate paths.
+  // Collect candidate paths, and the directories among them.
   std::vector<std::string> paths;
-  root.walk([&paths](const std::string& p, const vfs::FileNode&) {
+  std::vector<std::string> dirs;
+  root.walk([&](const std::string& p, const vfs::FileNode& node) {
     paths.push_back(p);
+    if (node.is_directory()) dirs.push_back(p);
   });
+  ASSERT_FALSE(dirs.empty());
 
   Rng rng(seed * 31 + 5);
   for (int op = 0; op < 120; ++op) {
@@ -108,25 +111,35 @@ TEST_P(ViewerOverlayEquivalence, FuzzedOpsAgree) {
         EXPECT_EQ(*a, *b) << target;
       }
     } else if (roll < 0.65) {
+      // Half the writes aim at a directory, which stays one (EISDIR).
+      const std::string& file =
+          rng.next_below(2) == 0 ? dirs[rng.next_below(dirs.size())] : target;
+      const vfs::FileNode* before = overlay.lookup(file).node;
+      const bool onto_dir = before != nullptr && before->is_directory();
       Bytes content = rng.next_bytes(rng.next_range(1, 256), 0.4);
       bool viewer_ok = true, overlay_ok = true;
       try {
-        viewer.write_file(target, content);
+        viewer.write_file(file, content);
       } catch (const Error&) {
         viewer_ok = false;
       }
       try {
-        overlay.write_file(target, content);
+        overlay.write_file(file, content);
       } catch (const Error&) {
         overlay_ok = false;
       }
-      EXPECT_EQ(viewer_ok, overlay_ok) << target;
+      EXPECT_EQ(viewer_ok, overlay_ok) << file;
+      if (onto_dir) {
+        EXPECT_FALSE(overlay_ok) << file;
+      }
     } else if (roll < 0.8) {
       EXPECT_EQ(viewer.remove(target), overlay.remove(target)) << target;
     } else if (roll < 0.9) {
       // A directory at or below the target; below a file, both must fail.
       const std::string dir =
           rng.next_below(2) == 0 ? target : target + "/made";
+      const vfs::FileNode* before = overlay.lookup(dir).node;
+      const bool onto_file = before != nullptr && !before->is_directory();
       bool viewer_ok = true, overlay_ok = true;
       try {
         viewer.make_dir(dir);
@@ -139,6 +152,9 @@ TEST_P(ViewerOverlayEquivalence, FuzzedOpsAgree) {
         overlay_ok = false;
       }
       EXPECT_EQ(viewer_ok, overlay_ok) << dir;
+      if (onto_file) {
+        EXPECT_FALSE(overlay_ok) << dir;  // EEXIST
+      }
     } else {
       // Listing comparison on a random directory.
       bool viewer_threw = false, overlay_threw = false;

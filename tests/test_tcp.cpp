@@ -365,12 +365,11 @@ TEST(TcpDamagedObject, CorruptStoredFrameIsReportedNotAnOutage) {
   Fingerprint fp_damaged = default_hasher().fingerprint(damaged);
   registry.upload(fp_intact, intact);
   registry.upload(fp_damaged, damaged);
-  {
-    std::fstream object(dir / "objects" / fp_damaged.hex(),
-                        std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(object.is_open());
-    object.write("XXXX", 4);
-  }
+  // The record is found through its header in the pack; its frame's GZC1
+  // magic is overwritten.
+  const auto record = gear::testing::find_pack_record(dir, fp_damaged);
+  ASSERT_TRUE(record.has_value());
+  gear::testing::overwrite_bytes(record->segment, record->offset + 32, "XXXX");
 
   TcpTransport transport("127.0.0.1", server.port());
   RemoteGearRegistry remote(transport, 4, kNoVerify);
@@ -383,6 +382,171 @@ TEST(TcpDamagedObject, CorruptStoredFrameIsReportedNotAnOutage) {
   EXPECT_EQ(server.connections_accepted(), 1u);
   EXPECT_EQ(remote.stats().retries, 0u);  // every frame decoded fine
   server.stop();
+  fs::remove_all(dir);
+}
+
+// One byte flipped inside the LZSS literals of a stored frame: the frame
+// still decodes, to content one byte wrong, so only the record's checksum
+// can tell. Every read path of a daemon over a pack store answers it as
+// corrupt data naming the fingerprint, and the connection keeps serving.
+TEST(TcpDamagedObject, FlippedLiteralIsCorruptDataOnEveryReadPath) {
+  fs::path dir = fresh_dir("flipped_literal");
+  GearRegistry registry(std::make_unique<DiskObjectStore>(dir));
+  util::ThreadPool pool(2);
+  FrameServer frames(registry, &pool);
+  TcpServer server(frames);
+  server.start("127.0.0.1", 0);
+
+  std::string line = "gear literal line\n";
+  std::string text;
+  while (text.size() < 3000) text += line;
+  const Bytes plain = to_bytes(text);
+  const Bytes intact = to_bytes("an intact neighbour");
+  Bytes big;
+  for (int i = 0; i < 3; ++i) append(big, to_bytes(text + std::to_string(i)));
+  ChunkPolicy policy;
+  policy.threshold_bytes = 2048;
+  policy.chunk_bytes = 3000;
+  const Fingerprint fp_plain = default_hasher().fingerprint(plain);
+  const Fingerprint fp_intact = default_hasher().fingerprint(intact);
+  const Fingerprint fp_big = default_hasher().fingerprint(big);
+  registry.upload(fp_plain, plain);
+  registry.upload(fp_intact, intact);
+  registry.upload_chunked(fp_big, big, policy);
+  const ChunkManifest manifest = registry.chunk_manifest(fp_big).value();
+  const Fingerprint chunk = manifest.chunks[1];
+
+  // GZC1, the LZSS method byte, a two-byte size, the first flag byte, then
+  // literals: payload byte 10 is the third.
+  for (const Fingerprint& fp : {fp_plain, chunk}) {
+    const auto record = gear::testing::find_pack_record(dir, fp);
+    ASSERT_TRUE(record.has_value());
+    Bytes frame = registry.store().get(fp).value();
+    ASSERT_EQ(compressed_frame_method(frame), CompressionMethod::kLzss);
+    frame[10] ^= 0x20;
+    EXPECT_NE(decompress(frame), decompress(registry.store().get(fp).value()));
+    gear::testing::overwrite_bytes(record->segment, record->offset + 32 + 10,
+                                   std::string(1, static_cast<char>(frame[10])));
+  }
+
+  TcpTransport transport("127.0.0.1", server.port());
+  RemoteGearRegistry remote(transport, 2, kNoVerify);
+  auto expect_corrupt = [](const auto& got, const Fingerprint& fp,
+                           const char* path) {
+    ASSERT_FALSE(got.ok()) << path;
+    EXPECT_EQ(got.code(), ErrorCode::kCorruptData) << path;
+    EXPECT_NE(got.message().find(fp.hex()), std::string::npos)
+        << path << ": " << got.message();
+  };
+  expect_corrupt(remote.download(fp_plain), fp_plain, "download");
+  expect_corrupt(remote.download_batch({fp_intact, fp_plain}), fp_plain,
+                 "download_batch");
+  expect_corrupt(remote.download_range(fp_plain, 10, 20), fp_plain,
+                 "download_range");
+  expect_corrupt(remote.download(fp_big), fp_big, "download of a chunked file");
+  expect_corrupt(remote.download_chunks(fp_big, manifest, {0, 1}), chunk,
+                 "download_chunks");
+  std::vector<StatusOr<Sha256Digest>> digests =
+      remote.query_digests({fp_plain, fp_big, fp_intact});
+  expect_corrupt(digests[0], fp_plain, "query_digests");
+  expect_corrupt(digests[1], fp_big, "query_digests of a chunked file");
+  EXPECT_TRUE(digests[2].ok());
+  EXPECT_EQ(remote.download(fp_intact).value(), intact);
+  EXPECT_EQ(remote.download_chunks(fp_big, manifest, {0, 2}).value().size(),
+            2u);
+  EXPECT_EQ(server.connections_accepted(), 1u);
+  server.stop();
+  fs::remove_all(dir);
+}
+
+// An import of 4,850 files through a daemon over a pack store: each upload
+// frame is one append and one sync, so the store syncs at most once per
+// 64-file burst plus a constant, and it creates no file per object.
+TEST(TcpPackImport, SyncsOncePerUploadFrameAndNoFilePerObject) {
+  fs::path dir = fresh_dir("pack_import");
+  auto owned = std::make_unique<DiskObjectStore>(dir);
+  DiskObjectStore& store = *owned;
+  GearRegistry registry(std::move(owned));
+  util::ThreadPool pool(2);
+  FrameServer frames(registry, &pool);
+  TcpServer server(frames);
+  server.start("127.0.0.1", 0);
+
+  vfs::FileTree tree;
+  Rng rng(4850);
+  for (int i = 0; i < 4850; ++i) {
+    tree.add_file("d" + std::to_string(i % 50) + "/f" + std::to_string(i),
+                  rng.next_bytes(rng.next_range(64, 512), 0.5));
+  }
+  GearConverter converter;
+  ConversionResult conv =
+      converter.convert(std::move(tree), "pack", "v1", docker::ImageConfig{});
+  const std::size_t files = conv.image.files.size();
+  ASSERT_EQ(files, 4850u);
+
+  TcpTransport transport("127.0.0.1", server.port());
+  RemoteGearRegistry remote(transport, 3, kNoVerify);
+  docker::DockerRegistry catalog;
+  EXPECT_EQ(push_gear_image(conv.image, catalog, remote), files);
+  EXPECT_EQ(registry.object_count(), files);
+  EXPECT_EQ(frames.stats().upload_round_trips, (files + 63) / 64);
+  EXPECT_LE(store.syncs(), (files + 63) / 64 + 2);
+  std::size_t entries = 0;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    (void)e;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 2u);  // pack/ and its one segment
+  server.stop();
+  fs::remove_all(dir);
+}
+
+// A 200-item download frame holding one absent and one damaged item: a
+// FrameServer that reads on its pool answers byte for byte what one that
+// reads on the serving thread answers. Runs under TSAN (*ConcurrentPack*).
+TEST(ConcurrentPackDownload, PooledAndUnpooledFrameServersAgree) {
+  fs::path dir = fresh_dir("pooled_download");
+  GearRegistry registry(std::make_unique<DiskObjectStore>(dir));
+  Rng rng(200);
+  net::WireMessage request;
+  request.type = net::MessageType::kDownloadManyRequest;
+  for (int i = 0; i < 200; ++i) {
+    Bytes content = rng.next_bytes(rng.next_range(1, 3000), 0.5);
+    net::WireItem item;
+    item.fp = default_hasher().fingerprint(content);
+    if (i != 77) registry.upload(item.fp, content);  // 77 stays absent
+    request.items.push_back(std::move(item));
+  }
+  const Fingerprint damaged = request.items[150].fp;
+  const auto record = gear::testing::find_pack_record(dir, damaged);
+  ASSERT_TRUE(record.has_value());
+  gear::testing::overwrite_bytes(record->segment,
+                                 record->offset + 32 + record->length - 1,
+                                 "\x7f\x7f");
+  const Bytes frame = net::encode_message(request);
+
+  util::ThreadPool pool(4);
+  FrameServer pooled(registry, &pool);
+  FrameServer serial(registry);
+  const Bytes expected = serial.serve(frame);
+  std::vector<Bytes> answers(4);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < answers.size(); ++c) {
+    clients.emplace_back([&, c] { answers[c] = pooled.serve(frame); });
+  }
+  for (std::thread& t : clients) t.join();
+  for (const Bytes& answer : answers) EXPECT_EQ(answer, expected);
+
+  net::WireMessage response = net::decode_message(expected).value();
+  ASSERT_EQ(response.items.size(), 200u);
+  for (std::size_t i = 0; i < response.items.size(); ++i) {
+    const net::Status want = i == 77    ? net::Status::kNotFound
+                        : i == 150 ? net::Status::kServerError
+                                   : net::Status::kOk;
+    EXPECT_EQ(response.items[i].status, want) << i;
+    EXPECT_EQ(response.items[i].fp, request.items[i].fp) << i;
+  }
+  EXPECT_EQ(pooled.stats().download_items, 4u * 200u);
   fs::remove_all(dir);
 }
 

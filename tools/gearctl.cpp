@@ -15,7 +15,7 @@
 //
 // The store directory holds the catalog (manifests and index layers) under
 // docker/ (gear/persistence.hpp), the Gear files in a durable
-// DiskObjectStore (objects/, chunked/; --store-dir moves it), and the local
+// DiskObjectStore (pack/ segments; --store-dir moves it), and the local
 // runtime's cache and containers under local/. Only the commands that
 // change the catalog (init, import, commit, rm, gc) write it back. `import`
 // turns a real directory into a Gear image; `export` reconstructs an
@@ -140,19 +140,22 @@ void handle_serve_signal(int) { g_serve_stop = 1; }
 /// <dir>/shard-<i>.
 struct FileBackend {
   std::vector<std::unique_ptr<GearRegistry>> shards;
+  std::vector<DiskObjectStore*> stores;  // shards[i]'s store
   std::unique_ptr<FleetRegistry> fleet;  // set only with --shards > 1
 
   explicit FileBackend(const fs::path& dir) {
+    auto add_shard = [&](const fs::path& shard_dir) {
+      auto store = std::make_unique<DiskObjectStore>(shard_dir);
+      stores.push_back(store.get());
+      shards.push_back(std::make_unique<GearRegistry>(std::move(store)));
+    };
     if (g_shards == 1) {
-      shards.push_back(std::make_unique<GearRegistry>(
-          std::make_unique<DiskObjectStore>(dir)));
+      add_shard(dir);
       return;
     }
     std::vector<FileRegistryApi*> backends;
     for (std::size_t i = 0; i < g_shards; ++i) {
-      shards.push_back(std::make_unique<GearRegistry>(
-          std::make_unique<DiskObjectStore>(dir /
-                                            ("shard-" + std::to_string(i)))));
+      add_shard(dir / ("shard-" + std::to_string(i)));
       backends.push_back(shards.back().get());
     }
     FleetRegistry::Options opts;
@@ -667,10 +670,12 @@ int cmd_gc(Store& store) {
   auto [blobs, blob_bytes] = store.docker.collect_garbage();
   store.save();
   std::printf("gc: scanned %zu indexes, %zu live objects, swept %zu "
-              "(%s reclaimed), swept %zu index blobs (%s)\n",
+              "(%s reclaimed, pack compacted by %s), swept %zu index blobs "
+              "(%s)\n",
               report.indexes_scanned, report.live_objects,
               report.swept_objects,
-              format_size(report.bytes_reclaimed).c_str(), blobs,
+              format_size(report.bytes_reclaimed).c_str(),
+              format_size(report.bytes_compacted).c_str(), blobs,
               format_size(blob_bytes).c_str());
   return 0;
 }
@@ -833,12 +838,15 @@ int cmd_serve() {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   server.stop();
+  std::uint64_t syncs = 0;
+  for (const DiskObjectStore* store : backend.stores) syncs += store->syncs();
   std::fprintf(stderr,
                "gearctl serve: shut down (%llu connections, %llu frames "
-               "served, %llu rejected)\n",
+               "served, %llu rejected, %llu store syncs)\n",
                static_cast<unsigned long long>(server.connections_accepted()),
                static_cast<unsigned long long>(server.frames_served()),
-               static_cast<unsigned long long>(server.frames_rejected()));
+               static_cast<unsigned long long>(server.frames_rejected()),
+               static_cast<unsigned long long>(syncs));
   return 0;
 }
 
